@@ -620,10 +620,9 @@ fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats
         model.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
     }
     let opt = Optimizer::new(model);
-    let mut config = SchedulerConfig::default().with_threads(E2E_THREADS);
-    if depth > 0 {
-        config = config.with_prefetch(depth);
-    }
+    let config = SchedulerConfig::default()
+        .with_threads(E2E_THREADS)
+        .with_prefetch(depth);
     let report = opt
         .execute_on_traced(
             &cluster,

@@ -1638,10 +1638,9 @@ pub fn e22() -> Series {
             pb.output("R", r);
             let output = "P";
             let program = pb.build();
-            let mut config = SchedulerConfig::default().with_threads(threads);
-            if depth > 0 {
-                config = config.with_prefetch(depth);
-            }
+            let config = SchedulerConfig::default()
+                .with_threads(threads)
+                .with_prefetch(depth);
             let report = optimizer()
                 .execute_on_traced(
                     &cluster,

@@ -58,12 +58,12 @@
 //!   bytes ([`cumulon_dfs::Dfs::spill_conserved`]), and the budget
 //!   demonstrably evicted tiles (a zero eviction counter would make the
 //!   check vacuous).
-//! * `spill-schedule-transparency` — spill-aware wave resolution plus
-//!   frontier prefetch ([`SchedulerConfig::with_prefetch`]) at the same
-//!   tight budget reproduces the spill-aware-off arm's fingerprint and
-//!   output bits exactly; the single-threaded arm also demands that
-//!   prefetch demonstrably readmitted tiles (zero prefetches would make
-//!   the check vacuous).
+//! * `spill-schedule-transparency` — frontier prefetch on
+//!   ([`SchedulerConfig::with_prefetch`]) vs off, on the scheduler's one
+//!   wave loop at the same tight budget: the prefetching arm reproduces
+//!   the prefetch-off arm's fingerprint and output bits exactly; the
+//!   single-threaded arm also demands that prefetch demonstrably
+//!   readmitted tiles (zero prefetches would make the check vacuous).
 //! * `serve-isolation` — N concurrent tenants racing the same program
 //!   through the multi-tenant service (admission, quotas, the bounded
 //!   priority queue, the process-wide shared speculation pool) each get
@@ -346,8 +346,8 @@ fn run_case(case: &Case, point: LatticePoint, failures: &FailurePlan) -> Result<
     run_case_prefetched(case, point, failures, 0)
 }
 
-/// [`run_case`] with spill-aware wave resolution and the given prefetch
-/// depth when `prefetch > 0` (the `spill-schedule-transparency` arm).
+/// [`run_case`] at the given prefetch depth (the
+/// `spill-schedule-transparency` arm when `prefetch > 0`).
 fn run_case_prefetched(
     case: &Case,
     point: LatticePoint,
@@ -367,10 +367,9 @@ fn run_case_prefetched(
     }
     case.workload.setup(cluster.store())?;
     let opt = optimizer();
-    let mut config = SchedulerConfig::default().with_threads(point.threads);
-    if prefetch > 0 {
-        config = config.with_prefetch(prefetch);
-    }
+    let config = SchedulerConfig::default()
+        .with_threads(point.threads)
+        .with_prefetch(prefetch);
     let mut fingerprint = String::new();
     let mut reports = Vec::new();
     let mut traces = Vec::new();
@@ -857,12 +856,12 @@ fn check_spill_transparency(
 }
 
 /// Spill-*aware* scheduling must be pure policy on top of the spill
-/// plane: at the same tight budget, a run with spill-aware wave
-/// resolution and frontier prefetch on must reproduce the off arm's
-/// fingerprint and output bits exactly — same assignments, receipts,
-/// placement draws and simulated time — while the spill ledger still
-/// conserves and eviction churn still happens. Only the host-side
-/// resolve order and the readback traffic shape may differ.
+/// plane: at the same tight budget, a run with frontier prefetch on must
+/// reproduce the prefetch-off arm's fingerprint and output bits exactly
+/// — same assignments, receipts, placement draws and simulated time —
+/// while the spill ledger still conserves and eviction churn still
+/// happens. Both arms run the scheduler's one wave loop (resident-input
+/// tasks resolved first); only the readback traffic shape may differ.
 ///
 /// Returns the total tiles prefetched across arms; whether the frontier
 /// ever fired is asserted suite-wide by the caller, because a case whose
@@ -915,7 +914,7 @@ fn check_spill_schedule_transparency(
                         format!(
                             "{TIGHT} B budget, depth {DEPTH}: {prefetched} prefetch(es), \
                              {avoided} B readback avoided, {evictions} eviction(s); \
-                             fingerprint and output bits equal to the spill-aware-off arm"
+                             fingerprint and output bits equal to the prefetch-off arm"
                         )
                     } else {
                         format!(
@@ -936,7 +935,7 @@ fn check_spill_schedule_transparency(
                 "spill-schedule-transparency",
                 label,
                 false,
-                format!("spill-aware run failed: {e}"),
+                format!("prefetching run failed: {e}"),
             ),
         }
     }

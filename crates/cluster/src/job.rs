@@ -64,10 +64,10 @@ impl TaskReceipt {
     }
 }
 
-/// One output-tile write staged by a deferred-write [`TaskCtx`]. The tile
-/// stays a shared handle (no encoding on the write path); the scheduler
-/// commits staged writes in canonical task order, which replays the DFS
-/// placement RNG draws exactly as a sequential run would.
+/// One output-tile write staged by a [`TaskCtx`]. The tile stays a shared
+/// handle (no encoding on the write path); the scheduler commits staged
+/// writes in canonical task order, so the DFS placement RNG draws follow
+/// assignment order however the wave's tasks were resolved.
 #[derive(Clone)]
 pub struct StagedWrite {
     /// Destination matrix name.
@@ -127,13 +127,6 @@ pub enum TaskOp {
     ChargeIoOps(u64),
 }
 
-/// Whether tile writes hit the store immediately or are staged for an
-/// in-order commit by the scheduler.
-enum WriteMode {
-    Direct,
-    Deferred(Vec<StagedWrite>),
-}
-
 /// Execution context handed to a task's logic. Wraps the tile store with
 /// receipt accounting and carries the placement decided by the scheduler.
 pub struct TaskCtx {
@@ -143,54 +136,39 @@ pub struct TaskCtx {
     /// Execution mode for tile reads.
     pub mode: ExecMode,
     receipt: TaskReceipt,
-    writes: WriteMode,
+    /// Output tiles written so far, awaiting the scheduler's commit.
+    staged: Vec<StagedWrite>,
     /// Present in recording mode: the op log for later replay.
     ops: Option<Vec<TaskOp>>,
 }
 
 impl TaskCtx {
     /// Creates a context (scheduler-internal, public for tests and custom
-    /// engines). Writes go straight to the tile store.
+    /// engines). [`TaskCtx::write_tile`] validates and stages instead of
+    /// touching the DFS, so a wave's tasks can be resolved in any order —
+    /// or on a worker thread — without perturbing the placement RNG. The
+    /// scheduler commits the staged writes in canonical task order via
+    /// [`TaskCtx::into_parts`].
     pub fn new(store: TileStore, node: NodeId, mode: ExecMode) -> Self {
         TaskCtx {
             store,
             node,
             mode,
             receipt: TaskReceipt::default(),
-            writes: WriteMode::Direct,
+            staged: Vec::new(),
             ops: None,
         }
     }
 
-    /// Creates a deferred-write context: [`TaskCtx::write_tile`] validates
-    /// and stages instead of touching the DFS, so task compute can run on a
-    /// worker thread without perturbing the placement RNG. The scheduler
-    /// commits the staged writes in canonical task order via
-    /// [`TaskCtx::into_parts`].
-    pub fn new_deferred(store: TileStore, node: NodeId, mode: ExecMode) -> Self {
-        TaskCtx {
-            store,
-            node,
-            mode,
-            receipt: TaskReceipt::default(),
-            writes: WriteMode::Deferred(Vec::new()),
-            ops: None,
-        }
-    }
-
-    /// Creates a recording context for lookahead speculation: deferred
-    /// writes plus an op log of every context interaction. The node is a
-    /// placeholder — recording runs before the scheduler knows where the
-    /// task will land, and nothing node-dependent survives into the log
-    /// (receipts are recomputed at replay against the real node).
+    /// Creates a recording context for lookahead speculation: a context
+    /// that also logs every interaction. The node is a placeholder —
+    /// recording runs before the scheduler knows where the task will land,
+    /// and nothing node-dependent survives into the log (receipts are
+    /// recomputed at replay against the real node).
     pub fn new_recording(store: TileStore, mode: ExecMode) -> Self {
         TaskCtx {
-            store,
-            node: NodeId(u32::MAX),
-            mode,
-            receipt: TaskReceipt::default(),
-            writes: WriteMode::Deferred(Vec::new()),
             ops: Some(Vec::new()),
+            ..TaskCtx::new(store, NodeId(u32::MAX), mode)
         }
     }
 
@@ -200,54 +178,48 @@ impl TaskCtx {
     }
 
     /// Consumes the context, returning the receipt accumulated so far plus
-    /// any staged writes (empty for direct-write contexts). For deferred
-    /// contexts the receipt's `write` field is still zero — the scheduler
-    /// adds the commit receipts in staging order, reproducing the exact
-    /// accumulation sequence of a direct-write run.
+    /// the staged writes. The receipt's `write` field holds only raw
+    /// [`TaskCtx::charge_write_io`] charges — the scheduler adds the tile
+    /// commit receipts in staging order.
     pub fn into_parts(self) -> (TaskReceipt, Vec<StagedWrite>) {
-        let staged = match self.writes {
-            WriteMode::Direct => Vec::new(),
-            WriteMode::Deferred(staged) => staged,
-        };
-        (self.receipt, staged)
+        (self.receipt, self.staged)
     }
 
     /// Reads a tile of a registered matrix, charging I/O and memory (and,
     /// for generator-backed matrices, the generation CPU instead of I/O).
     pub fn read_tile(&mut self, matrix: &str, ti: usize, tj: usize) -> Result<Arc<Tile>> {
-        // Read-your-own-writes for deferred contexts: a tile this task has
-        // already staged is served from the staging buffer with the receipt
-        // a committed-then-read-back tile would produce (the writer-local
+        // Read-your-own-writes: a tile this task has already staged is
+        // served from the staging buffer with the receipt a
+        // committed-then-read-back tile would produce (the writer-local
         // replica is always placed first and read first, so the read is
         // fully local).
-        if let WriteMode::Deferred(staged) = &self.writes {
-            if let Some(w) = staged
-                .iter()
-                .rev()
-                .find(|w| w.matrix == matrix && w.ti == ti && w.tj == tj)
-            {
-                let stored = w.stored_bytes;
-                let tile = Arc::clone(&w.tile);
-                let io = IoReceipt {
-                    bytes: stored,
-                    local_bytes: stored,
-                    remote_bytes: 0,
-                };
-                self.receipt.read = self.receipt.read.add(io);
-                if io != IoReceipt::default() {
-                    self.receipt.io_ops += 1;
-                }
-                self.receipt.mem_mb += stored as f64 / 1e6;
-                if let Some(ops) = &mut self.ops {
-                    ops.push(TaskOp::Read {
-                        matrix: matrix.to_string(),
-                        ti,
-                        tj,
-                        tile: Arc::clone(&tile),
-                    });
-                }
-                return Ok(tile);
+        if let Some(w) = self
+            .staged
+            .iter()
+            .rev()
+            .find(|w| w.matrix == matrix && w.ti == ti && w.tj == tj)
+        {
+            let stored = w.stored_bytes;
+            let tile = Arc::clone(&w.tile);
+            let io = IoReceipt {
+                bytes: stored,
+                local_bytes: stored,
+                remote_bytes: 0,
+            };
+            self.receipt.read = self.receipt.read.add(io);
+            if io != IoReceipt::default() {
+                self.receipt.io_ops += 1;
             }
+            self.receipt.mem_mb += stored as f64 / 1e6;
+            if let Some(ops) = &mut self.ops {
+                ops.push(TaskOp::Read {
+                    matrix: matrix.to_string(),
+                    ti,
+                    tj,
+                    tile: Arc::clone(&tile),
+                });
+            }
+            return Ok(tile);
         }
         let phantom = self.mode == ExecMode::Simulated;
         let (tile, io) = self
@@ -284,8 +256,8 @@ impl TaskCtx {
     /// Writes an output tile, charging I/O and memory. Accepts an owned
     /// `Tile`, an `Arc<Tile>`, or `&Tile` (cloned); hot paths hand over
     /// ownership so no payload copy happens anywhere on the write path.
-    /// Deferred contexts validate here (same in-task error points as a
-    /// direct write) but stage the handle for the scheduler to commit.
+    /// The tile is validated here (so a malformed write fails inside the
+    /// task's logic) and its handle staged for the scheduler to commit.
     pub fn write_tile(
         &mut self,
         matrix: &str,
@@ -294,28 +266,14 @@ impl TaskCtx {
         tile: impl Into<Arc<Tile>>,
     ) -> Result<()> {
         let tile: Arc<Tile> = tile.into();
-        match &mut self.writes {
-            WriteMode::Direct => {
-                let io = self.store.write_tile_arc(
-                    matrix,
-                    ti,
-                    tj,
-                    Arc::clone(&tile),
-                    Some(self.node),
-                )?;
-                self.receipt.write = self.receipt.write.add(io);
-            }
-            WriteMode::Deferred(staged) => {
-                self.store.validate_tile(matrix, ti, tj, &tile)?;
-                staged.push(StagedWrite {
-                    matrix: matrix.to_string(),
-                    ti,
-                    tj,
-                    tile: Arc::clone(&tile),
-                    stored_bytes: tile.stored_bytes(),
-                });
-            }
-        }
+        self.store.validate_tile(matrix, ti, tj, &tile)?;
+        self.staged.push(StagedWrite {
+            matrix: matrix.to_string(),
+            ti,
+            tj,
+            tile: Arc::clone(&tile),
+            stored_bytes: tile.stored_bytes(),
+        });
         self.receipt.io_ops += 1;
         self.receipt.mem_mb += tile.stored_bytes() as f64 / 1e6;
         if let Some(ops) = &mut self.ops {
@@ -407,7 +365,7 @@ pub struct Task {
     pub locality_hint: Option<(String, usize, usize)>,
     /// Input tiles the task will read, in read order, when the task
     /// builder knows them (e.g. the operand band of a GEMM task). The
-    /// spill-aware scheduler prefetches from this set; when empty, the
+    /// scheduler prefetches spilled tiles from this set; when empty, the
     /// locality hint alone stands in for it. Purely advisory — never
     /// consulted on any result-bearing path.
     pub read_set: Vec<(String, usize, usize)>,
@@ -429,9 +387,9 @@ impl Task {
         self
     }
 
-    /// Declares the input tiles the task will read, in read order, so
-    /// the spill-aware scheduler can prefetch exactly what is about to
-    /// be demanded and nothing else.
+    /// Declares the input tiles the task will read, in read order, so the
+    /// scheduler can prefetch exactly what is about to be demanded and
+    /// nothing else.
     pub fn with_read_set(mut self, tiles: Vec<(String, usize, usize)>) -> Self {
         self.read_set = tiles;
         self
@@ -543,9 +501,16 @@ mod tests {
             r.read.local_bytes, r.read.bytes,
             "writer-local replica should be read locally"
         );
-        // Replication 2: one local + one remote copy.
-        assert!(r.write.remote_bytes > 0);
         assert!(r.mem_mb > 0.0);
+        // The write is staged; committing it the way the scheduler does
+        // pays replication 2: one local + one remote copy.
+        let (store, node) = (c.store().clone(), c.node);
+        let (_, staged) = c.into_parts();
+        let w = &staged[0];
+        let io = store
+            .write_tile_arc(&w.matrix, w.ti, w.tj, Arc::clone(&w.tile), Some(node))
+            .unwrap();
+        assert!(io.remote_bytes > 0);
     }
 
     #[test]
@@ -659,7 +624,7 @@ mod tests {
             },
         ));
         store.register("B", MatrixMeta::new(4, 4, 4)).unwrap();
-        let mut c = TaskCtx::new_deferred(store, NodeId(0), ExecMode::Real);
+        let mut c = TaskCtx::new(store, NodeId(0), ExecMode::Real);
         let t = Arc::new(Tile::zeros(4, 4));
         c.write_tile("B", 0, 0, Arc::clone(&t)).unwrap();
         let (_, staged) = c.into_parts();

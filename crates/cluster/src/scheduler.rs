@@ -2,11 +2,17 @@
 //! preference, retry on task failure, and node-failure handling.
 //!
 //! The scheduler is a discrete-event simulation. When a task is assigned to
-//! a slot its logic executes *immediately* (real or phantom math against
+//! a slot its logic is resolved *immediately* (real or phantom math against
 //! the shared tile store), producing a receipt; the hardware model turns
 //! the receipt into a simulated duration and a completion event is
 //! scheduled. Simulated time therefore advances only through the event
 //! queue and is fully deterministic for a given seed.
+//!
+//! One run is an `Exec`: this file holds its configuration, state and the
+//! event loop; the `impl Exec` blocks of the submodules hold the rest —
+//! `fill` (the wave that fills free slots), `prefetch` (spill-plane
+//! residency and readmission), `faults` (node failures and revocations)
+//! and `specpool` (the lookahead worker pool).
 //!
 //! ## Lookahead speculation (host parallelism)
 //!
@@ -23,13 +29,18 @@
 //! which is always sound. Replay preserves the exact operation order —
 //! including f64 accumulation order — so results, receipts, reports, and
 //! placement RNG draws are bitwise-identical at any thread count.
+//!
+//! [`TaskCtx`]: crate::job::TaskCtx
+
+mod faults;
+mod fill;
+mod prefetch;
+mod specpool;
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -42,8 +53,11 @@ use crate::cluster::ClusterSpec;
 use crate::des::{EventQueue, SimTime};
 use crate::error::{ClusterError, Result};
 use crate::hw::HardwareModel;
-use crate::job::{ExecMode, JobDag, StagedWrite, TaskCtx, TaskFn, TaskOp, TaskReceipt};
+use crate::job::{ExecMode, JobDag};
 use crate::metrics::{FaultStats, JobStats, RunReport, TaskStat};
+
+use specpool::SpecLease;
+pub use specpool::{shared_spec_pool, SpecPool};
 
 /// Process-wide default worker-thread count, used when
 /// [`SchedulerConfig::threads`] is `0`. Starts at `1` (sequential) so
@@ -82,13 +96,11 @@ pub struct SchedulerConfig {
     /// A task is a straggler candidate once it has run longer than this
     /// factor times the mean duration of its job's completed tasks.
     pub speculation_factor: f64,
-    /// Disable locality-aware task placement (ablation switch).
-    pub ignore_locality: bool,
-    /// Worker threads for task compute. `1` runs task logic inline in the
-    /// DES loop (the legacy path); `N > 1` speculates task logic ahead of
+    /// Worker threads for task compute. `1` resolves every task's logic
+    /// inline in the DES loop; `N > 1` also runs Real-mode logic ahead of
     /// simulated time on a persistent pool of `N` workers, replaying each
     /// recording at canonical assignment time, which keeps the run
-    /// bitwise-identical to a sequential one; `0` resolves to the
+    /// bitwise-identical to a single-threaded one; `0` resolves to the
     /// process-wide default (see [`set_default_threads`]).
     pub threads: usize,
     /// Run lookahead speculation on the process-wide *shared* worker pool
@@ -103,25 +115,15 @@ pub struct SchedulerConfig {
     /// lane). Ignored for private pools. A multi-tenant service maps
     /// tenant priorities here.
     pub lane_priority: u8,
-    /// Spill-aware wave resolution: under a memory budget
-    /// ([`TileStore::set_memory_budget`]) each wave resolves assignments
-    /// whose hinted input tile is RAM-resident before those whose input is
-    /// demoted to the spill plane, so on-demand readbacks land late in the
-    /// wave (after any prefetch has had time to readmit them) instead of
-    /// evicting tiles the rest of the wave still needs. Assignment order,
-    /// commit order, simulated time, receipts, placement RNG draws and
-    /// fingerprints are bitwise-identical with this on or off (the
-    /// `spill-schedule-transparency` invariant); only host-side resolution
-    /// order and spill-plane traffic change.
-    pub spill_aware: bool,
     /// Demoted tiles of the wave frontier (the wave's own spilled inputs,
     /// then the next wave's) to readmit from the spill plane ahead of the
-    /// demand reads (0 disables prefetch). With worker threads the
-    /// readmissions are staged through the lookahead pool under a
-    /// dedicated lease, overlapping the wave's resolve phase;
-    /// single-threaded runs readmit inline as one batch before
-    /// resolution. Transparent to fingerprints exactly like
-    /// `spill_aware`.
+    /// demand reads, as one batch before the wave's spilled-input tasks
+    /// resolve (0 disables prefetch; so does running without a memory
+    /// budget, when nothing is ever demoted). Assignment order, commit
+    /// order, simulated time, receipts, placement RNG draws and
+    /// fingerprints are bitwise-identical at any depth (the
+    /// `spill-schedule-transparency` invariant); only spill-plane traffic
+    /// changes.
     pub prefetch_depth: usize,
 }
 
@@ -131,11 +133,9 @@ impl Default for SchedulerConfig {
             max_attempts: 4,
             speculative: false,
             speculation_factor: 1.5,
-            ignore_locality: false,
             threads: 0,
             shared_pool: false,
             lane_priority: 0,
-            spill_aware: false,
             prefetch_depth: 0,
         }
     }
@@ -156,10 +156,9 @@ impl SchedulerConfig {
         self
     }
 
-    /// Returns the config with spill-aware wave resolution on and the
-    /// given prefetch depth (`cumulon run --prefetch-depth N`).
+    /// Returns the config with the given prefetch depth
+    /// (`cumulon run --prefetch-depth N`).
     pub fn with_prefetch(mut self, depth: usize) -> Self {
-        self.spill_aware = true;
         self.prefetch_depth = depth;
         self
     }
@@ -417,300 +416,6 @@ impl Scheduler {
     }
 }
 
-/// A task assignment made at slot-fill time. Carries everything the
-/// executor and finalizer need so task *compute* can run off-thread while
-/// all bookkeeping stays with the DES loop, applied in canonical
-/// (assignment) order.
-struct WaveEntry {
-    job: usize,
-    task: usize,
-    /// Attempt number this assignment will become. Written back to
-    /// `JobState::attempts` only at finalize so entries of an aborted pass
-    /// leave no trace, exactly like a sequential run that never reached
-    /// them.
-    attempt: u32,
-    epoch: u64,
-    node: u32,
-    slot: u32,
-    is_backup: bool,
-}
-
-/// What one task attempt produced: its receipt (sans deferred write I/O),
-/// staged tile writes, and the logic error if any.
-struct ExecOutcome {
-    receipt: TaskReceipt,
-    staged: Vec<StagedWrite>,
-    error: Option<ClusterError>,
-}
-
-/// A task execution recorded ahead of simulated time: the operation log to
-/// replay at canonical finalize time, plus the logic error if the task
-/// failed while recording (in which case the log is discarded and the task
-/// re-runs inline — an errored recording may have stopped mid-logic).
-struct Recorded {
-    ops: Vec<TaskOp>,
-    error: Option<ClusterError>,
-}
-
-/// One unit of lookahead work: everything a worker needs to run a task's
-/// logic against a recording context, detached from any node or slot.
-/// Keyed by `(lease, job, task)` so concurrent runs sharing one pool
-/// never collide.
-struct SpecJob {
-    lease: u64,
-    job: usize,
-    task: usize,
-    priority: u8,
-    seq: u64,
-    run: TaskFn,
-    store: TileStore,
-    mode: ExecMode,
-}
-
-/// Result slot for one speculated task. `Running` means a worker has
-/// claimed it; `take` waits on the condvar until it flips to `Done`.
-enum SpecSlot {
-    Running,
-    Done(std::thread::Result<Recorded>),
-}
-
-struct SpecState {
-    queue: Vec<SpecJob>,
-    results: HashMap<(u64, usize, usize), SpecSlot>,
-    next_seq: u64,
-    shutdown: bool,
-}
-
-impl SpecState {
-    /// Index of the next job a worker should claim: highest priority lane
-    /// first, FIFO (enqueue order) within a lane.
-    fn best(&self) -> Option<usize> {
-        self.queue
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, j)| (j.priority, std::cmp::Reverse(j.seq)))
-            .map(|(i, _)| i)
-    }
-}
-
-/// Persistent worker pool for lookahead speculation.
-///
-/// A run leases the pool (crate-internal `lease`); every speculated task is
-/// keyed by the lease id, so many concurrent runs (e.g. a multi-tenant
-/// service, see `cumulon-serve`) can share one pool without their results
-/// colliding. The queue is priority-ordered: higher
-/// [`SchedulerConfig::lane_priority`] lanes are claimed first, FIFO within
-/// a lane. Workers park on a condvar between jobs, so feeding a task costs
-/// a queue push, not a thread spawn.
-///
-/// Sharing never affects results: speculation is a cache the canonical
-/// DES-loop replay validates read-for-read, so a starved lane merely falls
-/// back to inline execution, which is bitwise-equivalent by construction.
-pub struct SpecPool {
-    state: Arc<(Mutex<SpecState>, Condvar)>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    next_lease: AtomicU64,
-}
-
-/// One run's lease on a [`SpecPool`]. Dropping the lease withdraws any of
-/// the run's still-queued work and discards its unclaimed results.
-struct SpecLease {
-    pool: Arc<SpecPool>,
-    lease: u64,
-    priority: u8,
-}
-
-impl Drop for SpecLease {
-    fn drop(&mut self) {
-        self.pool.retire(self.lease);
-    }
-}
-
-impl SpecPool {
-    /// Creates a pool with `threads` worker threads.
-    pub fn new(threads: usize) -> Self {
-        let state = Arc::new((
-            Mutex::new(SpecState {
-                queue: Vec::new(),
-                results: HashMap::new(),
-                next_seq: 0,
-                shutdown: false,
-            }),
-            Condvar::new(),
-        ));
-        let workers = (0..threads)
-            .map(|_| {
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || Self::worker(state))
-            })
-            .collect();
-        SpecPool {
-            state,
-            workers,
-            next_lease: AtomicU64::new(0),
-        }
-    }
-
-    /// Worker threads currently serving the pool.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn lease(self: &Arc<Self>, priority: u8) -> SpecLease {
-        SpecLease {
-            pool: Arc::clone(self),
-            lease: self.next_lease.fetch_add(1, Ordering::Relaxed),
-            priority,
-        }
-    }
-
-    fn worker(state: Arc<(Mutex<SpecState>, Condvar)>) {
-        // Lookahead executions run ahead of simulated time and may be
-        // discarded; only the canonical DES-loop replay may record trace
-        // state (e.g. tile-cache counters), so suppress recording for
-        // this worker thread's entire lifetime.
-        let _quiet = cumulon_trace::suppress();
-        let (lock, cvar) = &*state;
-        loop {
-            let job = {
-                let mut st = lock.lock();
-                loop {
-                    if let Some(i) = st.best() {
-                        let job = st.queue.swap_remove(i);
-                        // Marked Running under the same lock as the pop, so
-                        // `take` always sees a job as queued or slotted,
-                        // never in between.
-                        st.results
-                            .insert((job.lease, job.job, job.task), SpecSlot::Running);
-                        break job;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st = cvar.wait(st);
-                }
-            };
-            let recorded = catch_unwind(AssertUnwindSafe(|| {
-                let mut ctx = TaskCtx::new_recording(job.store.clone(), job.mode);
-                let error = (job.run)(&mut ctx).err();
-                Recorded {
-                    ops: ctx.into_ops(),
-                    error,
-                }
-            }));
-            let mut st = lock.lock();
-            st.results
-                .insert((job.lease, job.job, job.task), SpecSlot::Done(recorded));
-            cvar.notify_all();
-        }
-    }
-
-    /// Enqueues `(job, task, logic)` triples under a lease, stamping lane
-    /// priority and FIFO sequence numbers.
-    fn enqueue(
-        &self,
-        lease: &SpecLease,
-        tasks: Vec<(usize, usize, TaskFn)>,
-        store: &TileStore,
-        mode: ExecMode,
-    ) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        for (job, task, run) in tasks {
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.queue.push(SpecJob {
-                lease: lease.lease,
-                job,
-                task,
-                priority: lease.priority,
-                seq,
-                run,
-                store: store.clone(),
-                mode,
-            });
-        }
-        cvar.notify_all();
-    }
-
-    /// Claims the speculative result for `(job, task)` under a lease. A
-    /// finished recording is returned; a running one is waited for; a
-    /// still-queued one is withdrawn and `None` returned (the caller
-    /// executes inline). Each recording is consumed at most once — retries
-    /// and backup copies find nothing and fall back to inline execution,
-    /// which must re-run the logic anyway for side effects a new attempt
-    /// would redo.
-    fn take(&self, lease: &SpecLease, job: usize, task: usize) -> Option<Recorded> {
-        let key = (lease.lease, job, task);
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        loop {
-            match st.results.get(&key) {
-                Some(SpecSlot::Done(_)) => {
-                    let Some(SpecSlot::Done(recorded)) = st.results.remove(&key) else {
-                        unreachable!("matched Done above");
-                    };
-                    drop(st);
-                    match recorded {
-                        Ok(rec) => return Some(rec),
-                        Err(panic) => resume_unwind(panic),
-                    }
-                }
-                Some(SpecSlot::Running) => st = cvar.wait(st),
-                None => {
-                    if let Some(pos) = st
-                        .queue
-                        .iter()
-                        .position(|q| (q.lease, q.job, q.task) == key)
-                    {
-                        st.queue.swap_remove(pos);
-                    }
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Withdraws a finished run's queued work and unclaimed results.
-    /// In-flight recordings are left to complete (workers hold no lock
-    /// while executing); their slots are reaped here or on the next
-    /// retire, so a crashed run can never wedge the pool.
-    fn retire(&self, lease: u64) {
-        let (lock, _) = &*self.state;
-        let mut st = lock.lock();
-        st.queue.retain(|q| q.lease != lease);
-        st.results
-            .retain(|&(l, _, _), slot| l != lease || matches!(slot, SpecSlot::Running));
-    }
-}
-
-impl Drop for SpecPool {
-    fn drop(&mut self) {
-        {
-            let (lock, cvar) = &*self.state;
-            let mut st = lock.lock();
-            st.shutdown = true;
-            st.queue.clear();
-            cvar.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// The process-wide shared speculation pool
-/// ([`SchedulerConfig::shared_pool`]). Created on first use with
-/// `threads` workers; later calls return the same pool regardless of the
-/// requested size (worker count is a process-level resource, fixed once).
-/// A multi-tenant service creates it at startup so every admitted run
-/// competes for the same workers under lane priorities instead of
-/// spawning a private pool per request.
-pub fn shared_spec_pool(threads: usize) -> Arc<SpecPool> {
-    static SHARED: OnceLock<Arc<SpecPool>> = OnceLock::new();
-    Arc::clone(SHARED.get_or_init(|| Arc::new(SpecPool::new(threads.max(1)))))
-}
-
 /// One in-flight DAG execution: all mutable scheduler state, so the run
 /// loop, slot fill, worker pool, and commit logic can share it through
 /// methods instead of a macro over locals.
@@ -721,16 +426,13 @@ struct Exec<'a> {
     config: SchedulerConfig,
     failures: &'a FailurePlan,
     /// This run's lease on a lookahead worker pool (private or shared);
-    /// `None` when the run is single-threaded (inline legacy execution).
+    /// `None` when every task resolves inline: one thread, or phantom
+    /// (`Simulated`) tasks, which compute nothing worth running ahead.
     pool: Option<SpecLease>,
-    /// Second lease on the same pool, used to stage spill-plane prefetch
-    /// work ([`SchedulerConfig::prefetch_depth`]). A separate lease keeps
-    /// the `(lease, job, task)` result keys disjoint from the run's own
-    /// lookahead recordings; prefetch results are never claimed and are
-    /// reaped when the lease drops at run end.
-    prefetch_lease: Option<SpecLease>,
-    /// Monotone counter keying prefetch enqueues under `prefetch_lease`.
-    prefetch_seq: usize,
+    /// The store's resident-byte budget at run start. When set, tiles can
+    /// be demoted to the spill plane, so each wave resolves
+    /// resident-input tasks first and may prefetch.
+    memory_budget: Option<u64>,
     /// `readback_bytes_avoided` baseline at run start, so the trace credit
     /// at run end covers only this run's prefetch wins (recovery re-runs
     /// share one spill plane).
@@ -823,7 +525,7 @@ impl<'a> Exec<'a> {
         let node_alive: Vec<bool> = (0..nodes)
             .map(|n| sched.store.dfs().is_node_live(NodeId(n)))
             .collect();
-        let pool = (threads > 1 || (config.shared_pool && threads > 0)).then(|| {
+        let pool = (mode == ExecMode::Real && (threads > 1 || config.shared_pool)).then(|| {
             let pool = if config.shared_pool {
                 shared_spec_pool(threads)
             } else {
@@ -831,9 +533,6 @@ impl<'a> Exec<'a> {
             };
             pool.lease(config.lane_priority)
         });
-        let prefetch_lease = (config.prefetch_depth > 0)
-            .then(|| pool.as_ref().map(|l| l.pool.lease(config.lane_priority)))
-            .flatten();
         let spill_avoided_at_start = sched
             .store
             .dfs()
@@ -847,8 +546,7 @@ impl<'a> Exec<'a> {
             config,
             failures,
             pool,
-            prefetch_lease,
-            prefetch_seq: 0,
+            memory_budget: sched.store.memory_budget(),
             spill_avoided_at_start,
             spec_enqueued: vec![false; n_jobs],
             jobs,
@@ -921,33 +619,38 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
+    /// Marks job `j` complete at `at`: closes its stats and span and
+    /// releases its dependents.
+    fn complete_job(&mut self, j: usize, at: SimTime) {
+        let state = &mut self.jobs[j];
+        state.done = true;
+        state.stats.end_s = at.secs();
+        if self.trace.is_enabled() {
+            self.trace.record_job(JobSpan {
+                index: j,
+                name: state.stats.name.clone(),
+                op_label: state.stats.op_label.clone(),
+                start_s: state.stats.start_s,
+                end_s: at.secs(),
+                round: 0,
+            });
+        }
+        self.finished.push(state.stats.clone());
+        self.completed_jobs += 1;
+        for &dep in &self.dependents[j] {
+            self.jobs[dep].remaining_deps -= 1;
+        }
+    }
+
     /// Jobs with zero tasks complete the moment they become ready.
     fn zero_task_scan(&mut self, at: SimTime) {
         loop {
             let mut progressed = false;
             for j in 0..self.dag.jobs.len() {
-                if !self.jobs[j].done
-                    && self.jobs[j].remaining_deps == 0
-                    && self.jobs[j].unfinished_tasks == 0
-                {
-                    self.jobs[j].done = true;
-                    self.jobs[j].stats.start_s = at.secs();
-                    self.jobs[j].stats.end_s = at.secs();
-                    if self.trace.is_enabled() {
-                        self.trace.record_job(JobSpan {
-                            index: j,
-                            name: self.jobs[j].stats.name.clone(),
-                            op_label: self.jobs[j].stats.op_label.clone(),
-                            start_s: at.secs(),
-                            end_s: at.secs(),
-                            round: 0,
-                        });
-                    }
-                    self.finished.push(self.jobs[j].stats.clone());
-                    self.completed_jobs += 1;
-                    for &dep in &self.dependents[j] {
-                        self.jobs[dep].remaining_deps -= 1;
-                    }
+                let state = &mut self.jobs[j];
+                if !state.done && state.remaining_deps == 0 && state.unfinished_tasks == 0 {
+                    state.stats.start_s = at.secs();
+                    self.complete_job(j, at);
                     progressed = true;
                 }
             }
@@ -957,626 +660,42 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Picks the next task for a node: scan ready jobs in index order; within
-    /// a job prefer a pending task whose dominant input is local to `node`
-    /// (unless locality-aware placement is disabled).
-    fn pick_task(&self, node: NodeId) -> Option<(usize, usize)> {
-        for (j, state) in self.jobs.iter().enumerate() {
-            if state.done || state.remaining_deps > 0 || state.pending.is_empty() {
-                continue;
-            }
-            if !self.config.ignore_locality {
-                // Locality pass.
-                for &t in &state.pending {
-                    if let Some((m, ti, tj)) = &self.dag.jobs[j].tasks[t].locality_hint {
-                        if self.sched.store.tile_is_local(m, *ti, *tj, node) {
-                            return Some((j, t));
-                        }
-                    } else {
-                        // No hint: any slot is as good as any other.
-                        return Some((j, t));
-                    }
-                }
-            }
-            // No local task: take the oldest pending one.
-            return state.pending.front().map(|&t| (j, t));
+    /// Records the span of the attempt that just left slot `idx` —
+    /// completed, failed, or killed at `end` — consuming the metadata
+    /// stashed at finalize. A killed attempt's phases are rescaled to the
+    /// time it actually ran.
+    fn record_span(&mut self, idx: usize, r: &Running, end: SimTime, ok: bool, killed: bool) {
+        if !self.trace.is_enabled() {
+            return;
         }
-        None
-    }
-
-    /// Task choice for one free slot: a pending task, or — when slots would
-    /// otherwise idle — a speculative backup of a straggler.
-    fn pick_for_slot(&self, node: u32, now: SimTime) -> Option<(usize, usize, bool)> {
-        if let Some((j, t)) = self.pick_task(NodeId(node)) {
-            return Some((j, t, false));
-        }
-        if !self.config.speculative {
-            return None;
-        }
-        self.slot_state
-            .iter()
-            .flatten()
-            .filter(|r| {
-                let js = &self.jobs[r.job];
-                !js.task_done[r.task]
-                    && !js.speculated[r.task]
-                    && js.pending.is_empty()
-                    && js.mean_completed_s().is_some_and(|mean| {
-                        now.secs() - r.started.secs() > self.config.speculation_factor * mean
-                    })
-            })
-            .max_by(|a, b| {
-                let ea = now.secs() - a.started.secs();
-                let eb = now.secs() - b.started.secs();
-                ea.partial_cmp(&eb).expect("finite elapsed")
-            })
-            .map(|r| (r.job, r.task, true))
-    }
-
-    /// Assigns a task to a free slot: pending-queue/speculation bookkeeping,
-    /// epoch allocation, and slot occupation. Attempt numbers and fault
-    /// counters are only *computed* here — they are written back at
-    /// finalize, so a wave aborted mid-commit leaves no counters from
-    /// entries a sequential run would never have reached.
-    fn assign(&mut self, node: u32, slot: u32, now: SimTime) -> Option<WaveEntry> {
-        let (j, t, is_backup) = self.pick_for_slot(node, now)?;
-        if is_backup {
-            self.jobs[j].speculated[t] = true;
-        } else {
-            // Remove t from job j's pending queue.
-            let pos = self.jobs[j]
-                .pending
-                .iter()
-                .position(|&x| x == t)
-                .expect("picked task is pending");
-            self.jobs[j].pending.remove(pos);
-        }
-        let attempt = self.jobs[j].attempts[t] + 1;
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        let input_local = self.dag.jobs[j].tasks[t]
-            .locality_hint
-            .as_ref()
-            .map(|(m, ti, tj)| self.sched.store.tile_is_local(m, *ti, *tj, NodeId(node)))
-            .unwrap_or(true);
-        let idx = (node * self.sched.spec.slots_per_node + slot) as usize;
-        self.slot_state[idx] = Some(Running {
-            job: j,
-            task: t,
-            epoch,
-            started: now,
-            input_local,
-        });
-        Some(WaveEntry {
-            job: j,
-            task: t,
-            attempt,
-            epoch,
-            node,
-            slot,
-            is_backup,
-        })
-    }
-
-    /// Runs one task attempt's logic inline, at canonical time, writing
-    /// straight through to the store. This is the reference semantics:
-    /// the `threads == 1` path, and the fallback whenever a speculative
-    /// recording is missing, errored, or fails replay validation.
-    fn execute(&self, e: &WaveEntry) -> ExecOutcome {
-        let mut ctx = TaskCtx::new(self.sched.store.clone(), NodeId(e.node), self.mode);
-        let result = (self.dag.jobs[e.job].tasks[e.task].run)(&mut ctx);
-        let (receipt, staged) = ctx.into_parts();
-        ExecOutcome {
-            receipt,
-            staged,
-            error: result.err(),
-        }
-    }
-
-    /// Hands every task of every newly-ready job to the lookahead pool.
-    /// A job is enqueued exactly once, the first `fill_slots` after its
-    /// dependencies complete — at which point all its inputs are durable
-    /// in the DFS, so workers can read them ahead of simulated time.
-    fn spec_enqueue_ready(&mut self) {
-        let Some(lease) = &self.pool else { return };
-        let mut batch = Vec::new();
-        for j in 0..self.dag.jobs.len() {
-            if self.spec_enqueued[j] || self.jobs[j].done || self.jobs[j].remaining_deps > 0 {
-                continue;
-            }
-            self.spec_enqueued[j] = true;
-            for (t, task) in self.dag.jobs[j].tasks.iter().enumerate() {
-                batch.push((j, t, Arc::clone(&task.run)));
-            }
-        }
-        if !batch.is_empty() {
-            lease
-                .pool
-                .enqueue(lease, batch, &self.sched.store, self.mode);
-        }
-    }
-
-    /// Replays a recorded operation log against a fresh context bound to
-    /// the assignment's real node, reproducing the exact receipts and
-    /// accumulation order an inline run would produce. Reads are
-    /// re-performed (recomputing canonical read receipts) and validated
-    /// against the recorded tiles; any divergence or error returns `None`
-    /// and the caller falls back to inline execution.
-    fn try_replay(&self, e: &WaveEntry, ops: Vec<TaskOp>) -> Option<ExecOutcome> {
-        let mut ctx = TaskCtx::new_deferred(self.sched.store.clone(), NodeId(e.node), self.mode);
-        for op in ops {
-            match op {
-                TaskOp::Read {
-                    matrix,
-                    ti,
-                    tj,
-                    tile,
-                } => {
-                    let got = ctx.read_tile(&matrix, ti, tj).ok()?;
-                    if !(Arc::ptr_eq(&got, &tile) || *got == *tile) {
-                        return None;
-                    }
-                }
-                TaskOp::Write {
-                    matrix,
-                    ti,
-                    tj,
-                    tile,
-                } => ctx.write_tile(&matrix, ti, tj, tile).ok()?,
-                TaskOp::Charge(w) => ctx.charge(w),
-                TaskOp::ChargeMem(mb) => ctx.charge_mem_mb(mb),
-                TaskOp::ChargeReadIo(io) => ctx.charge_read_io(io),
-                TaskOp::ChargeWriteIo(io) => ctx.charge_write_io(io),
-                TaskOp::ChargeSeconds(s) => ctx.charge_seconds(s),
-                TaskOp::ChargeIoOps(n) => ctx.charge_io_ops(n),
-            }
-        }
-        let (receipt, staged) = ctx.into_parts();
-        Some(ExecOutcome {
-            receipt,
-            staged,
-            error: None,
-        })
-    }
-
-    /// The outcome for one assignment: a validated replay of its lookahead
-    /// recording when available, else an inline run. Both paths produce
-    /// bitwise-identical outcomes, so which one is taken — a host-timing
-    /// artifact — is unobservable in the simulation.
-    fn obtain_outcome(&self, e: &WaveEntry) -> ExecOutcome {
-        if let Some(lease) = &self.pool {
-            if let Some(rec) = lease.pool.take(lease, e.job, e.task) {
-                if rec.error.is_none() {
-                    if let Some(outcome) = self.try_replay(e, rec.ops) {
-                        return outcome;
-                    }
-                }
-            }
-        }
-        self.execute(e)
-    }
-
-    /// Inline execution with a deferred-write context: identical receipts
-    /// and error points to [`Exec::execute`], but writes are staged for the
-    /// scheduler to commit in canonical order. The spill-aware path
-    /// resolves entries out of assignment order, so every write must go
-    /// through staging or the placement RNG draw sequence would follow
-    /// resolution order instead of canonical order.
-    fn execute_deferred(&self, e: &WaveEntry) -> ExecOutcome {
-        let mut ctx = TaskCtx::new_deferred(self.sched.store.clone(), NodeId(e.node), self.mode);
-        let result = (self.dag.jobs[e.job].tasks[e.task].run)(&mut ctx);
-        let (receipt, staged) = ctx.into_parts();
-        ExecOutcome {
-            receipt,
-            staged,
-            error: result.err(),
-        }
-    }
-
-    /// [`Exec::obtain_outcome`] for the spill-aware path: the inline
-    /// fallback stages its writes instead of committing them, so the
-    /// resolve order is free while the commit order stays canonical.
-    fn obtain_outcome_deferred(&self, e: &WaveEntry) -> ExecOutcome {
-        if let Some(lease) = &self.pool {
-            if let Some(rec) = lease.pool.take(lease, e.job, e.task) {
-                if rec.error.is_none() {
-                    if let Some(outcome) = self.try_replay(e, rec.ops) {
-                        return outcome;
-                    }
-                }
-            }
-        }
-        self.execute_deferred(e)
-    }
-
-    /// Residency oracle for one assignment: is its hinted dominant input
-    /// currently demoted to the spill plane (a read now pays a synchronous
-    /// readback)? Hint-less tasks count as resident.
-    fn entry_input_spilled(&self, e: &WaveEntry) -> bool {
-        self.dag.jobs[e.job].tasks[e.task]
-            .locality_hint
-            .as_ref()
-            .is_some_and(|(m, ti, tj)| self.sched.store.tile_is_spilled(m, *ti, *tj))
-    }
-
-    /// The wave's spilled frontier: up to
-    /// [`SchedulerConfig::prefetch_depth`] distinct demoted tiles the
-    /// scheduler is about to want, scanned in demand order — first the
-    /// fill's own still-unresolved entries (`pending`, as `(job, task)`
-    /// pairs; their reads are next), then — only once every ready job's
-    /// pending pool is drained, so the successors really are the next
-    /// wave — the tasks of not-yet-ready successor jobs in index order
-    /// (their reads of tiles *earlier* jobs produced — reused inputs
-    /// like the `A` of every power iteration — already exist and may
-    /// have spilled, while reads of tiles this fill is still producing
-    /// simply aren't demoted yet and are skipped).
-    fn prefetch_frontier(&self, pending: &[(usize, usize)]) -> Vec<(String, usize, usize)> {
-        let depth = self.config.prefetch_depth;
-        let mut frontier: Vec<(String, usize, usize)> = Vec::new();
-        if depth == 0 {
-            return frontier;
-        }
-        // Only tiles a not-yet-resolved task is about to read are
-        // candidates: every one is still ahead of its demand read, so a
-        // readmission can never waste budget on a tile the run has
-        // already consumed (a whole-matrix sweep would re-fetch spilled
-        // tiles that nothing reads again, evicting live ones to do it).
-        // A task's declared read set enumerates those tiles in read
-        // order; tasks without one contribute their locality hint.
-        let consider = |job: usize, task: usize, frontier: &mut Vec<(String, usize, usize)>| {
-            let t = &self.dag.jobs[job].tasks[task];
-            let hint = t
-                .read_set
-                .is_empty()
-                .then(|| t.locality_hint.clone())
-                .flatten();
-            for (m, i, j) in t.read_set.iter().cloned().chain(hint) {
-                if frontier.len() >= depth {
-                    return;
-                }
-                let key = (m, i, j);
-                if !frontier.contains(&key)
-                    && self.sched.store.tile_is_spilled(&key.0, key.1, key.2)
-                {
-                    frontier.push(key);
-                }
-            }
+        let Some(m) = self.epoch_meta.remove(&r.epoch) else {
+            return;
         };
-        for &(job, task) in pending {
-            if frontier.len() >= depth {
-                return frontier;
-            }
-            consider(job, task, &mut frontier);
-        }
-        // Looking past the fill's own entries is the next wave's frontier
-        // only once every ready job's pending pool is drained. Scanning
-        // unassigned or successor tasks while ready work remains is
-        // actively harmful: their reads are many fills away, every
-        // intervening fill commits writes that evict what the scan
-        // readmitted, and the next fill's scan readmits the same tiles
-        // again — the prefetcher becomes a readback amplifier. (The
-        // fill's own entries are immune: their reads land before any of
-        // this fill's writes commit.)
-        let ready_drained = self
-            .jobs
-            .iter()
-            .all(|s| s.done || s.remaining_deps > 0 || s.pending.is_empty());
-        if !ready_drained {
-            return frontier;
-        }
-        for (j, state) in self.jobs.iter().enumerate() {
-            if state.done || state.remaining_deps == 0 {
-                continue;
-            }
-            for t in 0..self.dag.jobs[j].tasks.len() {
-                if frontier.len() >= depth {
-                    return frontier;
-                }
-                if !state.task_done[t] {
-                    consider(j, t, &mut frontier);
-                }
-            }
-        }
-        frontier
-    }
-
-    /// Readmits the frontier's tiles from the spill plane. With a worker
-    /// pool the readmissions run asynchronously under the prefetch lease,
-    /// overlapping the wave's resolve phase; single-threaded runs readmit
-    /// inline as one batch before resolution, ahead of the demand reads.
-    /// Readmission replaces a demoted replica in place — no placement RNG
-    /// draw — and errors are deliberately dropped: prefetch is a hint,
-    /// and the next canonical read pays the readback it would have paid
-    /// anyway. Staging is byte-capped at half the memory budget:
-    /// readmitting more than the budget can hold evicts the very tiles
-    /// just prefetched (and, worse, tiles the current wave still needs),
-    /// turning the prefetch into extra readbacks instead of fewer.
-    fn stage_prefetch(&mut self, frontier: Vec<(String, usize, usize)>) {
-        if frontier.is_empty() {
-            return;
-        }
-        let cap = self.sched.store.memory_budget().map(|b| b / 2);
-        if self.prefetch_lease.is_none() {
-            let mut spent = 0u64;
-            for (m, ti, tj) in frontier {
-                if cap.is_some_and(|c| spent >= c) {
-                    break;
-                }
-                spent += self.sched.store.prefetch_tile(&m, ti, tj).unwrap_or(0);
-            }
-            return;
-        }
-        let spent = Arc::new(AtomicU64::new(0));
-        let mut batch: Vec<(usize, usize, TaskFn)> = Vec::with_capacity(frontier.len());
-        for (m, ti, tj) in frontier {
-            let store = self.sched.store.clone();
-            let spent = spent.clone();
-            let run: TaskFn = Arc::new(move |_ctx: &mut TaskCtx| {
-                if cap.is_some_and(|c| spent.load(Ordering::Relaxed) >= c) {
-                    return Ok(());
-                }
-                if let Ok(bytes) = store.prefetch_tile(&m, ti, tj) {
-                    spent.fetch_add(bytes, Ordering::Relaxed);
-                }
-                Ok(())
-            });
-            batch.push((0, self.prefetch_seq, run));
-            self.prefetch_seq += 1;
-        }
-        let lease = self.prefetch_lease.as_ref().expect("checked above");
-        lease
-            .pool
-            .enqueue(lease, batch, &self.sched.store, self.mode);
-    }
-
-    /// Applies one executed entry's effects, in canonical order: commit
-    /// staged writes (replaying the DFS placement RNG draws a sequential
-    /// run would make), book attempts and fault counters, resolve injected
-    /// failures, charge stats, and schedule the completion event.
-    fn finalize(
-        &mut self,
-        e: &WaveEntry,
-        outcome: ExecOutcome,
-        queue: &mut EventQueue<Event>,
-    ) -> Result<()> {
-        let ExecOutcome {
-            mut receipt,
-            staged,
-            mut error,
-        } = outcome;
-        for w in staged {
-            // A task that errored mid-logic still committed everything it
-            // wrote before the error in a sequential run; writes staged
-            // before the error point replay that.
-            match self.sched.store.write_tile_arc(
-                &w.matrix,
-                w.ti,
-                w.tj,
-                w.tile,
-                Some(NodeId(e.node)),
-            ) {
-                Ok(io) => receipt.write = receipt.write.add(io),
-                Err(commit_err) => {
-                    if error.is_none() {
-                        error = Some(commit_err.into());
-                    }
-                    break;
-                }
-            }
-        }
-        self.jobs[e.job].attempts[e.task] = e.attempt;
-        self.faults.task_attempts += 1;
-        if e.is_backup {
-            self.faults.speculative_launches += 1;
-        } else if e.attempt > 1 {
-            self.faults.retries += 1;
-        }
-        let injected_failure = self.failures.attempt_fails(e.job, e.task, e.attempt);
-        let ok = error.is_none() && !injected_failure;
-        if let Some(err) = &error {
-            if let ClusterError::BlockLost { path, .. } = err {
-                if !self.lost_blocks.contains(path) {
-                    self.lost_blocks.push(path.clone());
-                    self.faults.lost_block_events += 1;
-                }
-            }
-            if e.attempt >= self.config.max_attempts {
-                return Err(ClusterError::TaskFailed {
-                    job: self.dag.jobs[e.job].name.clone(),
-                    task: e.task,
-                    attempts: e.attempt,
-                    last_error: err.to_string(),
-                });
-            }
-        }
-        let duration = self
-            .sched
-            .hw
-            .task_seconds(
-                &self.sched.spec.instance,
-                self.sched.spec.slots_per_node,
-                &receipt,
-                e.job,
-                e.task,
-                e.attempt - 1,
-            )
-            .max(1e-9);
-        // Rework accounting: retries and backup copies re-execute work the
-        // first attempt already did (DES-ordered accumulation, so the f64
-        // sums are identical at any thread count).
-        self.faults.total_task_s += duration;
-        if e.attempt > 1 || e.is_backup {
-            self.faults.rework_task_s += duration;
-        }
-        if self.trace.is_enabled() {
-            // Phase fractions come from the noise-free model split and are
-            // rescaled to the attempt's actual (noisy) duration, so phase
-            // sums reproduce span durations — and hence the makespan —
-            // exactly.
-            let phases = self
-                .sched
-                .hw
-                .task_phases(
-                    &self.sched.spec.instance,
-                    self.sched.spec.slots_per_node,
-                    &receipt,
-                )
-                .scaled_to(duration);
-            self.epoch_meta.insert(
-                e.epoch,
-                SpanMeta {
-                    attempt: e.attempt,
-                    is_backup: e.is_backup,
-                    wave: self.wave,
-                    phases,
-                    read_bytes: receipt.read.bytes,
-                    read_local_bytes: receipt.read.local_bytes,
-                    write_bytes: receipt.write.bytes,
-                    io_ops: receipt.io_ops,
-                },
-            );
-        }
-        self.jobs[e.job].stats.start_s = self.jobs[e.job].stats.start_s.min(queue.now().secs());
-        self.jobs[e.job].stats.receipt = self.jobs[e.job].stats.receipt.add(receipt);
-        queue.schedule_in(
-            duration,
-            Event::TaskFinish {
-                job: e.job,
-                task: e.task,
-                attempt: e.attempt,
-                epoch: e.epoch,
-                node: e.node,
-                slot: e.slot,
-                ok,
-            },
-        );
-        Ok(())
-    }
-
-    /// Fills every free slot with the best pending task. Each assignment
-    /// is resolved (replayed from its lookahead recording or executed
-    /// inline) and finalized on the spot, in slot order — exactly the
-    /// `threads == 1` interleaving, which is the canonical semantics.
-    /// Assignment decisions are insensitive to same-pass commits: a ready
-    /// job's inputs come from jobs that finished before this pass, so
-    /// locality lookups see the same placement either way.
-    fn fill_slots(&mut self, queue: &mut EventQueue<Event>) -> Result<()> {
-        self.spec_enqueue_ready();
-        self.wave += 1;
-        let nodes = self.sched.spec.nodes;
-        let slots = self.sched.spec.slots_per_node;
-        let now = queue.now();
-        if self.config.spill_aware || self.config.prefetch_depth > 0 {
-            return self.fill_slots_spill_aware(queue, now);
-        }
-        for node in 0..nodes {
-            if !self.node_alive[node as usize] || self.doomed[node as usize] {
-                continue;
-            }
-            for slot in 0..slots {
-                let idx = (node * slots + slot) as usize;
-                if self.slot_state[idx].is_some() {
-                    continue;
-                }
-                let Some(entry) = self.assign(node, slot, now) else {
-                    continue;
-                };
-                let outcome = self.obtain_outcome(&entry);
-                self.finalize(&entry, outcome, queue)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The spill-aware wave ([`SchedulerConfig::spill_aware`] /
-    /// [`SchedulerConfig::prefetch_depth`]). Same observable semantics as
-    /// the legacy loop, restructured into phases:
-    ///
-    /// 1. *Assign* every free slot in canonical node/slot order. Legal to
-    ///    hoist because assignment decisions are insensitive to same-pass
-    ///    commits (see [`Exec::fill_slots`]) — the entry sequence, epoch
-    ///    numbering and pending-queue mutations are identical.
-    /// 2. *Prefetch*: compute the wave frontier's spilled tiles and stage
-    ///    their readmissions (pool-async with workers, else one inline
-    ///    batch ahead of the demand reads).
-    /// 3. *Resolve* the entries — resident-input entries first (stable
-    ///    order within each class) when `spill_aware`. Reads are
-    ///    order-insensitive: block service is stateless locality-ordered
-    ///    replica selection, read receipts do not depend on cache or spill
-    ///    state, and same-wave tasks never read each other's outputs (a
-    ///    ready job's inputs are durable before the wave). Writes are
-    ///    staged, not committed.
-    /// 4. *Finalize* in canonical assignment order: staged writes commit
-    ///    here, so the placement RNG draw sequence, receipt accumulation
-    ///    order, fault bookkeeping and event schedule are bitwise those of
-    ///    the legacy loop.
-    ///
-    /// Only host-side resolve order, spill-plane traffic and the
-    /// (fingerprint-excluded) cache/spill counters differ.
-    fn fill_slots_spill_aware(
-        &mut self,
-        queue: &mut EventQueue<Event>,
-        now: SimTime,
-    ) -> Result<()> {
-        let nodes = self.sched.spec.nodes;
-        let slots = self.sched.spec.slots_per_node;
-        let mut entries: Vec<WaveEntry> = Vec::new();
-        for node in 0..nodes {
-            if !self.node_alive[node as usize] || self.doomed[node as usize] {
-                continue;
-            }
-            for slot in 0..slots {
-                let idx = (node * slots + slot) as usize;
-                if self.slot_state[idx].is_some() {
-                    continue;
-                }
-                if let Some(entry) = self.assign(node, slot, now) {
-                    entries.push(entry);
-                }
-            }
-        }
-        // Residency snapshot before any resolution runs: spilled-input
-        // entries resolve last from one consistent view.
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        let mut spilled: Vec<bool> = vec![false; entries.len()];
-        if self.config.spill_aware {
-            spilled = entries
-                .iter()
-                .map(|e| self.entry_input_spilled(e))
-                .collect();
-            order.sort_by_key(|&i| spilled[i]);
-        }
-        let mut outcomes: Vec<Option<ExecOutcome>> = Vec::new();
-        outcomes.resize_with(entries.len(), || None);
-        // The prefetch stages at the resident/spilled boundary of the
-        // resolve order: after it, readmissions cannot evict tiles the
-        // resident-input entries still need; before the spilled-input
-        // entries, an async prefetch gets the longest overlap with their
-        // demand reads. Only the still-unresolved suffix of the wave
-        // feeds the frontier — resolved entries' reads are already paid.
-        // A wave with no spilled inputs degenerates to an end-of-wave
-        // prefetch for the next wave's frontier.
-        let mut prefetched = false;
-        for (pos, &i) in order.iter().enumerate() {
-            if !prefetched && spilled[i] {
-                let pending: Vec<(usize, usize)> = order[pos..]
-                    .iter()
-                    .map(|&j| (entries[j].job, entries[j].task))
-                    .collect();
-                let frontier = self.prefetch_frontier(&pending);
-                self.stage_prefetch(frontier);
-                prefetched = true;
-            }
-            outcomes[i] = Some(self.obtain_outcome_deferred(&entries[i]));
-        }
-        if !prefetched {
-            let frontier = self.prefetch_frontier(&[]);
-            self.stage_prefetch(frontier);
-        }
-        for (entry, outcome) in entries.iter().zip(outcomes) {
-            self.finalize(entry, outcome.expect("every entry resolved above"), queue)?;
-        }
-        Ok(())
+        let slots = self.sched.spec.slots_per_node as usize;
+        let phases = if killed {
+            m.phases.scaled_to(end.secs() - r.started.secs())
+        } else {
+            m.phases
+        };
+        self.trace.record_task(TaskSpan {
+            job: r.job,
+            task: r.task,
+            attempt: m.attempt,
+            node: idx / slots,
+            slot: idx % slots,
+            start_s: r.started.secs(),
+            end_s: end.secs(),
+            ok,
+            backup: m.is_backup,
+            killed,
+            wave: m.wave,
+            round: 0,
+            phases,
+            read_bytes: m.read_bytes,
+            read_local_bytes: m.read_local_bytes,
+            write_bytes: m.write_bytes,
+            io_ops: m.io_ops,
+        });
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1613,70 +732,24 @@ impl<'a> Exec<'a> {
             // Kill any still-running copies of this task. If a killed twin
             // started earlier, the completing copy is the backup — a
             // speculative win.
-            let mut killed: Vec<(usize, Running)> = Vec::new();
-            for (other_idx, other) in self.slot_state.iter_mut().enumerate() {
-                if matches!(other, Some(r) if r.job == job && r.task == task) {
-                    let twin = other.take().expect("matched Some above");
-                    if twin.started < running.started {
-                        self.faults.speculative_wins += 1;
-                    }
-                    killed.push((other_idx, twin));
+            for twin_idx in 0..self.slot_state.len() {
+                if !matches!(self.slot_state[twin_idx], Some(r) if r.job == job && r.task == task) {
+                    continue;
                 }
-            }
-            if self.trace.is_enabled() {
-                let slots = self.sched.spec.slots_per_node as usize;
-                for (twin_idx, twin) in &killed {
-                    if twin.started < running.started {
-                        self.trace.record_event(TraceEvent::SpeculativeWin {
-                            t_s: now.secs(),
-                            job,
-                            task,
-                        });
-                    }
-                    if let Some(m) = self.epoch_meta.remove(&twin.epoch) {
-                        self.trace.record_task(TaskSpan {
-                            job,
-                            task,
-                            attempt: m.attempt,
-                            node: twin_idx / slots,
-                            slot: twin_idx % slots,
-                            start_s: twin.started.secs(),
-                            end_s: now.secs(),
-                            ok: false,
-                            backup: m.is_backup,
-                            killed: true,
-                            wave: m.wave,
-                            round: 0,
-                            phases: m.phases.scaled_to(now.secs() - twin.started.secs()),
-                            read_bytes: m.read_bytes,
-                            read_local_bytes: m.read_local_bytes,
-                            write_bytes: m.write_bytes,
-                            io_ops: m.io_ops,
-                        });
-                    }
-                }
-                if let Some(m) = self.epoch_meta.remove(&epoch) {
-                    self.trace.record_task(TaskSpan {
+                let twin = self.slot_state[twin_idx]
+                    .take()
+                    .expect("matched Some above");
+                if twin.started < running.started {
+                    self.faults.speculative_wins += 1;
+                    self.trace.record_event(TraceEvent::SpeculativeWin {
+                        t_s: now.secs(),
                         job,
                         task,
-                        attempt,
-                        node: node as usize,
-                        slot: slot as usize,
-                        start_s: running.started.secs(),
-                        end_s: now.secs(),
-                        ok: true,
-                        backup: m.is_backup,
-                        killed: false,
-                        wave: m.wave,
-                        round: 0,
-                        phases: m.phases,
-                        read_bytes: m.read_bytes,
-                        read_local_bytes: m.read_local_bytes,
-                        write_bytes: m.write_bytes,
-                        io_ops: m.io_ops,
                     });
                 }
+                self.record_span(twin_idx, &twin, now, false, true);
             }
+            self.record_span(idx, &running, now, true, false);
             self.jobs[job].stats.tasks.push(TaskStat {
                 task,
                 node,
@@ -1687,49 +760,11 @@ impl<'a> Exec<'a> {
             });
             self.jobs[job].unfinished_tasks -= 1;
             if self.jobs[job].unfinished_tasks == 0 && !self.jobs[job].done {
-                self.jobs[job].done = true;
-                self.jobs[job].stats.end_s = now.secs();
-                if self.trace.is_enabled() {
-                    self.trace.record_job(JobSpan {
-                        index: job,
-                        name: self.jobs[job].stats.name.clone(),
-                        op_label: self.jobs[job].stats.op_label.clone(),
-                        start_s: self.jobs[job].stats.start_s,
-                        end_s: now.secs(),
-                        round: 0,
-                    });
-                }
-                self.finished.push(self.jobs[job].stats.clone());
-                self.completed_jobs += 1;
-                for &dep in &self.dependents[job] {
-                    self.jobs[dep].remaining_deps -= 1;
-                }
+                self.complete_job(job, now);
                 self.zero_task_scan(now);
             }
         } else {
-            if self.trace.is_enabled() {
-                if let Some(m) = self.epoch_meta.remove(&epoch) {
-                    self.trace.record_task(TaskSpan {
-                        job,
-                        task,
-                        attempt,
-                        node: node as usize,
-                        slot: slot as usize,
-                        start_s: running.started.secs(),
-                        end_s: now.secs(),
-                        ok: false,
-                        backup: m.is_backup,
-                        killed: false,
-                        wave: m.wave,
-                        round: 0,
-                        phases: m.phases,
-                        read_bytes: m.read_bytes,
-                        read_local_bytes: m.read_local_bytes,
-                        write_bytes: m.write_bytes,
-                        io_ops: m.io_ops,
-                    });
-                }
-            }
+            self.record_span(idx, &running, now, false, false);
             if attempt >= self.config.max_attempts {
                 return Err(ClusterError::TaskFailed {
                     job: self.dag.jobs[job].name.clone(),
@@ -1739,180 +774,19 @@ impl<'a> Exec<'a> {
                 });
             }
             // Requeue unless a twin copy is still in flight.
-            let twin_running = self
-                .slot_state
-                .iter()
-                .flatten()
-                .any(|r| r.job == job && r.task == task);
-            if !twin_running {
+            if !self.twin_running(job, task) {
                 self.jobs[job].pending.push_front(task);
             }
         }
         self.fill_slots(queue)
     }
 
-    fn on_node_failure(&mut self, node: u32, queue: &mut EventQueue<Event>) -> Result<()> {
-        // A plan may name a node this cluster doesn't have (e.g. a market
-        // model sized for a larger fleet, or an elastic shrink between
-        // iterations); ignore it rather than index out of bounds.
-        if (node as usize) >= self.node_alive.len() || !self.node_alive[node as usize] {
-            return Ok(());
-        }
-        self.node_alive[node as usize] = false;
-        self.doomed[node as usize] = false;
-        self.faults.node_deaths += 1;
-        self.dead_nodes.push(node);
-        // Storage consequences (re-replication of survivors).
-        match self.sched.store.dfs().kill_node(NodeId(node)) {
-            Ok(receipt) => {
-                self.faults.rereplicated_bytes += receipt.bytes;
-                self.trace.record_event(TraceEvent::NodeFailure {
-                    t_s: queue.now().secs(),
-                    node: node as usize,
-                    rereplicated_bytes: receipt.bytes,
-                });
-            }
-            Err(e) => return Err(ClusterError::from(e)),
-        }
-        self.evict_running(node, queue.now(), false);
-        if !self.node_alive.iter().any(|&a| a) {
-            return Err(ClusterError::InvalidDag(
-                "all nodes failed; run cannot complete".to_string(),
-            ));
-        }
-        self.fill_slots(queue)
-    }
-
-    /// Kills every attempt in flight on `node`: traces the truncated spans
-    /// and requeues tasks that are neither done nor running elsewhere.
-    /// `revoked` attributes the loss to a spot revocation in the counters.
-    fn evict_running(&mut self, node: u32, now: SimTime, revoked: bool) {
-        let slots = self.sched.spec.slots_per_node;
-        for slot in 0..slots {
-            let idx = (node * slots + slot) as usize;
-            if let Some(r) = self.slot_state[idx].take() {
-                if revoked {
-                    self.faults.lost_tasks += 1;
-                }
-                if self.trace.is_enabled() {
-                    if let Some(m) = self.epoch_meta.remove(&r.epoch) {
-                        let cut = now.secs();
-                        self.trace.record_task(TaskSpan {
-                            job: r.job,
-                            task: r.task,
-                            attempt: m.attempt,
-                            node: node as usize,
-                            slot: slot as usize,
-                            start_s: r.started.secs(),
-                            end_s: cut,
-                            ok: false,
-                            backup: m.is_backup,
-                            killed: true,
-                            wave: m.wave,
-                            round: 0,
-                            phases: m.phases.scaled_to(cut - r.started.secs()),
-                            read_bytes: m.read_bytes,
-                            read_local_bytes: m.read_local_bytes,
-                            write_bytes: m.write_bytes,
-                            io_ops: m.io_ops,
-                        });
-                    }
-                }
-                let twin_running = self
-                    .slot_state
-                    .iter()
-                    .flatten()
-                    .any(|o| o.job == r.job && o.task == r.task);
-                if !self.jobs[r.job].task_done[r.task] && !twin_running {
-                    self.jobs[r.job].pending.push_front(r.task);
-                }
-            }
-        }
-    }
-
-    /// Revocation warning: mark the victims doomed (no new assignments;
-    /// in-flight attempts drain) and spend the lead window proactively
-    /// copying blocks that live only on doomed nodes to survivors, within
-    /// the byte budget the victims' aggregate NIC bandwidth allows.
-    fn on_revocation_warning(&mut self, idx: usize, queue: &mut EventQueue<Event>) -> Result<()> {
-        let rev = &self.failures.revocations[idx];
-        let lead_s = rev.warning_lead_s;
-        let mut victims: Vec<NodeId> = Vec::new();
-        for &node in &rev.nodes {
-            let n = node as usize;
-            if n >= self.node_alive.len() || !self.node_alive[n] || self.doomed[n] {
-                continue;
-            }
-            self.doomed[n] = true;
-            victims.push(NodeId(node));
-        }
-        if victims.is_empty() {
-            return Ok(());
-        }
-        let budget =
-            (lead_s * self.sched.spec.instance.net_mbs * 1e6 * victims.len() as f64) as u64;
-        let receipt = self
-            .sched
-            .store
-            .dfs()
-            .drain_nodes(&victims, budget)
-            .map_err(ClusterError::from)?;
-        self.faults.drained_bytes += receipt.bytes;
-        self.trace.record_event(TraceEvent::RevocationWarning {
-            t_s: queue.now().secs(),
-            nodes: victims.iter().map(|n| n.0 as usize).collect(),
-            drained_bytes: receipt.bytes,
-        });
-        Ok(())
-    }
-
-    /// A bulk revocation takes effect: every still-live victim dies at the
-    /// same instant (one correlated DFS event, so re-replication cannot
-    /// lean on co-revoked peers), their in-flight attempts are lost, and
-    /// survivors pick up the requeued work.
-    fn on_revocation(&mut self, idx: usize, queue: &mut EventQueue<Event>) -> Result<()> {
-        let rev = &self.failures.revocations[idx];
-        let mut victims: Vec<u32> = Vec::new();
-        for &node in &rev.nodes {
-            let n = node as usize;
-            if n >= self.node_alive.len() || !self.node_alive[n] {
-                continue;
-            }
-            if !victims.contains(&node) {
-                victims.push(node);
-            }
-        }
-        if victims.is_empty() {
-            return Ok(());
-        }
-        self.faults.revocations += 1;
-        self.faults.revoked_nodes += victims.len() as u64;
-        for &node in &victims {
-            self.node_alive[node as usize] = false;
-            self.doomed[node as usize] = false;
-            self.dead_nodes.push(node);
-        }
-        let ids: Vec<NodeId> = victims.iter().map(|&n| NodeId(n)).collect();
-        match self.sched.store.dfs().kill_nodes(&ids) {
-            Ok(receipt) => {
-                self.faults.rereplicated_bytes += receipt.bytes;
-                self.trace.record_event(TraceEvent::Revocation {
-                    t_s: queue.now().secs(),
-                    nodes: victims.iter().map(|&n| n as usize).collect(),
-                    rereplicated_bytes: receipt.bytes,
-                });
-            }
-            Err(e) => return Err(ClusterError::from(e)),
-        }
-        for &node in &victims {
-            self.evict_running(node, queue.now(), true);
-        }
-        if !self.node_alive.iter().any(|&a| a) {
-            return Err(ClusterError::InvalidDag(
-                "all nodes failed; run cannot complete".to_string(),
-            ));
-        }
-        self.fill_slots(queue)
+    /// Whether some slot still runs a copy of `(job, task)`.
+    fn twin_running(&self, job: usize, task: usize) -> bool {
+        self.slot_state
+            .iter()
+            .flatten()
+            .any(|r| r.job == job && r.task == task)
     }
 
     /// The run report of a completed execution.
@@ -2783,60 +1657,59 @@ mod speculation_tests {
     fn speculation_off_by_default() {
         let config = SchedulerConfig::default();
         assert!(!config.speculative);
-        assert!(!config.ignore_locality);
         assert_eq!(config.speculation_factor, 1.5);
     }
 
+    /// The locality pass of task picking, measured against what a
+    /// placement-blind scheduler would get: with one replica per tile a
+    /// task lands on its tile's holder with probability `replication /
+    /// nodes`.
     #[test]
-    fn ignore_locality_reduces_local_reads() {
+    fn locality_pass_beats_placement_blind_share() {
         use cumulon_dfs::dfs::NodeId;
         use cumulon_matrix::{MatrixMeta, Tile};
 
-        let run = |ignore: bool| {
-            let c = noisy_cluster(4, 1, 0.0, 0);
-            // One tile per node, single replica, so locality is scarce.
-            let meta = MatrixMeta::new(8, 8, 2); // 4x4 grid = 16 tiles
-            let store = c.store();
-            store.register("A", meta).unwrap();
-            for (i, (ti, tj)) in meta.grid().iter().enumerate() {
-                let writer = NodeId((i % 4) as u32);
-                // Replication 3 by default; tighten by writing through a
-                // replication-1 path is not available, so rely on hints.
-                store
-                    .write_tile("A", ti, tj, &Tile::zeros(2, 2), Some(writer))
-                    .unwrap();
-            }
-            let mut dag = JobDag::new();
-            let tasks = meta
-                .grid()
-                .iter()
-                .map(|(ti, tj)| {
-                    Task::new(move |ctx| {
-                        ctx.read_tile("A", ti, tj)?;
-                        Ok(())
-                    })
-                    .with_locality("A", ti, tj)
-                })
-                .collect();
-            dag.push(Job::new("readers", "read", tasks), vec![]);
-            let config = SchedulerConfig {
-                ignore_locality: ignore,
+        const NODES: u32 = 4;
+        const REPLICATION: usize = 1;
+        let c = Cluster::provision_with(
+            ClusterSpec::named("m1.large", NODES, 1).unwrap(),
+            HardwareModel::default(),
+            DfsConfig {
+                replication: REPLICATION,
                 ..Default::default()
-            };
-            let report = c
-                .run_with(&dag, ExecMode::Real, config, &FailurePlan::default())
+            },
+        )
+        .unwrap();
+        // Four tiles per node, single replica, so locality is scarce.
+        let meta = MatrixMeta::new(8, 8, 2); // 4x4 grid = 16 tiles
+        let store = c.store();
+        store.register("A", meta).unwrap();
+        for (i, (ti, tj)) in meta.grid().iter().enumerate() {
+            let writer = NodeId(i as u32 % NODES);
+            store
+                .write_tile("A", ti, tj, &Tile::zeros(2, 2), Some(writer))
                 .unwrap();
-            report.jobs[0].locality_rate()
-        };
-        let with_locality = run(false);
-        let without = run(true);
+        }
+        let mut dag = JobDag::new();
+        let tasks = meta
+            .grid()
+            .iter()
+            .map(|(ti, tj)| {
+                Task::new(move |ctx| {
+                    ctx.read_tile("A", ti, tj)?;
+                    Ok(())
+                })
+                .with_locality("A", ti, tj)
+            })
+            .collect();
+        dag.push(Job::new("readers", "read", tasks), vec![]);
+        let report = c.run(&dag, ExecMode::Real).unwrap();
+        let rate = report.jobs[0].locality_rate();
+        let blind = REPLICATION as f64 / NODES as f64;
         assert!(
-            with_locality >= without,
-            "locality-aware placement can only help: {with_locality} vs {without}"
-        );
-        assert!(
-            with_locality > 0.9,
-            "locality scheduling should place most tasks locally"
+            rate > 0.9 && rate > 2.0 * blind,
+            "locality scheduling should place most tasks locally: \
+             {rate} vs placement-blind {blind}"
         );
     }
 }

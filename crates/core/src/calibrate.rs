@@ -858,10 +858,14 @@ mod tests {
         let p = KernelProfile::measure(true);
         assert!(!p.simd_level.is_empty());
         assert!(p.samples.len() >= 4, "{} samples", p.samples.len());
+        // Structure only, never a rate: this runs in the debug profile on
+        // whatever host the suite lands on.
         for s in &p.samples {
-            assert!(s.seconds > 0.0 && s.flops > 0.0, "{s:?}");
+            assert!(s.seconds.is_finite() && s.seconds > 0.0, "{s:?}");
+            assert!(s.flops.is_finite() && s.flops > 0.0, "{s:?}");
         }
-        assert!(p.dense_gflops() > 0.1, "dense rate {}", p.dense_gflops());
+        let rate = p.dense_gflops();
+        assert!(rate.is_finite() && rate > 0.0, "dense rate {rate}");
     }
 
     #[test]

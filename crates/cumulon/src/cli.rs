@@ -66,8 +66,9 @@ pub enum Command {
         slots: u32,
         /// Real tile math instead of phantom.
         real: bool,
-        /// Worker threads for task compute (0 = all host cores, 1 = the
-        /// sequential legacy path). Results are identical either way.
+        /// Worker threads for task compute (0 = all host cores, 1 = every
+        /// task resolved inline in the event loop). Results are identical
+        /// either way.
         threads: usize,
         /// Materialize encoded bytes on every DFS tile write instead of
         /// zero-copy handles. Results are identical; useful for testing
@@ -102,13 +103,13 @@ pub enum Command {
         /// Directory for spill segment files (default: a per-process
         /// temp directory). Only meaningful with `--memory-budget`.
         spill_dir: Option<String>,
-        /// Spill-aware scheduling: resolve tasks whose hinted input tiles
-        /// are RAM-resident first and prefetch up to this many spilled
-        /// frontier tiles per wave, turning synchronous readbacks into
-        /// overlapped ones. `0` disables. Results, receipts and simulated
-        /// time are bitwise-identical at any depth (the
-        /// `spill-schedule-transparency` invariant). Only meaningful with
-        /// `--memory-budget`.
+        /// Prefetch up to this many spilled frontier tiles per wave, ahead
+        /// of the demand reads that would otherwise pull them back
+        /// synchronously (under a budget each wave already resolves tasks
+        /// whose hinted input tiles are RAM-resident first). `0` disables.
+        /// Results, receipts and simulated time are bitwise-identical at
+        /// any depth (the `spill-schedule-transparency` invariant). Only
+        /// meaningful with `--memory-budget`.
         prefetch_depth: usize,
     },
     /// `trace`: execute like `run`, then print the critical-path,
@@ -805,11 +806,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                 )
                 .map_err(w)?;
             }
-            let sched = if *prefetch_depth > 0 {
-                SchedulerConfig::default().with_prefetch(*prefetch_depth)
-            } else {
-                SchedulerConfig::default()
-            };
+            let sched = SchedulerConfig::default().with_prefetch(*prefetch_depth);
             let failures = if *spot {
                 // Scale the price trace to the run so crossings land
                 // mid-run; an estimate failure falls back to an hour.
