@@ -21,7 +21,7 @@
 //! | `trace-accounting` | phases + idle == makespan |
 //! | `recovery-idempotence` | faults + recovery reproduce fault-free bits |
 //! | `estimate-envelope` | wave model within a sigma envelope of MC |
-//! | `search-grid-coverage` | deployment sweep covers the exact grid |
+//! | `search-grid-coverage` | deployment sweep covers the exact grid; `optimize` returns its first-ranked row |
 //! | `serve-isolation` | concurrent service tenants reproduce the serial direct pipeline bitwise |
 //!
 //! Violations come back as a structured [`CheckReport`] — renderable for

@@ -50,7 +50,9 @@
 //!   and matches it exactly at `sigma = 0`.
 //! * `search-grid-coverage` — deployment search candidate generation
 //!   covers exactly the instance × slots × nodes cross product, with
-//!   `max_nodes` always included even under non-dividing strides.
+//!   `max_nodes` always included even under non-dividing strides; and
+//!   `optimize`, which skips grid points, returns the row an exhaustive
+//!   sweep ranks first under either billing policy.
 //! * `spill-transparency` — a run under a memory budget tight enough to
 //!   force continuous eviction reproduces the unbounded baseline's
 //!   fingerprint and output bits (so billing, receipts and results are
@@ -92,7 +94,9 @@ use cumulon_core::error::CoreError;
 use cumulon_core::estimate::{job_time_mc, job_time_s};
 use cumulon_core::expr::{InputDesc, ProgramBuilder};
 use cumulon_core::recovery::RecoveryConfig;
-use cumulon_core::{DeploymentSearch, Optimizer, Program, Result, SearchSpace};
+use cumulon_core::{
+    Constraint, DeploymentPlan, DeploymentSearch, Optimizer, Program, Result, SearchSpace,
+};
 use cumulon_dfs::{SpillConfig, SpillStats, StorageAccounting};
 use cumulon_matrix::gen::Generator;
 use cumulon_matrix::{reference, MatrixMeta};
@@ -1356,7 +1360,91 @@ fn check_search_grid(report: &mut CheckReport) {
                 format!("sweep failed: {e}"),
             ),
         }
+
+        for policy in [BillingPolicy::HourlyCeil, BillingPolicy::PerSecond] {
+            let search = DeploymentSearch::new(
+                &model,
+                SearchSpace {
+                    billing: policy,
+                    ..space.clone()
+                },
+            );
+            let outcome = winner_matches_sweep(&search, &program, &inputs);
+            report.record(
+                "search-grid-coverage",
+                format!("winner/{name}/{policy:?}"),
+                outcome.is_ok(),
+                outcome.unwrap_or_else(|violation| violation),
+            );
+        }
     }
+}
+
+/// The search may skip grid points, never change the answer: under a
+/// deadline and under a budget that split the grid, `optimize` must return
+/// the row an exhaustive `sweep` ranks first, bit for bit, and under a
+/// deadline no row meets it must report infeasibility.
+fn winner_matches_sweep(
+    search: &DeploymentSearch<'_>,
+    program: &Program,
+    inputs: &BTreeMap<String, InputDesc>,
+) -> std::result::Result<String, String> {
+    let rows = search
+        .sweep(program, inputs)
+        .map_err(|e| format!("sweep failed: {e}"))?;
+    let median = |mut values: Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
+    let deadline = median(rows.iter().map(|r| r.estimate.makespan_s).collect());
+    let budget = median(rows.iter().map(|r| r.estimate.cost_dollars).collect());
+    let fastest = rows
+        .iter()
+        .map(|r| r.estimate.makespan_s)
+        .fold(f64::INFINITY, f64::min);
+    for constraint in [
+        Constraint::Deadline(deadline),
+        Constraint::Budget(budget),
+        Constraint::Deadline(0.5 * fastest),
+    ] {
+        // `None` for a row that misses the constraint, else its rank.
+        let rank = |r: &DeploymentPlan| {
+            let (makespan, cost) = (r.estimate.makespan_s, r.estimate.cost_dollars);
+            match constraint {
+                Constraint::Deadline(d) => (makespan <= d).then_some((cost, makespan)),
+                Constraint::Budget(b) => (cost <= b).then_some((makespan, cost)),
+            }
+        };
+        let mut expect: Option<&DeploymentPlan> = None;
+        for row in &rows {
+            if let Some(key) = rank(row) {
+                if expect.and_then(rank).is_none_or(|best| key < best) {
+                    expect = Some(row);
+                }
+            }
+        }
+        let got = search.optimize(program, inputs, constraint);
+        let same = match (&got, expect) {
+            (Ok(got), Some(row)) => {
+                (got.instance.name, got.slots, got.nodes)
+                    == (row.instance.name, row.slots, row.nodes)
+                    && got.estimate == row.estimate
+            }
+            (Err(CoreError::Infeasible(_)), None) => true,
+            _ => false,
+        };
+        if !same {
+            return Err(format!(
+                "{constraint:?}: optimize returned {} where the sweep's first-ranked row is {}",
+                got.map_or_else(|e| format!("`{e}`"), |d| d.summary()),
+                expect.map_or_else(|| "none (infeasible)".to_string(), DeploymentPlan::summary),
+            ));
+        }
+    }
+    Ok(format!(
+        "optimize == first-ranked of {} sweep rows under a {deadline:.1}s deadline and a          ${budget:.2} budget; infeasible below the fastest row",
+        rows.len()
+    ))
 }
 
 #[cfg(test)]

@@ -84,8 +84,12 @@ pub struct OpCoefficients {
     pub sigma: f64,
 }
 
+/// The shortest time [`OpCoefficients::predict`] gives any task: a fit
+/// with negative coefficients cannot predict a free or negative task.
+pub const MIN_TASK_S: f64 = 1e-6;
+
 impl OpCoefficients {
-    /// Predicted task seconds.
+    /// Predicted task seconds, at least [`MIN_TASK_S`].
     pub fn predict(&self, instance: &InstanceType, slots: u32, f: &TaskFeatures) -> f64 {
         let x = featurize(instance, slots, f);
         self.c
@@ -93,7 +97,7 @@ impl OpCoefficients {
             .zip(x.iter())
             .map(|(c, x)| c * x)
             .sum::<f64>()
-            .max(1e-6)
+            .max(MIN_TASK_S)
     }
 
     /// Closed-form coefficients from the spec sheet (used as a baseline in
@@ -139,6 +143,13 @@ impl CostModel {
     /// Coefficients for an instance type.
     pub fn for_instance(&self, instance: &str) -> Option<&OpCoefficients> {
         self.per_instance.get(instance)
+    }
+
+    /// Coefficients for an instance type, or the calibration error every
+    /// estimator and planner reports when the type was never fitted.
+    pub fn require(&self, instance: &str) -> Result<&OpCoefficients> {
+        self.for_instance(instance)
+            .ok_or_else(|| CoreError::Calibration(format!("no model for {instance}")))
     }
 
     /// Calibrated instance names.

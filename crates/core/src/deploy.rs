@@ -3,8 +3,9 @@
 //!
 //! For every candidate deployment the search (1) re-plans the program with
 //! a cost-based split chooser tuned to that deployment, (2) estimates the
-//! plan's makespan with the fitted model, and (3) prices it under hourly
-//! billing. Three queries are offered, matching the paper's use cases:
+//! plan's makespan with the fitted model, and (3) prices it under the
+//! space's billing policy. Three queries are offered, matching the paper's
+//! use cases:
 //!
 //! * [`DeploymentSearch::optimize`] with [`Constraint::Deadline`] — the
 //!   cheapest deployment that finishes in time;
@@ -12,22 +13,29 @@
 //!   fastest deployment that fits the budget;
 //! * [`DeploymentSearch::pareto`] — the whole (time, cost) skyline.
 //!
-//! For fixed `(instance, slots)`, estimated makespan is non-increasing in
-//! the node count; the scan exploits that to stop growing a configuration
-//! once adding nodes can no longer help (time already under the deadline
-//! and per-hour cost rising).
+//! The search walks the grid row by row — one row per `(instance, slots)`,
+//! node counts ascending — and evaluates a candidate only when an
+//! admissible floor on its cost ([`DeploymentSearch::cost_floor`]) says it
+//! could still matter: under a deadline, when the floor does not exceed the
+//! incumbent's cost; under a budget, when it does not exceed the budget.
+//! The floor never decreases along a row, so the first candidate it rules
+//! out ends the row. Nothing is assumed about how the estimated makespan
+//! moves with the node count, and nothing is kept between calls.
 
 use std::collections::BTreeMap;
 
 use cumulon_cluster::instances::{catalog, InstanceType};
 use serde::{Deserialize, Serialize};
 
-use crate::calibrate::{CostModel, OpCoefficients};
+use crate::calibrate::{CostModel, OpCoefficients, MIN_TASK_S};
 use crate::error::{CoreError, Result};
-use crate::estimate::{job_time_s, ClusterView, PlanEstimate, SpotHazard};
-use crate::expr::{InputDesc, Program};
-use crate::lower::{build_plan, SplitChooser};
-use crate::physical::{MatRef, MulSplit, OperandStats, PhysJob, PhysPlan};
+use crate::estimate::{
+    add_partials_features, estimate_plan_coeffs, job_time_s, mul_features, ClusterView,
+    JobTimeModel, PlanEstimate, SpotHazard, TaskFeatures,
+};
+use crate::expr::{InputDesc, NodeInfo, Program};
+use crate::lower::{build_plan_inferred, PlanOptions, SplitChooser};
+use crate::physical::{MulSplit, OperandStats, PhysPlan};
 
 /// What the user is optimizing for.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -144,6 +152,17 @@ pub struct DeploymentPlan {
 }
 
 impl DeploymentPlan {
+    fn new(view: ClusterView, plan: PhysPlan, estimate: PlanEstimate) -> Self {
+        DeploymentPlan {
+            instance: view.instance,
+            nodes: view.nodes,
+            slots: view.slots,
+            replication: view.replication,
+            plan,
+            estimate,
+        }
+    }
+
     /// The cluster view of this deployment.
     pub fn view(&self) -> ClusterView {
         ClusterView {
@@ -186,28 +205,43 @@ impl<'a> DeploymentSearch<'a> {
         inputs: &BTreeMap<String, InputDesc>,
         view: ClusterView,
     ) -> Result<(PhysPlan, PlanEstimate)> {
-        let coeffs = self.model.for_instance(view.instance.name).ok_or_else(|| {
-            CoreError::Calibration(format!("no model for {}", view.instance.name))
-        })?;
+        let info = program.infer(inputs)?;
+        let coeffs = self.model.require(view.instance.name)?;
+        self.evaluate_inferred(program, &info, coeffs, view)
+    }
+
+    /// [`DeploymentSearch::evaluate`] on what a grid walk resolves once:
+    /// the program's node information and the instance's coefficients.
+    fn evaluate_inferred(
+        &self,
+        program: &Program,
+        info: &[NodeInfo],
+        coeffs: &OpCoefficients,
+        view: ClusterView,
+    ) -> Result<(PhysPlan, PlanEstimate)> {
         let chooser = CostBasedChooser {
             coeffs: *coeffs,
             view,
         };
-        let plan = build_plan(program, inputs, &chooser, "t")?;
-        let est = match &self.space.failure {
-            Some(failure) => crate::estimate::estimate_plan_under_failures(
-                &plan,
-                &view,
-                self.model,
-                self.space.billing,
-                crate::estimate::JobTimeModel::WaveApprox,
-                failure,
-            )?,
-            None => {
-                crate::estimate::estimate_plan_with(&plan, &view, self.model, self.space.billing)?
-            }
-        };
-        Ok((plan, est))
+        let plan = build_plan_inferred(program, info, &chooser, "t", PlanOptions::default())?;
+        let estimate = estimate_plan_coeffs(
+            &plan,
+            &view,
+            coeffs,
+            self.space.billing,
+            JobTimeModel::WaveApprox,
+            self.space.failure.as_ref(),
+        );
+        Ok((plan, estimate))
+    }
+
+    fn view(&self, instance: InstanceType, nodes: u32, slots: u32) -> ClusterView {
+        ClusterView {
+            instance,
+            nodes,
+            slots,
+            replication: self.space.replication,
+        }
     }
 
     /// Evaluates the full grid (used by the experiment harness).
@@ -216,25 +250,16 @@ impl<'a> DeploymentSearch<'a> {
         program: &Program,
         inputs: &BTreeMap<String, InputDesc>,
     ) -> Result<Vec<DeploymentPlan>> {
+        let info = program.infer(inputs)?;
+        let node_options = self.space.node_options();
         let mut out = Vec::new();
         for instance in &self.space.instances {
+            let coeffs = self.model.require(instance.name)?;
             for slots in self.space.slot_options(instance) {
-                for nodes in self.space.node_options() {
-                    let view = ClusterView {
-                        instance: *instance,
-                        nodes,
-                        slots,
-                        replication: self.space.replication,
-                    };
-                    let (plan, estimate) = self.evaluate(program, inputs, view)?;
-                    out.push(DeploymentPlan {
-                        instance: *instance,
-                        nodes,
-                        slots,
-                        replication: self.space.replication,
-                        plan,
-                        estimate,
-                    });
+                for &nodes in &node_options {
+                    let view = self.view(*instance, nodes, slots);
+                    let (plan, estimate) = self.evaluate_inferred(program, &info, coeffs, view)?;
+                    out.push(DeploymentPlan::new(view, plan, estimate));
                 }
             }
         }
@@ -251,6 +276,39 @@ impl<'a> DeploymentSearch<'a> {
         self.optimize_repeated(program, inputs, constraint, 1)
     }
 
+    /// A lower bound on what `repeat` back-to-back executions of `program`
+    /// are billed on `view`, without planning anything: the cluster's price
+    /// for the shortest time any plan of the program can take.
+    ///
+    /// That time is [`MIN_TASK_S`] per execution: every program output
+    /// lowers to at least one job, every job sits in one topological level,
+    /// a level's time is at least its slowest job's mean task time, and no
+    /// task is predicted below [`MIN_TASK_S`]; expected failures and
+    /// repetition only multiply the makespan by factors of at least one. A
+    /// program without outputs plans no job and costs nothing.
+    ///
+    /// The bound is admissible under every [`BillingPolicy`] because billed
+    /// hours never decrease with the makespan. Under `HourlyCeil` any
+    /// positive makespan bills one full hour, so the floor is the cluster's
+    /// hourly price — the bound that lets a deadline search stop growing a
+    /// row. Under `PerSecond` it is a few nano-dollars and rules out
+    /// nothing, which is right: there, a larger cluster can be cheaper.
+    ///
+    /// [`BillingPolicy`]: cumulon_cluster::billing::BillingPolicy
+    pub fn cost_floor(&self, program: &Program, view: &ClusterView, repeat: usize) -> f64 {
+        let makespan_floor = if program.outputs.is_empty() {
+            0.0
+        } else {
+            MIN_TASK_S * repeat.max(1) as f64
+        };
+        cumulon_cluster::billing::cluster_cost(
+            self.space.billing,
+            view.nodes,
+            view.instance.price_per_hour,
+            makespan_floor,
+        )
+    }
+
     /// Finds the best deployment for `repeat` back-to-back executions of
     /// the program — the iterative-workload case, where one cluster is
     /// rented for the whole loop and the deadline/budget covers all
@@ -262,45 +320,38 @@ impl<'a> DeploymentSearch<'a> {
         constraint: Constraint,
         repeat: usize,
     ) -> Result<DeploymentPlan> {
+        let info = program.infer(inputs)?;
+        let node_options = self.space.node_options();
         let mut best: Option<DeploymentPlan> = None;
         for instance in &self.space.instances {
+            let coeffs = self.model.require(instance.name)?;
             for slots in self.space.slot_options(instance) {
-                let mut met_deadline_hours: Option<f64> = None;
-                for nodes in self.space.node_options() {
-                    let view = ClusterView {
-                        instance: *instance,
-                        nodes,
-                        slots,
-                        replication: self.space.replication,
+                for &nodes in &node_options {
+                    let view = self.view(*instance, nodes, slots);
+                    // A candidate whose cost floor already exceeds what the
+                    // constraint can accept is not worth planning. Strictly:
+                    // one that could tie the incumbent's cost still reaches
+                    // `pick_better`, which may prefer it on makespan. The
+                    // floor is `nodes × price × billed hours of a constant`,
+                    // non-decreasing along the ascending `node_options`, so
+                    // the rest of the row is ruled out with it.
+                    let acceptable = match constraint {
+                        Constraint::Deadline(_) => best
+                            .as_ref()
+                            .map_or(f64::INFINITY, |b| b.estimate.cost_dollars),
+                        Constraint::Budget(b) => b,
                     };
-                    let (plan, estimate) = self.evaluate(program, inputs, view)?;
-                    let estimate = self.scale_estimate(estimate, repeat, &view);
-                    // Monotonicity pruning: once under the deadline, adding
-                    // nodes only helps if it can shave a whole billed hour.
-                    if let Constraint::Deadline(_) = constraint {
-                        if let Some(h) = met_deadline_hours {
-                            if h <= 1.0 {
-                                break; // cannot get below one billed hour
-                            }
-                        }
+                    if self.cost_floor(program, &view, repeat) > acceptable {
+                        break;
                     }
+                    let (plan, estimate) = self.evaluate_inferred(program, &info, coeffs, view)?;
+                    let estimate = self.scale_estimate(estimate, repeat, &view);
                     let feasible = match constraint {
                         Constraint::Deadline(d) => estimate.makespan_s <= d,
                         Constraint::Budget(b) => estimate.cost_dollars <= b,
                     };
                     if feasible {
-                        if let Constraint::Deadline(_) = constraint {
-                            met_deadline_hours =
-                                Some((estimate.makespan_s / 3600.0).ceil().max(1.0));
-                        }
-                        let candidate = DeploymentPlan {
-                            instance: *instance,
-                            nodes,
-                            slots,
-                            replication: self.space.replication,
-                            plan,
-                            estimate,
-                        };
+                        let candidate = DeploymentPlan::new(view, plan, estimate);
                         best = Some(match best.take() {
                             None => candidate,
                             Some(prev) => pick_better(prev, candidate, constraint),
@@ -568,60 +619,46 @@ pub struct CostBasedChooser {
 
 impl CostBasedChooser {
     /// Estimated completion time of a candidate multiply (including the
-    /// follow-up Add job when the shared dimension is split).
-    fn mul_candidate_time(
+    /// follow-up Add job when the shared dimension is split), costed from
+    /// the operand statistics with the formulas
+    /// [`job_features`](crate::estimate::job_features) applies to the jobs
+    /// the split would lower to.
+    pub fn mul_candidate_time(
         &self,
         a: &OperandStats,
         b: &OperandStats,
         out: &OperandStats,
         split: MulSplit,
     ) -> f64 {
-        let job = PhysJob::Mul {
-            a: MatRef::plain("a"),
-            a_stats: *a,
-            b: MatRef::plain("b"),
-            b_stats: *b,
-            out: "o".into(),
-            out_stats: *out,
-            split,
-        };
-        let (n_tasks, f) = crate::estimate::job_features(&job, &self.view);
-        let mean = self
-            .coeffs
-            .predict(&self.view.instance, self.view.slots, &f);
-        let mut total = job_time_s(mean, n_tasks, self.view.total_slots(), self.coeffs.sigma);
-        let kt = a.meta.grid().tile_cols;
-        let bands = split.k_bands(kt);
+        let mut total = self.job_time(mul_features(a, b, out, split, &self.view));
+        let bands = split.k_bands(a.meta.grid().tile_cols);
         if bands > 1 {
-            let add = PhysJob::AddPartials {
-                partials: (0..bands)
-                    .map(|k| crate::physical::partial_name("o", k))
-                    .collect(),
-                out: "o".into(),
-                out_stats: *out,
-                tiles_per_task: self.tiles_per_task(out),
-            };
-            let (n_add, f_add) = crate::estimate::job_features(&add, &self.view);
-            let mean_add = self
-                .coeffs
-                .predict(&self.view.instance, self.view.slots, &f_add);
-            total += job_time_s(mean_add, n_add, self.view.total_slots(), self.coeffs.sigma);
+            let tiles_per_task = self.tiles_per_task(out);
+            total += self.job_time(add_partials_features(
+                bands,
+                out,
+                tiles_per_task,
+                &self.view,
+            ));
         }
         total
     }
+
+    /// Wave-model completion time of a job of `n_tasks` tasks with the
+    /// given per-task features on this deployment.
+    fn job_time(&self, (n_tasks, features): (usize, TaskFeatures)) -> f64 {
+        let mean = self
+            .coeffs
+            .predict(&self.view.instance, self.view.slots, &features);
+        job_time_s(mean, n_tasks, self.view.total_slots(), self.coeffs.sigma)
+    }
 }
 
-/// Geometric candidate values `1, 2, 4, …` up to and including `max`.
-fn split_candidates(max: usize) -> Vec<usize> {
-    let mut v = Vec::new();
-    let mut x = 1usize;
-    while x < max {
-        v.push(x);
-        x *= 2;
-    }
-    v.push(max.max(1));
-    v.dedup();
-    v
+/// Geometric candidate values `1, 2, 4, …` below `max`, then `max` itself.
+fn split_candidates(max: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |x| x.checked_mul(2))
+        .take_while(move |&x| x < max)
+        .chain(std::iter::once(max.max(1)))
 }
 
 impl SplitChooser for CostBasedChooser {
@@ -635,9 +672,9 @@ impl SplitChooser for CostBasedChooser {
             rk: kt.max(1),
         };
         let mut best_time = f64::INFINITY;
-        for &ri in &split_candidates(mt) {
-            for &rj in &split_candidates(nt) {
-                for &rk in &split_candidates(kt) {
+        for ri in split_candidates(mt) {
+            for rj in split_candidates(nt) {
+                for rk in split_candidates(kt) {
                     let split = MulSplit { ri, rj, rk };
                     let t = self.mul_candidate_time(a, b, out, split);
                     if t < best_time {
@@ -829,11 +866,76 @@ mod tests {
         assert_eq!(plan.nodes, 16);
     }
 
+    /// The cheapest feasible row of an exhaustive sweep, ties to the
+    /// faster, then to the earlier row — what a deadline search must return.
+    fn cheapest_in_time(sweep: &[DeploymentPlan], deadline_s: f64) -> &DeploymentPlan {
+        sweep
+            .iter()
+            .filter(|d| d.estimate.makespan_s <= deadline_s)
+            .reduce(|best, d| {
+                let key = |d: &DeploymentPlan| (d.estimate.cost_dollars, d.estimate.makespan_s);
+                if key(d) < key(best) {
+                    d
+                } else {
+                    best
+                }
+            })
+            .expect("a feasible row")
+    }
+
+    #[test]
+    fn deadline_winner_is_the_sweep_argmin_under_both_billing_policies() {
+        // 60 000² multiply due in an hour. Billed by the second, sixty
+        // c1.medium finishing in 2 239 s ($5.41) undercut thirty-eight
+        // taking the whole hour ($5.50): cost does not rise with the node
+        // count there, and a search that stops a row at its first
+        // sub-hour candidate returns the dominated x38.
+        use cumulon_cluster::billing::BillingPolicy;
+        let m = model();
+        let mut b = ProgramBuilder::new();
+        let a = b.input("A");
+        let x = b.input("X");
+        let c = b.mul(a, x);
+        b.output("C", c);
+        let program = b.build();
+        let inputs: BTreeMap<String, InputDesc> = ["A", "X"]
+            .into_iter()
+            .map(|n| {
+                let meta = MatrixMeta::new(60_000, 60_000, 1000);
+                (n.to_string(), InputDesc::dense(meta))
+            })
+            .collect();
+        for billing in [BillingPolicy::HourlyCeil, BillingPolicy::PerSecond] {
+            let space = SearchSpace {
+                instances: vec![by_name("c1.medium").unwrap(), by_name("c1.xlarge").unwrap()],
+                slots_per_core: vec![1.0],
+                billing,
+                ..Default::default()
+            };
+            let search = DeploymentSearch::new(&m, space);
+            let sweep = search.sweep(&program, &inputs).unwrap();
+            let expect = cheapest_in_time(&sweep, 3600.0);
+            let got = search
+                .optimize(&program, &inputs, Constraint::Deadline(3600.0))
+                .unwrap();
+            assert_eq!(
+                (got.instance.name, got.nodes, got.slots),
+                (expect.instance.name, expect.nodes, expect.slots),
+                "{billing:?}: {} vs sweep's {}",
+                got.summary(),
+                expect.summary()
+            );
+            assert_eq!(got.estimate, expect.estimate, "{billing:?}");
+        }
+    }
+
     #[test]
     fn split_candidates_geometric() {
-        assert_eq!(split_candidates(1), vec![1]);
-        assert_eq!(split_candidates(8), vec![1, 2, 4, 8]);
-        assert_eq!(split_candidates(10), vec![1, 2, 4, 8, 10]);
+        let candidates = |max| split_candidates(max).collect::<Vec<_>>();
+        assert_eq!(candidates(0), vec![1]);
+        assert_eq!(candidates(1), vec![1]);
+        assert_eq!(candidates(8), vec![1, 2, 4, 8]);
+        assert_eq!(candidates(10), vec![1, 2, 4, 8, 10]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use cumulon_cluster::job::GEN_FLOPS_PER_CELL;
 use serde::{Deserialize, Serialize};
 
 use crate::calibrate::{CostModel, OpCoefficients};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::physical::{MulSplit, OperandStats, PhysJob, PhysPlan};
 
 /// The deployment a plan is being estimated for.
@@ -183,27 +183,7 @@ pub fn job_features(job: &PhysJob, view: &ClusterView) -> (usize, TaskFeatures) 
             out_stats,
             tiles_per_task,
             ..
-        } => {
-            let n_tasks = out_stats
-                .meta
-                .tile_count()
-                .div_ceil((*tiles_per_task).max(1));
-            let tiles = (*tiles_per_task).max(1) as f64;
-            let reads = read_cost(
-                out_stats,
-                tiles * partials.len() as f64,
-                view.hinted_locality(),
-            );
-            let writes = write_cost(out_stats, tiles, view);
-            let flops = TaskFeatures {
-                flops: tiles
-                    * partials.len() as f64
-                    * out_stats.density
-                    * avg_tile_cells(out_stats),
-                ..Default::default()
-            };
-            (n_tasks, add_features(add_features(reads, writes), flops))
-        }
+        } => add_partials_features(partials.len(), out_stats, *tiles_per_task, view),
         PhysJob::Fused {
             inputs,
             expr,
@@ -232,7 +212,28 @@ pub fn job_features(job: &PhysJob, view: &ClusterView) -> (usize, TaskFeatures) 
     }
 }
 
-fn mul_features(
+/// Per-task features and task count of an [`PhysJob::AddPartials`] summing
+/// `n_partials` co-indexed matrices of `out`'s shape.
+pub fn add_partials_features(
+    n_partials: usize,
+    out: &OperandStats,
+    tiles_per_task: usize,
+    view: &ClusterView,
+) -> (usize, TaskFeatures) {
+    let n_tasks = out.meta.tile_count().div_ceil(tiles_per_task.max(1));
+    let tiles = tiles_per_task.max(1) as f64;
+    let reads = read_cost(out, tiles * n_partials as f64, view.hinted_locality());
+    let writes = write_cost(out, tiles, view);
+    let flops = TaskFeatures {
+        flops: tiles * n_partials as f64 * out.density * avg_tile_cells(out),
+        ..Default::default()
+    };
+    (n_tasks, add_features(add_features(reads, writes), flops))
+}
+
+/// Per-task features and task count of a [`PhysJob::Mul`] with the given
+/// operand statistics and split.
+pub fn mul_features(
     a: &OperandStats,
     b: &OperandStats,
     out: &OperandStats,
@@ -551,9 +552,24 @@ pub fn estimate_plan_full(
     billing: BillingPolicy,
     job_model: JobTimeModel,
 ) -> Result<PlanEstimate> {
-    let coeffs = model
-        .for_instance(view.instance.name)
-        .ok_or_else(|| CoreError::Calibration(format!("no model for {}", view.instance.name)))?;
+    let coeffs = model.require(view.instance.name)?;
+    Ok(estimate_plan_coeffs(
+        plan, view, coeffs, billing, job_model, None,
+    ))
+}
+
+/// The estimator itself, on the view's already-resolved coefficients (a
+/// deployment search resolves them once per instance type, not once per
+/// candidate). With a `failure` model the makespan is inflated by
+/// [`FailureModel::expected_makespan`] before it is priced.
+pub fn estimate_plan_coeffs(
+    plan: &PhysPlan,
+    view: &ClusterView,
+    coeffs: &OpCoefficients,
+    billing: BillingPolicy,
+    job_model: JobTimeModel,
+    failure: Option<&FailureModel>,
+) -> PlanEstimate {
     let mut per_job = Vec::with_capacity(plan.jobs.len());
     for job in &plan.jobs {
         let (n_tasks, features) = job_features(job, view);
@@ -580,12 +596,15 @@ pub fn estimate_plan_full(
             .max(max_mean);
         makespan += level_time;
     }
+    if let Some(failure) = failure {
+        makespan = failure.expected_makespan(makespan, view);
+    }
     let cost = cluster_cost(billing, view.nodes, view.instance.price_per_hour, makespan);
-    Ok(PlanEstimate {
+    PlanEstimate {
         jobs: per_job,
         makespan_s: makespan,
         cost_dollars: cost,
-    })
+    }
 }
 
 /// Splits one task's fitted time prediction into the trace subsystem's
@@ -626,9 +645,7 @@ pub fn predict_plan_phases(
     view: &ClusterView,
     model: &CostModel,
 ) -> Result<cumulon_trace::PhaseBreakdown> {
-    let coeffs = model
-        .for_instance(view.instance.name)
-        .ok_or_else(|| CoreError::Calibration(format!("no model for {}", view.instance.name)))?;
+    let coeffs = model.require(view.instance.name)?;
     let mut total = cumulon_trace::PhaseBreakdown::default();
     for job in &plan.jobs {
         let (n_tasks, features) = job_features(job, view);
@@ -647,7 +664,7 @@ pub fn predict_plan_phases(
 
 /// [`estimate_plan_full`] plus the expected overhead of failures: the
 /// makespan is inflated by [`FailureModel::expected_makespan`] and the
-/// dollar figure re-priced from the inflated time.
+/// dollar figure priced from the inflated time.
 pub fn estimate_plan_under_failures(
     plan: &PhysPlan,
     view: &ClusterView,
@@ -656,21 +673,22 @@ pub fn estimate_plan_under_failures(
     job_model: JobTimeModel,
     failure: &FailureModel,
 ) -> Result<PlanEstimate> {
-    let mut est = estimate_plan_full(plan, view, model, billing, job_model)?;
-    est.makespan_s = failure.expected_makespan(est.makespan_s, view);
-    est.cost_dollars = cluster_cost(
+    let coeffs = model.require(view.instance.name)?;
+    Ok(estimate_plan_coeffs(
+        plan,
+        view,
+        coeffs,
         billing,
-        view.nodes,
-        view.instance.price_per_hour,
-        est.makespan_s,
-    );
-    Ok(est)
+        job_model,
+        Some(failure),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibrate::OpCoefficients;
+    use crate::error::CoreError;
     use crate::physical::MatRef;
     use cumulon_cluster::instances::by_name;
     use cumulon_matrix::MatrixMeta;

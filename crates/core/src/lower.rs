@@ -109,9 +109,29 @@ pub fn build_plan_with(
     options: PlanOptions,
 ) -> Result<PhysPlan> {
     let info = program.infer(inputs)?;
+    build_plan_inferred(program, &info, chooser, temp_prefix, options)
+}
+
+/// [`build_plan_with`] on node information the caller already holds from
+/// [`Program::infer`]: inference depends on the program and its inputs
+/// only, so a deployment search infers once and plans once per candidate.
+pub fn build_plan_inferred(
+    program: &Program,
+    info: &[NodeInfo],
+    chooser: &dyn SplitChooser,
+    temp_prefix: &str,
+    options: PlanOptions,
+) -> Result<PhysPlan> {
+    if info.len() != program.nodes.len() {
+        return Err(CoreError::Invariant(format!(
+            "node info for {} nodes given for a program of {}",
+            info.len(),
+            program.nodes.len()
+        )));
+    }
     let mut b = PlanBuilder {
         program,
-        info: &info,
+        info,
         chooser,
         temp_prefix,
         options,

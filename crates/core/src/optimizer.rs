@@ -271,10 +271,7 @@ impl Optimizer {
     }
 
     fn coeffs_for(&self, view: &ClusterView) -> Result<crate::calibrate::OpCoefficients> {
-        self.model
-            .for_instance(view.instance.name)
-            .copied()
-            .ok_or_else(|| CoreError::Calibration(format!("no model for {}", view.instance.name)))
+        self.model.require(view.instance.name).copied()
     }
 }
 

@@ -1,0 +1,210 @@
+//! Allocation guard for the deployment search: counts, never rates.
+//!
+//! The search costs every split candidate of every multiply of every
+//! candidate deployment, so a heap allocation in that innermost loop is
+//! paid hundreds of thousands of times per request. These tests hold the
+//! loop allocation-free and the whole search to an allocation count that
+//! grows with the plan it returns, not with the split grid it considered;
+//! and they pin the chooser's costing to the estimator's own formulas.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+
+use cumulon_cluster::instances::{by_name, catalog};
+use cumulon_core::deploy::CostBasedChooser;
+use cumulon_core::estimate::{job_features, job_time_s, ClusterView};
+use cumulon_core::expr::InputDesc;
+use cumulon_core::lower::SplitChooser;
+use cumulon_core::physical::{partial_name, MatRef, MulSplit, OperandStats};
+use cumulon_core::{
+    Constraint, CostModel, DeploymentSearch, OpCoefficients, PhysJob, ProgramBuilder, SearchSpace,
+};
+use cumulon_matrix::MatrixMeta;
+
+thread_local! {
+    // Per thread, so the harness's other threads cannot disturb a count.
+    // Const-initialized and without a destructor: reading it never
+    // allocates, which an allocator hook must not do.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // A thread past its TLS teardown is not one that is being measured.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; the counter is a thread-local statistic that no
+// allocator invariant depends on.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations (and reallocations) this thread makes inside `f`.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn model() -> CostModel {
+    let mut m = CostModel::default();
+    for i in catalog() {
+        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
+    }
+    m
+}
+
+fn chooser(model: &CostModel, instance: &str, nodes: u32, slots: u32) -> CostBasedChooser {
+    CostBasedChooser {
+        coeffs: *model.for_instance(instance).unwrap(),
+        view: ClusterView {
+            instance: by_name(instance).unwrap(),
+            nodes,
+            slots,
+            replication: 3,
+        },
+    }
+}
+
+fn dense(rows: usize, cols: usize) -> OperandStats {
+    OperandStats {
+        meta: MatrixMeta::new(rows, cols, 1000),
+        density: 1.0,
+        generated: false,
+    }
+}
+
+#[test]
+fn choose_mul_allocates_nothing() {
+    let m = model();
+    for (instance, nodes, slots) in [("m1.large", 1, 2), ("c1.xlarge", 20, 8)] {
+        let chooser = chooser(&m, instance, nodes, slots);
+        for (rows, inner, cols) in [
+            (1_000, 1_000, 1_000),
+            (20_000, 20_000, 20_000),
+            (50_000, 7_500, 300),
+        ] {
+            let (a, b, out) = (dense(rows, inner), dense(inner, cols), dense(rows, cols));
+            let (split, allocations) = allocations_in(|| chooser.choose_mul(&a, &b, &out));
+            assert_eq!(
+                allocations, 0,
+                "{instance} x{nodes}: choosing {split:?} for {rows}x{inner}x{cols} allocated"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_search_allocates_for_the_plans_it_builds_not_the_splits_it_weighs() {
+    let m = model();
+    let mut b = ProgramBuilder::new();
+    let a = b.input("A");
+    let at = b.transpose(a);
+    let gram = b.mul(at, a);
+    let sq = b.mul(gram, gram);
+    let sum = b.add(sq, gram);
+    b.output("OUT", sum);
+    let program = b.build();
+    let mut inputs = BTreeMap::new();
+    let meta = MatrixMeta::new(40_000, 20_000, 1000);
+    inputs.insert("A".to_string(), InputDesc::dense(meta));
+
+    let space = SearchSpace::quick();
+    let grid_points: u64 = space
+        .instances
+        .iter()
+        .map(|i| (space.slot_options(i).len() * space.node_options().len()) as u64)
+        .sum();
+    let search = DeploymentSearch::new(&m, space);
+    // A budget nothing exceeds: every grid point is planned.
+    let (winner, allocations) = allocations_in(|| {
+        search
+            .optimize(&program, &inputs, Constraint::Budget(f64::MAX))
+            .unwrap()
+    });
+    // Planning a candidate allocates per job it emits (names, dependency
+    // lists, the builder's maps, the estimate's rows) and nothing per
+    // split it costs: the two multiplies here weigh 6 x 6 x 7 and 6 x 6 x 6
+    // splits, and one allocation per split would be several times the
+    // bound.
+    let jobs = winner.plan.jobs.len() as u64;
+    let bound = grid_points * (16 + 16 * jobs);
+    assert!(
+        allocations < bound,
+        "{allocations} allocations for {grid_points} grid points of {jobs} jobs (bound {bound})"
+    );
+}
+
+#[test]
+fn candidate_time_is_job_time_over_job_features() {
+    let m = model();
+    let chooser = chooser(&m, "c1.xlarge", 12, 8);
+    let (a, b, out) = (
+        dense(20_000, 9_000),
+        dense(9_000, 5_000),
+        dense(20_000, 5_000),
+    );
+    let job_time = |job: &PhysJob| {
+        let (n_tasks, features) = job_features(job, &chooser.view);
+        let mean = chooser
+            .coeffs
+            .predict(&chooser.view.instance, chooser.view.slots, &features);
+        job_time_s(
+            mean,
+            n_tasks,
+            chooser.view.total_slots(),
+            chooser.coeffs.sigma,
+        )
+    };
+    for ri in [1, 3, 20] {
+        for rj in [1, 2, 5] {
+            for rk in [1, 2, 4, 9] {
+                let split = MulSplit { ri, rj, rk };
+                let mut expect = job_time(&PhysJob::Mul {
+                    a: MatRef::plain("a"),
+                    a_stats: a,
+                    b: MatRef::plain("b"),
+                    b_stats: b,
+                    out: "o".into(),
+                    out_stats: out,
+                    split,
+                });
+                let bands = split.k_bands(9);
+                if bands > 1 {
+                    expect += job_time(&PhysJob::AddPartials {
+                        partials: (0..bands).map(|k| partial_name("o", k)).collect(),
+                        out: "o".into(),
+                        out_stats: out,
+                        tiles_per_task: chooser.tiles_per_task(&out),
+                    });
+                }
+                let got = chooser.mul_candidate_time(&a, &b, &out, split);
+                assert_eq!(got.to_bits(), expect.to_bits(), "{split:?}");
+            }
+        }
+    }
+}

@@ -5,12 +5,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cumulon_cluster::billing::BillingPolicy;
+use cumulon_cluster::billing::{cluster_cost, BillingPolicy};
 use cumulon_cluster::{Cluster, ClusterSpec, ExecMode};
+use cumulon_core::estimate::FailureModel;
 use cumulon_core::expr::{ExprId, InputDesc, ProgramBuilder, UnaryOp};
 use cumulon_core::lower::{build_plan, build_plan_with, instantiate, PlanOptions, UnitSplits};
 use cumulon_core::physical::{MatRef, PhysJob};
-use cumulon_core::{CostModel, DeploymentSearch, OpCoefficients, Program, SearchSpace};
+use cumulon_core::{
+    Constraint, CoreError, CostModel, DeploymentPlan, DeploymentSearch, OpCoefficients, Program,
+    SearchSpace,
+};
 use cumulon_matrix::gen::Generator;
 use cumulon_matrix::tile::ElemOp;
 use cumulon_matrix::{LocalMatrix, MatrixMeta};
@@ -125,6 +129,58 @@ fn square_inputs(n: usize, tile: usize) -> BTreeMap<String, InputDesc> {
     m.insert("X".to_string(), InputDesc::dense(meta));
     m.insert("Y".to_string(), InputDesc::dense(meta));
     m
+}
+
+/// Random deployment grids: one to three neighbouring catalog types, node
+/// ranges and strides that need not divide them, any non-empty subset of
+/// the slot factors, both billing policies, with and without failures.
+fn search_spaces() -> impl Strategy<Value = SearchSpace> {
+    (
+        (0usize..8, 1usize..=3),
+        (1u32..=6, 0u32..=12, 1u32..=5),
+        1u32..8,
+        1u32..=3,
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(
+                (first, count),
+                (min_nodes, extra, node_stride),
+                slot_mask,
+                replication,
+                per_second,
+                failures,
+            )| {
+                SearchSpace {
+                    instances: cumulon_cluster::instances::catalog()
+                        .iter()
+                        .skip(first)
+                        .take(count)
+                        .copied()
+                        .collect(),
+                    min_nodes,
+                    max_nodes: min_nodes + extra,
+                    node_stride,
+                    slots_per_core: [0.5, 1.0, 2.0]
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| slot_mask & (1 << i) != 0)
+                        .map(|(_, f)| *f)
+                        .collect(),
+                    replication,
+                    billing: if per_second {
+                        BillingPolicy::PerSecond
+                    } else {
+                        BillingPolicy::HourlyCeil
+                    },
+                    failure: failures.then_some(FailureModel {
+                        node_mtbf_s: 40_000.0,
+                        task_failure_prob: 0.05,
+                    }),
+                }
+            },
+        )
 }
 
 proptest! {
@@ -324,6 +380,101 @@ proptest! {
         )
         .unwrap();
         prop_assert!(unfused.jobs.len() >= fused.jobs.len());
+    }
+}
+
+proptest! {
+    // Planning only, nothing executes: cheap enough for many more cases
+    // than the block above, and the per-second regime where a larger
+    // cluster is cheaper needs them to show up.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `optimize_repeated` returns exactly the row an exhaustive `sweep`
+    /// ranks first — cheapest then fastest under a deadline, fastest then
+    /// cheapest under a budget, the earlier row on a full tie — with the
+    /// estimate's bits intact, and is infeasible exactly when no row
+    /// qualifies; and the floor that lets it skip candidates never exceeds
+    /// what any candidate is billed.
+    #[test]
+    fn search_returns_the_sweep_argmin_and_its_floor_is_admissible(
+        step_list in steps(),
+        n_tiles in prop_oneof![Just(2usize), Just(12), Just(30), Just(60)],
+        space in search_spaces(),
+        repeat in 1usize..=4,
+        by_deadline in any::<bool>(),
+        (pivot, slack) in (
+            any::<usize>(),
+            prop_oneof![Just(0.5), Just(1.0), Just(1.25), Just(4.0)],
+        ),
+    ) {
+        let billing = space.billing;
+        let mut model = CostModel::default();
+        for i in &space.instances {
+            model.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
+        }
+        let (program, _) = build(&step_list);
+        let inputs = square_inputs(n_tiles * 1000, 1000);
+        let search = DeploymentSearch::new(&model, space);
+
+        // Every grid point as the search prices it: `repeat` executions
+        // back to back, billed over the whole loop.
+        let rows: Vec<(DeploymentPlan, f64, f64)> = search
+            .sweep(&program, &inputs)
+            .unwrap()
+            .into_iter()
+            .map(|row| {
+                let makespan = row.estimate.makespan_s * repeat as f64;
+                let cost = cluster_cost(billing, row.nodes, row.instance.price_per_hour, makespan);
+                (row, makespan, cost)
+            })
+            .collect();
+        for (row, _, cost) in &rows {
+            let floor = search.cost_floor(&program, &row.view(), repeat);
+            prop_assert!(floor <= *cost, "floor {floor} above {cost} of {}", row.summary());
+        }
+
+        // A constraint some rows meet and some miss: a multiple of one
+        // row's own figure (1.0 lands exactly on the boundary).
+        let (_, pivot_makespan, pivot_cost) = &rows[pivot % rows.len()];
+        let constraint = if by_deadline {
+            Constraint::Deadline(pivot_makespan * slack)
+        } else {
+            Constraint::Budget(pivot_cost * slack)
+        };
+        // `None` for a row that misses the constraint, else what it is
+        // ranked by.
+        let rank = |&(_, makespan, cost): &(DeploymentPlan, f64, f64)| match constraint {
+            Constraint::Deadline(d) => (makespan <= d).then_some((cost, makespan)),
+            Constraint::Budget(b) => (cost <= b).then_some((makespan, cost)),
+        };
+        let mut expect: Option<&(DeploymentPlan, f64, f64)> = None;
+        for row in &rows {
+            if let Some(key) = rank(row) {
+                if expect.and_then(rank).is_none_or(|best| key < best) {
+                    expect = Some(row);
+                }
+            }
+        }
+
+        let got = search.optimize_repeated(&program, &inputs, constraint, repeat);
+        match expect {
+            None => prop_assert!(
+                matches!(got, Err(CoreError::Infeasible(_))),
+                "no row meets {constraint:?}, search returned {:?}",
+                got.map(|d| d.summary())
+            ),
+            Some((row, makespan, cost)) => {
+                let got = got.unwrap();
+                prop_assert_eq!(
+                    (got.instance.name, got.slots, got.nodes),
+                    (row.instance.name, row.slots, row.nodes),
+                    "{:?}: {} vs sweep's {}", constraint, got.summary(), row.summary()
+                );
+                prop_assert_eq!(got.estimate.makespan_s.to_bits(), makespan.to_bits());
+                prop_assert_eq!(got.estimate.cost_dollars.to_bits(), cost.to_bits());
+                prop_assert_eq!(&got.plan, &row.plan);
+            }
+        }
     }
 }
 

@@ -72,6 +72,10 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Replies are written whole and flushed; Nagle's algorithm
+                // could only hold one back. Best effort: a socket that
+                // refuses the option still serves, slower.
+                let _ = stream.set_nodelay(true);
                 let Ok(dup) = stream.try_clone() else {
                     continue;
                 };
