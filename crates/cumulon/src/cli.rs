@@ -903,9 +903,10 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                     };
                     writeln!(
                         out,
-                        "spill  : {} eviction(s), {} readmission(s), {} B spilled \
+                        "spill  : {} eviction(s) ({} clean), {} readmission(s), {} B spilled \
                          ({ratio:.2}x compression), {} B read back",
                         stats.evictions,
+                        stats.clean_evictions,
                         stats.readmissions,
                         stats.spilled_bytes_total,
                         stats.readback_bytes_total

@@ -4,10 +4,14 @@
 //! Spilled tile payloads land here as entries in **append-only segment
 //! files** (`seg-NNNNNN.blob` under the store's directory). Each entry is
 //! keyed by a deterministic 128-bit digest of its *uncompressed* bytes,
-//! so identical tile encodings written twice dedupe to one stored copy —
-//! re-spilling a tile that round-tripped through RAM unchanged costs no
-//! new disk bytes. Entries carry a reference count (one per live DFS file
-//! pointing at them); releasing the last reference marks the entry's
+//! so identical tile encodings written twice dedupe to one stored copy.
+//! Re-spilling a tile that round-tripped through RAM unchanged costs no
+//! new disk bytes either, and by a cheaper mechanism than `put`'s dedupe:
+//! the spill plane keeps a readmitted file's reference as its on-disk
+//! *backing* ([`crate::spill`]), so the entry is still live when the file
+//! goes cold again and the demotion never encodes, digests or calls `put`
+//! at all. Entries carry a reference count (one per DFS file spilled to
+//! or backed by them); releasing the last reference marks the entry's
 //! bytes dead in its segment, and a **compaction pass** rewrites the live
 //! remainder of garbage-heavy segments into the current segment and
 //! deletes the old file. Compaction triggers automatically once a
@@ -241,17 +245,19 @@ impl BlobStore {
         }
         self.open_segment()?;
         let (seg_id, file) = self.current.as_mut().expect("segment open");
-        let mut frame = Vec::with_capacity(FRAME_HEADER as usize + data.len());
-        frame.extend_from_slice(&key.to_bytes());
-        frame.push(codec.tag());
-        frame.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&raw_len.to_le_bytes());
-        frame.extend_from_slice(data);
-        file.write_all(&frame)
+        let mut header = [0u8; FRAME_HEADER as usize];
+        header[..16].copy_from_slice(&key.to_bytes());
+        header[16] = codec.tag();
+        header[17..21].copy_from_slice(&(data.len() as u32).to_le_bytes());
+        header[21..].copy_from_slice(&raw_len.to_le_bytes());
+        // Two writes, not one assembled frame: a second copy of a
+        // tile-sized payload costs more than a 25-byte syscall.
+        file.write_all(&header)
+            .and_then(|()| file.write_all(data))
             .map_err(|e| DfsError::Spill(format!("append segment {seg_id}: {e}")))?;
         let offset = self.current_len + FRAME_HEADER;
         let seg_id = *seg_id;
-        self.current_len += frame.len() as u64;
+        self.current_len += FRAME_HEADER + data.len() as u64;
         self.entries.insert(
             key,
             EntryMeta {
@@ -305,6 +311,11 @@ impl BlobStore {
     /// True when `key` has a live entry.
     pub fn contains(&self, key: BlobKey) -> bool {
         self.entries.contains_key(&key)
+    }
+
+    /// Live references on `key`; `None` when it has no entry.
+    pub fn refs(&self, key: BlobKey) -> Option<u32> {
+        self.entries.get(&key).map(|e| e.refs)
     }
 
     /// Takes an additional reference on a live entry.
@@ -476,11 +487,11 @@ mod tests {
         s.put(key, codec, &stored, raw.len() as u32).unwrap();
         let (c2, data, raw_len) = s.get(key).unwrap();
         assert_eq!(c2, codec);
-        assert_eq!(data, stored);
+        assert_eq!(&data[..], &stored[..]);
         assert_eq!(raw_len as usize, raw.len());
         assert_eq!(
-            cumulon_matrix::compress::decompress(c2, &data).unwrap(),
-            raw
+            &cumulon_matrix::compress::decompress(c2, &data).unwrap()[..],
+            &raw[..]
         );
         let st = s.stats();
         assert_eq!(st.live_entries, 1);

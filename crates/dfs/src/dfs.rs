@@ -9,6 +9,8 @@
 //! handle file is read *as bytes* ([`Dfs::read_file`]), which is the
 //! serialization boundary checkpoints and recovery verification go through.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -24,7 +26,7 @@ use crate::blob::BlobKey;
 use crate::datanode::{BlockId, BlockPayload, DataNode};
 use crate::error::{DfsError, Result};
 use crate::namenode::{BlockMeta, NameNode};
-use crate::spill::{SpillConfig, SpillPlane, SpillStats};
+use crate::spill::{SpillConfig, SpillPlane, SpillStats, SpilledFile};
 
 /// Identifier of a datanode (the cluster simulator uses the same ids for
 /// compute nodes, so "node-local read" is meaningful).
@@ -107,8 +109,9 @@ struct DfsState {
     rng: StdRng,
     /// Out-of-core plane, when a memory budget is installed. Lives under
     /// the same lock as the datanodes so residency swaps are atomic with
-    /// respect to reads.
-    spill: Option<SpillPlane>,
+    /// respect to reads. Boxed: a store without a budget carries a null
+    /// pointer, not an empty plane's worth of maps and counters.
+    spill: Option<Box<SpillPlane>>,
 }
 
 /// The simulated distributed file system. Cheap to clone (`Arc` inside);
@@ -253,9 +256,9 @@ impl Dfs {
             if st.spill.is_some() {
                 drop(tile); // release this fn's pin before enforcement
                 if let Some(plane) = st.spill.as_mut() {
-                    // An overwrite of a demoted path supersedes the spilled
-                    // copy; drop its blob reference so compaction can
-                    // reclaim the stale bytes.
+                    // An overwrite of a demoted or backed path supersedes
+                    // the copy on disk; drop its blob reference so
+                    // compaction can reclaim the stale bytes.
                     if let Some(stale) = plane.note_resident(path, wire_len) {
                         plane.blob_mut().release(stale.key)?;
                     }
@@ -459,8 +462,8 @@ impl Dfs {
         self.state.lock().namenode.exists(path)
     }
 
-    /// Deletes a file and all replicas. A demoted file also drops its
-    /// blob-store reference, so segment compaction can reclaim the bytes.
+    /// Deletes a file and all replicas. A demoted or backed file also drops
+    /// its blob-store reference, so segment compaction can reclaim the bytes.
     pub fn delete_file(&self, path: &str) -> Result<()> {
         let mut st = self.state.lock();
         let blocks = st.namenode.delete_file(path)?;
@@ -682,11 +685,12 @@ impl Dfs {
 
     /// Installs (or removes) the memory-budgeted spill plane. A budget of
     /// zero removes the plane — after re-admitting every demoted file, so
-    /// no data is stranded in the segment files the plane deletes on drop.
-    /// Installing with a nonzero budget adopts files already resident on
-    /// the handle plane (namespace order) and enforces the budget
-    /// immediately. Replacing an existing plane first re-admits through
-    /// the old one for the same reason.
+    /// no data is stranded in the segment files the plane deletes on drop
+    /// (every file is then resident, and the backings the re-admissions
+    /// left go with the old plane's blob store). Installing with a nonzero
+    /// budget adopts files already resident on the handle plane (namespace
+    /// order) and enforces the budget immediately. Replacing an existing
+    /// plane first re-admits through the old one for the same reason.
     pub fn set_spill_config(&self, config: &SpillConfig) -> Result<()> {
         let mut st = self.state.lock();
         if st.spill.is_some() {
@@ -725,13 +729,13 @@ impl Dfs {
                 debug_assert!(displaced.is_none(), "fresh plane has no spills");
             }
         }
-        st.spill = Some(plane);
+        st.spill = Some(Box::new(plane));
         Self::enforce_budget(&mut st)
     }
 
     /// Spill-plane counters, when a plane is installed.
     pub fn spill_stats(&self) -> Option<SpillStats> {
-        self.state.lock().spill.as_ref().map(SpillPlane::stats)
+        self.state.lock().spill.as_deref().map(SpillPlane::stats)
     }
 
     /// The installed spill plane's resident-byte budget, if any.
@@ -739,7 +743,7 @@ impl Dfs {
         self.state
             .lock()
             .spill
-            .as_ref()
+            .as_deref()
             .map(SpillPlane::budget_bytes)
     }
 
@@ -792,7 +796,11 @@ impl Dfs {
     /// demoted file's recorded wire length must equal the sum of its block
     /// lengths in the namenode, and every replica of every one of its
     /// blocks must hold a [`BlockPayload::Spilled`] reference with the
-    /// file's blob key and the block's exact length. Together with
+    /// file's blob key and the block's exact length; every backed file
+    /// must likewise match its namenode length; and the blob store must
+    /// hold exactly the entries those files point at, each with one
+    /// reference per file in `spilled ∪ backed` holding its key — no
+    /// leaked reference, no dangling one. Together with
     /// [`Dfs::storage_accounting`] this pins that demotion never creates
     /// or destroys accounted bytes.
     pub fn spill_conserved(&self) -> bool {
@@ -800,15 +808,12 @@ impl Dfs {
         let Some(plane) = st.spill.as_ref() else {
             return true;
         };
+        let mut refs: HashMap<BlobKey, u32> = HashMap::new();
         for path in plane.spilled_paths() {
-            let Some(entry) = plane.spilled(&path) else {
+            let (Some(entry), Ok(meta)) = (plane.spilled(&path), st.namenode.stat(&path)) else {
                 return false;
             };
-            let Ok(meta) = st.namenode.stat(&path) else {
-                return false;
-            };
-            let wire_len: u64 = meta.blocks.iter().map(|b| b.len).sum();
-            if wire_len != entry.wire_len {
+            if meta.len() != entry.wire_len {
                 return false;
             }
             for b in &meta.blocks {
@@ -820,66 +825,93 @@ impl Dfs {
                     }
                 }
             }
+            *refs.entry(entry.key).or_default() += 1;
         }
-        true
+        for path in plane.backed_paths() {
+            let (Some(entry), Ok(meta)) = (plane.backing(&path), st.namenode.stat(&path)) else {
+                return false;
+            };
+            if meta.len() != entry.wire_len {
+                return false;
+            }
+            *refs.entry(entry.key).or_default() += 1;
+        }
+        let blob = plane.blob();
+        blob.stats().live_entries == refs.len() as u64
+            && refs.iter().all(|(key, n)| blob.refs(*key) == Some(*n))
     }
 
     /// Demotes LRU-cold resident files until the plane is under budget.
     /// No-op without a plane or under budget.
     fn enforce_budget(st: &mut DfsState) -> Result<()> {
         loop {
-            let Some(path) = st.spill.as_mut().and_then(SpillPlane::next_eviction) else {
+            let Some((path, backing)) = st.spill.as_deref_mut().and_then(SpillPlane::next_eviction)
+            else {
                 return Ok(());
             };
-            Self::demote_path(st, &path)?;
+            Self::demote_path(st, &path, backing)?;
         }
     }
 
-    /// Demotes one handle file: encodes its tile through the ordinary wire
-    /// codec, optionally compresses, appends to the blob store (keyed by a
-    /// digest of the *encoded* tile, so identical content dedupes), and
-    /// swaps every replica of every block to a [`BlockPayload::Spilled`]
-    /// reference of identical wire length. Counter-neutral by
-    /// construction. Files that are no longer on the handle plane (e.g.
-    /// checkpoint-truncated to the byte plane) are skipped.
-    fn demote_path(st: &mut DfsState, path: &str) -> Result<()> {
-        let blocks = match st.namenode.stat(path) {
-            Ok(meta) => meta.blocks.clone(),
-            Err(_) => return Ok(()), // deleted since it went cold
-        };
-        let mut tile: Option<Arc<Tile>> = None;
-        'find: for b in &blocks {
-            for &n in &b.replicas {
-                if let Some(BlockPayload::Tile { tile: t, .. }) =
-                    st.datanodes[n.0 as usize].peek(b.id)
-                {
-                    tile = Some(Arc::clone(t));
-                    break 'find;
+    /// Demotes one handle file and swaps every replica of every block to a
+    /// [`BlockPayload::Spilled`] reference of identical wire length.
+    /// Counter-neutral by construction. A file with a `backing` — still
+    /// on disk from its last spill and not written since — pays nothing
+    /// more than the swap. Any other is encoded through the ordinary wire
+    /// codec, optionally compressed, and appended to the blob store (keyed
+    /// by a digest of the *encoded* tile, so identical content dedupes).
+    /// Files that are no longer on the handle plane (e.g. every replica
+    /// lost with its node) are skipped, and give their backing up.
+    fn demote_path(st: &mut DfsState, path: &str, backing: Option<SpilledFile>) -> Result<()> {
+        let handle = st.namenode.stat(path).ok().and_then(|meta| {
+            let replicas = meta
+                .blocks
+                .iter()
+                .flat_map(|b| b.replicas.iter().map(move |&n| (n, b.id)));
+            for (n, id) in replicas {
+                if let Some(BlockPayload::Tile { tile, .. }) = st.datanodes[n.0 as usize].peek(id) {
+                    return Some((meta.blocks.clone(), Arc::clone(tile)));
                 }
             }
-        }
-        let Some(tile) = tile else {
-            return Ok(()); // not a handle file (anymore): nothing to demote
-        };
-        let wire = encode_tile(&tile);
-        let wire_len: u64 = blocks.iter().map(|b| b.len).sum();
-        debug_assert_eq!(wire.len() as u64, wire_len, "handle len is the encoding");
+            None
+        });
         let plane = st.spill.as_mut().expect("demotion implies a plane");
-        let (codec, payload) = if plane.compress() {
-            maybe_compress(&wire)
-        } else {
-            (Codec::Raw, wire.to_vec())
+        let Some((blocks, tile)) = handle else {
+            // Deleted since it went cold, or not a handle file (anymore):
+            // nothing to demote, and nothing for a backing to back.
+            if let Some(stale) = backing {
+                plane.blob_mut().release(stale.key)?;
+            }
+            return Ok(());
         };
-        let key = BlobKey::digest(&wire);
-        plane
-            .blob_mut()
-            .put(key, codec, &payload, wire.len() as u32)?;
-        if let Some(stale) = plane.record_spilled(path, key, wire_len) {
-            // A superseded earlier spill of the same path (should not
-            // happen through next_eviction, but churn-safe): release its
-            // blob reference rather than leak it.
-            plane.blob_mut().release(stale.key)?;
-        }
+        let wire_len: u64 = blocks.iter().map(|b| b.len).sum();
+        let key = match backing {
+            Some(backing) => {
+                debug_assert_eq!(backing.wire_len, wire_len, "backing is this file's");
+                plane.record_clean_eviction(path, backing);
+                backing.key
+            }
+            None => {
+                let wire = encode_tile(&tile);
+                debug_assert_eq!(wire.len() as u64, wire_len, "handle len is the encoding");
+                let (codec, payload) = if plane.compress() {
+                    maybe_compress(&wire)
+                } else {
+                    (Codec::Raw, Cow::Borrowed(&wire[..]))
+                };
+                let key = BlobKey::digest(&wire);
+                plane
+                    .blob_mut()
+                    .put(key, codec, &payload, wire.len() as u32)?;
+                if let Some(stale) = plane.record_spilled(path, key, wire_len) {
+                    // A superseded earlier spill of the same path (should
+                    // not happen through next_eviction, but churn-safe):
+                    // release its blob reference rather than leak it.
+                    plane.blob_mut().release(stale.key)?;
+                }
+                key
+            }
+        };
         for b in &blocks {
             for &n in &b.replicas {
                 st.datanodes[n.0 as usize]
@@ -890,14 +922,20 @@ impl Dfs {
     }
 
     /// Re-admits one demoted file: reads the blob entry back, decompresses
-    /// and decodes it into a fresh `Arc<Tile>`, swaps every replica back
-    /// onto the handle plane, and releases the blob reference. The
-    /// returned Arc is *new* — bitwise-equal to the one that was demoted,
-    /// but not pointer-identical (the documented residency exception).
+    /// and decodes it into a fresh `Arc<Tile>`, and swaps every replica
+    /// back onto the handle plane. The blob reference is kept: it backs
+    /// the resident file until the file is written, deleted or demoted
+    /// again (see [`crate::spill`]). The returned Arc is *new* —
+    /// bitwise-equal to the one that was demoted, but not
+    /// pointer-identical (the documented residency exception).
     fn readmit_path(st: &mut DfsState, path: &str, key: BlobKey) -> Result<Arc<Tile>> {
         let plane = st.spill.as_mut().expect("spilled payload implies a plane");
         let (codec, payload, raw_len) = plane.blob_mut().get(key)?;
-        let wire = decompress(codec, &payload)?;
+        let wire = match decompress(codec, &payload)? {
+            Cow::Owned(wire) => wire,
+            // Stored raw: the buffer just read is the wire form.
+            Cow::Borrowed(_) => payload,
+        };
         if wire.len() as u32 != raw_len {
             return Err(DfsError::Spill(format!(
                 "blob {key:?} decompressed to {} bytes, recorded {raw_len}",
@@ -918,11 +956,11 @@ impl Dfs {
                 );
             }
         }
-        let plane = st.spill.as_mut().expect("plane still present");
-        let entry = plane
+        st.spill
+            .as_mut()
+            .expect("plane still present")
             .record_readmitted(path, wire_len)
             .expect("readmit of a recorded spill");
-        plane.blob_mut().release(entry.key)?;
         Ok(tile)
     }
 }

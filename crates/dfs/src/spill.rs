@@ -13,6 +13,22 @@
 //! reference. The next read of a demoted file re-admits it through
 //! [`crate::Dfs::read_payload`], transparently.
 //!
+//! **A demotion pays only for bytes that have to move.** Re-admission
+//! does not give the blob entry up: the file's [`SpilledFile`] moves from
+//! the `spilled` map to the `backed` map and keeps its blob reference as
+//! an on-disk *backing* for as long as the resident tile still has those
+//! bytes. When a backed file goes cold again — a *clean* re-eviction —
+//! the entry moves straight back and the replicas are swapped to
+//! `Spilled` references: no encode, no compression, no digest, no write.
+//! The backing is released exactly where the bytes stop being the
+//! file's: an overwrite ([`SpillPlane::note_resident`]), a delete or a
+//! checkpoint truncation ([`SpillPlane::forget`]), a demotion that finds
+//! the file gone or off the handle plane, and the plane's own drop.
+//! Backed files are resident files, so the extra live disk bytes are
+//! bounded by the budget. Which file is evicted when, and every logical
+//! counter (`evictions`, `readmissions`, `spilled_bytes_total`), is the
+//! same as if each demotion had written its bytes.
+//!
 //! **Nothing observable changes.** IO receipts are computed from namenode
 //! block metadata (`BlockMeta.len`), placement RNG draws happen only at
 //! write time, and datanode byte counters price payloads by their wire
@@ -92,11 +108,16 @@ pub struct SpillStats {
     /// arrived (monotonic). `readback_bytes_total - readback_bytes_avoided`
     /// approximates the readback volume paid on the task critical path.
     pub readback_bytes_avoided: u64,
+    /// Demotions of a file whose blob entry was still live from its last
+    /// spill, which therefore moved no bytes (monotonic; a subset of
+    /// `evictions`).
+    pub clean_evictions: u64,
     /// Blob-store counters (segments, compression ratio, compactions).
     pub blob: BlobStats,
 }
 
-/// One demoted file: where its encoded payload lives.
+/// Where one file's encoded payload lives on disk — the file is either
+/// demoted to it or resident and backed by it.
 #[derive(Debug, Clone, Copy)]
 pub struct SpilledFile {
     /// Content digest addressing the blob entry.
@@ -116,6 +137,12 @@ fn default_dir() -> PathBuf {
     ))
 }
 
+fn sorted_paths(files: &HashMap<String, SpilledFile>) -> Vec<String> {
+    let mut v: Vec<String> = files.keys().cloned().collect();
+    v.sort();
+    v
+}
+
 /// The spill plane: residency LRU + blob store. Owned by the DFS state
 /// and accessed under its lock, so the plane itself is single-threaded.
 #[derive(Debug)]
@@ -130,6 +157,9 @@ pub struct SpillPlane {
     resident_bytes: u64,
     seq: u64,
     spilled: HashMap<String, SpilledFile>,
+    /// Resident paths whose bytes are also still on disk: re-admitted and
+    /// not written since. Each entry holds one blob reference.
+    backed: HashMap<String, SpilledFile>,
     /// Resident paths that were re-admitted by prefetch and have not yet
     /// been claimed by a canonical read: path → wire length at prefetch
     /// time. A marker is dropped without credit when the path is evicted
@@ -141,6 +171,7 @@ pub struct SpillPlane {
     readback_bytes_total: u64,
     prefetched_files: u64,
     readback_bytes_avoided: u64,
+    clean_evictions: u64,
 }
 
 impl SpillPlane {
@@ -157,6 +188,7 @@ impl SpillPlane {
             resident_bytes: 0,
             seq: 0,
             spilled: HashMap::new(),
+            backed: HashMap::new(),
             prefetched: HashMap::new(),
             evictions: 0,
             readmissions: 0,
@@ -164,6 +196,7 @@ impl SpillPlane {
             readback_bytes_total: 0,
             prefetched_files: 0,
             readback_bytes_avoided: 0,
+            clean_evictions: 0,
         })
     }
 
@@ -177,25 +210,39 @@ impl SpillPlane {
         self.budget
     }
 
+    /// The blob store (conservation checks).
+    pub fn blob(&self) -> &BlobStore {
+        &self.blob
+    }
+
     /// Mutable handle to the blob store (demotion/re-admission I/O).
     pub fn blob_mut(&mut self) -> &mut BlobStore {
         &mut self.blob
     }
 
-    /// Records `path` as resident, pinning `bytes` of decoded data, and
-    /// marks it most-recently-used. Re-noting an already-resident path
-    /// only refreshes recency (bytes must not drift for a same-content
-    /// file; if they do, the charge is updated).
+    /// Records `path` as resident under new contents, pinning `bytes` of
+    /// decoded data, and marks it most-recently-used. Re-noting an
+    /// already-resident path refreshes recency and updates the charge.
     ///
     /// A path must never be tracked as resident *and* spilled at once: a
     /// write landing on a currently-demoted path (overwrite without a
-    /// preceding [`SpillPlane::forget`]) supersedes the demoted copy. The
-    /// displaced entry is returned so the caller can release its blob
-    /// reference — dropping it silently would leak a segment ref and skew
+    /// preceding [`SpillPlane::forget`]) supersedes the demoted copy, and
+    /// one landing on a backed path supersedes the backing. The displaced
+    /// entry is returned so the caller can release its blob reference —
+    /// dropping it silently would leak a segment ref and skew
     /// `spill_conserved()`.
-    #[must_use = "a displaced spilled entry holds a blob reference the caller must release"]
+    #[must_use = "a displaced entry holds a blob reference the caller must release"]
     pub fn note_resident(&mut self, path: &str, bytes: u64) -> Option<SpilledFile> {
-        let displaced = self.spilled.remove(path);
+        let displaced = self
+            .spilled
+            .remove(path)
+            .or_else(|| self.backed.remove(path));
+        self.admit(path, bytes);
+        displaced
+    }
+
+    /// The LRU half of an admission: charge `bytes`, hottest position.
+    fn admit(&mut self, path: &str, bytes: u64) {
         self.seq += 1;
         match self.resident.get_mut(path) {
             Some((seq, charged)) => {
@@ -210,7 +257,6 @@ impl SpillPlane {
             }
         }
         self.order.insert(self.seq, path.to_string());
-        displaced
     }
 
     /// Refreshes recency of a resident path (reads). If the path carries
@@ -257,10 +303,13 @@ impl SpillPlane {
         self.resident_bytes > self.budget
     }
 
-    /// Pops the coldest resident path if the plane is over budget. The
-    /// caller performs the actual demotion and then calls
-    /// [`SpillPlane::record_spilled`].
-    pub fn next_eviction(&mut self) -> Option<String> {
+    /// Pops the coldest resident path if the plane is over budget,
+    /// together with its on-disk backing if it has one. The caller
+    /// performs the actual demotion and then books it — a backed file
+    /// with [`SpillPlane::record_clean_eviction`], any other with
+    /// [`SpillPlane::record_spilled`] — or, if the file turns out not to
+    /// be demotable any more, releases the backing's blob reference.
+    pub fn next_eviction(&mut self) -> Option<(String, Option<SpilledFile>)> {
         if !self.over_budget() {
             return None;
         }
@@ -271,16 +320,17 @@ impl SpillPlane {
         // A prefetched tile evicted before any read claimed it saved
         // nothing — drop the marker without credit.
         self.prefetched.remove(&path);
-        Some(path)
+        let backing = self.backed.remove(&path);
+        Some((path, backing))
     }
 
     /// Books a completed demotion of `path`. If the path is somehow still
     /// tracked as resident (a demotion not initiated through
     /// [`SpillPlane::next_eviction`]), its residency charge is released
     /// first so `resident_bytes` cannot drift; a previously-recorded
-    /// spilled entry for the same path is returned so the caller can
-    /// release the superseded blob reference.
-    #[must_use = "a displaced spilled entry holds a blob reference the caller must release"]
+    /// spilled or backing entry for the same path is returned so the
+    /// caller can release the superseded blob reference.
+    #[must_use = "a displaced entry holds a blob reference the caller must release"]
     pub fn record_spilled(
         &mut self,
         path: &str,
@@ -294,10 +344,21 @@ impl SpillPlane {
         self.prefetched.remove(path);
         let displaced = self
             .spilled
-            .insert(path.to_string(), SpilledFile { key, wire_len });
+            .insert(path.to_string(), SpilledFile { key, wire_len })
+            .or_else(|| self.backed.remove(path));
         self.evictions += 1;
         self.spilled_bytes_total += wire_len;
         displaced
+    }
+
+    /// Books the demotion of a file popped by [`SpillPlane::next_eviction`]
+    /// together with `backing`: the entry goes back to `spilled` with the
+    /// blob reference it never gave up. Counts as an eviction of
+    /// `wire_len` bytes like any other, and as a clean one.
+    pub fn record_clean_eviction(&mut self, path: &str, backing: SpilledFile) {
+        let displaced = self.record_spilled(path, backing.key, backing.wire_len);
+        debug_assert!(displaced.is_none(), "a backed path has no other entry");
+        self.clean_evictions += 1;
     }
 
     /// Looks up where a demoted file's payload lives.
@@ -305,39 +366,49 @@ impl SpillPlane {
         self.spilled.get(path).copied()
     }
 
-    /// Books a completed re-admission: the path stops being spilled (its
-    /// blob reference is released by the caller) and becomes resident.
+    /// Looks up the on-disk backing of a resident file.
+    pub fn backing(&self, path: &str) -> Option<SpilledFile> {
+        self.backed.get(path).copied()
+    }
+
+    /// Books a completed re-admission: the path stops being spilled and
+    /// becomes resident, *backed* by the entry it was read from — the blob
+    /// reference stays with the plane. Returns that entry (`None`, and
+    /// nothing is booked, when the path was not spilled).
     pub fn record_readmitted(&mut self, path: &str, resident_bytes: u64) -> Option<SpilledFile> {
-        let entry = self.spilled.remove(path);
-        if let Some(e) = &entry {
-            self.readmissions += 1;
-            self.readback_bytes_total += e.wire_len;
-        }
-        // The path was just removed from `spilled`, so re-noting it cannot
-        // displace another entry.
-        let displaced = self.note_resident(path, resident_bytes);
-        debug_assert!(displaced.is_none(), "spilled entry removed above");
-        entry
+        let entry = self.spilled.remove(path)?;
+        self.readmissions += 1;
+        self.readback_bytes_total += entry.wire_len;
+        self.backed.insert(path.to_string(), entry);
+        self.admit(path, resident_bytes);
+        Some(entry)
     }
 
     /// Forgets a path entirely (file deletion/overwrite). Returns the
-    /// spilled entry if the path was demoted, so the caller can release
+    /// entry if the path was demoted or backed, so the caller can release
     /// the blob reference.
+    #[must_use = "a forgotten entry holds a blob reference the caller must release"]
     pub fn forget(&mut self, path: &str) -> Option<SpilledFile> {
         if let Some((seq, bytes)) = self.resident.remove(path) {
             self.order.remove(&seq);
             self.resident_bytes -= bytes;
         }
         self.prefetched.remove(path);
-        self.spilled.remove(path)
+        self.spilled
+            .remove(path)
+            .or_else(|| self.backed.remove(path))
     }
 
     /// Paths currently demoted (for conservation checks), in namespace
     /// order.
     pub fn spilled_paths(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.spilled.keys().cloned().collect();
-        v.sort();
-        v
+        sorted_paths(&self.spilled)
+    }
+
+    /// Resident paths with an on-disk backing (for conservation checks),
+    /// in namespace order.
+    pub fn backed_paths(&self) -> Vec<String> {
+        sorted_paths(&self.backed)
     }
 
     /// Resident paths from coldest to hottest (test observability).
@@ -358,19 +429,29 @@ impl SpillPlane {
             readback_bytes_total: self.readback_bytes_total,
             prefetched_files: self.prefetched_files,
             readback_bytes_avoided: self.readback_bytes_avoided,
+            clean_evictions: self.clean_evictions,
             blob: self.blob.stats(),
         }
     }
 
     /// Internal-consistency audit, used by the interleaving tests: no
-    /// path may be tracked as resident and spilled at once, the byte
-    /// charge must equal the sum of per-path charges, the LRU order map
-    /// must mirror the resident map exactly, and prefetch markers may
-    /// only annotate resident paths.
+    /// path may be tracked as resident and spilled at once, a path has at
+    /// most one on-disk entry (spilled *or* backed), only resident paths
+    /// are backed, the byte charge must equal the sum of per-path
+    /// charges, the LRU order map must mirror the resident map exactly,
+    /// and prefetch markers may only annotate resident paths.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         for path in self.resident.keys() {
             if self.spilled.contains_key(path) {
                 return Err(format!("{path} is both resident and spilled"));
+            }
+        }
+        for path in self.backed.keys() {
+            if self.spilled.contains_key(path) {
+                return Err(format!("{path} is both backed and spilled"));
+            }
+            if !self.resident.contains_key(path) {
+                return Err(format!("{path} is backed but not resident"));
             }
         }
         let charged: u64 = self.resident.values().map(|&(_, b)| b).sum();
@@ -416,6 +497,14 @@ mod tests {
         assert!(p.note_resident(path, bytes).is_none(), "fresh admit");
     }
 
+    /// Pops the coldest path, which must be dirty (never spilled, or
+    /// written since): there is no backing to carry along.
+    fn evict_dirty(p: &mut SpillPlane) -> Option<String> {
+        let (path, backing) = p.next_eviction()?;
+        assert!(backing.is_none(), "{path} was expected to be dirty");
+        Some(path)
+    }
+
     #[test]
     fn lru_evicts_coldest_first() {
         let mut p = plane(100);
@@ -423,12 +512,12 @@ mod tests {
         admit(&mut p, "/b", 40);
         admit(&mut p, "/c", 40); // 120 > 100
         assert_eq!(p.lru_order(), ["/a", "/b", "/c"]);
-        assert_eq!(p.next_eviction().as_deref(), Some("/a"));
+        assert_eq!(evict_dirty(&mut p).as_deref(), Some("/a"));
         assert!(p.next_eviction().is_none(), "80 <= 100 after evicting /a");
         // Touch /b so /c becomes coldest, then push over budget again.
         p.touch("/b");
         admit(&mut p, "/d", 40);
-        assert_eq!(p.next_eviction().as_deref(), Some("/c"));
+        assert_eq!(evict_dirty(&mut p).as_deref(), Some("/c"));
         assert!(!p.over_budget());
     }
 
@@ -439,7 +528,7 @@ mod tests {
             admit(&mut p, &format!("/t{i}"), 32);
         }
         let mut evicted = Vec::new();
-        while let Some(path) = p.next_eviction() {
+        while let Some(path) = evict_dirty(&mut p) {
             evicted.push(path);
         }
         assert_eq!(evicted.len(), 8, "320 - 8*32 = 64 <= budget");
@@ -465,7 +554,7 @@ mod tests {
     fn spill_readmit_forget_bookkeeping() {
         let mut p = plane(10);
         admit(&mut p, "/a", 50);
-        let path = p.next_eviction().unwrap();
+        let path = evict_dirty(&mut p).unwrap();
         assert_eq!(path, "/a");
         let key = BlobKey::digest(b"payload");
         assert!(p.record_spilled(&path, key, 48).is_none());
@@ -477,6 +566,7 @@ mod tests {
         assert_eq!(p.spilled_paths(), ["/a"]);
         assert!(p.is_spilled("/a") && !p.is_resident("/a"));
 
+        // Readmission keeps the entry as the resident file's backing.
         let entry = p.record_readmitted("/a", 50).unwrap();
         assert_eq!(entry.key, key);
         let st = p.stats();
@@ -485,10 +575,49 @@ mod tests {
         assert_eq!(st.readback_bytes_total, 48);
         assert_eq!(st.resident_bytes, 50);
         assert!(p.is_resident("/a") && !p.is_spilled("/a"));
+        assert_eq!(p.backing("/a").unwrap().key, key);
+        assert_eq!(p.backed_paths(), ["/a"]);
+        assert!(p.record_readmitted("/a", 50).is_none(), "not spilled now");
+        assert_eq!(p.stats().readmissions, 1, "nothing booked");
+        p.check_invariants().unwrap();
 
-        assert!(p.forget("/a").is_none(), "resident, not spilled");
+        // Going cold again, the backing travels with the path and the
+        // demotion is booked as clean — a full eviction in every counter.
+        let (path, backing) = p.next_eviction().unwrap();
+        let backing = backing.expect("readmitted and not written since");
+        assert!(p.backing("/a").is_none(), "handed to the caller");
+        p.record_clean_eviction(&path, backing);
+        let st = p.stats();
+        assert_eq!((st.evictions, st.clean_evictions), (2, 1));
+        assert_eq!(st.spilled_bytes_total, 96);
+        assert_eq!(p.spilled("/a").unwrap().key, key);
+        p.check_invariants().unwrap();
+
+        // Forgetting a backed path surfaces the reference exactly once.
+        p.record_readmitted("/a", 50).unwrap();
+        assert_eq!(p.forget("/a").unwrap().key, key);
         assert_eq!(p.stats().resident_bytes, 0);
+        assert!(p.backing("/a").is_none());
         assert!(p.forget("/a").is_none(), "idempotent");
+        p.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn overwrite_of_backed_path_displaces_the_backing() {
+        let mut p = plane(10);
+        admit(&mut p, "/a", 50);
+        let path = evict_dirty(&mut p).unwrap();
+        let key = BlobKey::digest(b"old");
+        assert!(p.record_spilled(&path, key, 48).is_none());
+        p.record_readmitted("/a", 50).unwrap();
+        // New contents land on the resident, backed path: the bytes on
+        // disk are no longer the file's.
+        let displaced = p.note_resident("/a", 60).expect("backing surfaced");
+        assert_eq!(displaced.key, key);
+        assert!(p.backing("/a").is_none());
+        assert_eq!(p.stats().resident_bytes, 60);
+        assert_eq!(evict_dirty(&mut p).as_deref(), Some("/a"));
+        p.check_invariants().unwrap();
     }
 
     #[test]
@@ -502,7 +631,7 @@ mod tests {
     fn prefetch_marker_is_claimed_exactly_once() {
         let mut p = plane(100);
         admit(&mut p, "/a", 120);
-        let evicted = p.next_eviction().unwrap();
+        let evicted = evict_dirty(&mut p).unwrap();
         assert!(p
             .record_spilled(&evicted, BlobKey::digest(b"a"), 96)
             .is_none());
@@ -523,23 +652,23 @@ mod tests {
     fn prefetch_marker_dropped_without_credit_on_churn() {
         let mut p = plane(100);
         admit(&mut p, "/a", 120);
-        let evicted = p.next_eviction().unwrap();
-        assert!(p
-            .record_spilled(&evicted, BlobKey::digest(b"a"), 96)
-            .is_none());
+        let evicted = evict_dirty(&mut p).unwrap();
+        let key = BlobKey::digest(b"a");
+        assert!(p.record_spilled(&evicted, key, 96).is_none());
         assert!(p.record_readmitted("/a", 120).is_some());
         p.record_prefetched("/a", 96);
-        // Re-evicted before any read claimed the prefetch: no credit.
-        let evicted = p.next_eviction().unwrap();
-        assert!(p
-            .record_spilled(&evicted, BlobKey::digest(b"a"), 96)
-            .is_none());
+        // Re-evicted before any read claimed the prefetch: no credit,
+        // and — the tile was never written — no bytes to move either.
+        let (evicted, backing) = p.next_eviction().unwrap();
+        p.record_clean_eviction(&evicted, backing.expect("prefetched => backed"));
         assert_eq!(p.stats().readback_bytes_avoided, 0);
+        assert_eq!(p.stats().clean_evictions, 1);
         // Readmit (canonically this time) and forget before reading: the
-        // second prefetch marker also dies without credit.
+        // second prefetch marker also dies without credit, and the
+        // forget hands back the one reference the path ever held.
         assert!(p.record_readmitted("/a", 120).is_some());
         p.record_prefetched("/a", 96);
-        assert!(p.forget("/a").is_none());
+        assert_eq!(p.forget("/a").unwrap().key, key);
         p.touch("/a");
         assert_eq!(p.stats().readback_bytes_avoided, 0);
         assert_eq!(p.stats().prefetched_files, 2);
@@ -558,7 +687,7 @@ mod tests {
     fn overwrite_of_spilled_path_displaces_the_stale_entry() {
         let mut p = plane(10);
         admit(&mut p, "/a", 50);
-        let evicted = p.next_eviction().unwrap();
+        let evicted = evict_dirty(&mut p).unwrap();
         let key = BlobKey::digest(b"old");
         assert!(p.record_spilled(&evicted, key, 48).is_none());
         // A write lands on the demoted path without a forget: the plane
@@ -586,7 +715,10 @@ mod tests {
     /// Satellite audit: arbitrary interleavings of admit / touch / evict+
     /// spill / readmit / prefetch / forget keep the plane internally
     /// consistent — no path in both maps, no budget-charge drift, no
-    /// readback-avoided credit without a prior unclaimed prefetch.
+    /// readback-avoided credit without a prior unclaimed prefetch — and
+    /// agree with a model of the blob references the plane's caller
+    /// holds: one per path in `spilled ∪ backed`, taken by a dirty
+    /// demotion and given back by whatever the plane hands out.
     #[derive(Debug, Clone)]
     enum Op {
         Note(u8, u64),
@@ -608,6 +740,40 @@ mod tests {
         ]
     }
 
+    /// The demotion the DFS performs on a popped path, against the model:
+    /// a backed path re-spills under its own key and takes no reference,
+    /// a dirty one takes a reference on a key of its current version.
+    fn demote(
+        p: &mut SpillPlane,
+        refs: &mut HashMap<String, BlobKey>,
+        versions: &HashMap<String, u32>,
+        victim: String,
+        backing: Option<SpilledFile>,
+    ) -> std::result::Result<(), TestCaseError> {
+        match backing {
+            Some(b) => {
+                prop_assert_eq!(
+                    refs.get(&victim),
+                    Some(&b.key),
+                    "backing is the model's ref"
+                );
+                p.record_clean_eviction(&victim, b);
+            }
+            None => {
+                prop_assert!(!refs.contains_key(&victim), "dirty path holds no ref");
+                let version = versions.get(&victim).copied().unwrap_or(0);
+                let key = BlobKey::digest(format!("{victim}#{version}").as_bytes());
+                let displaced = p.record_spilled(&victim, key, 64);
+                prop_assert!(
+                    displaced.is_none(),
+                    "evicted path cannot already be spilled"
+                );
+                refs.insert(victim, key);
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn interleavings_preserve_plane_invariants(
@@ -616,32 +782,37 @@ mod tests {
         ) {
             let mut p = plane(budget);
             let path = |i: u8| format!("/t{i}");
+            // Model: the blob reference each path holds, and how many
+            // times each path has been written.
+            let mut refs: HashMap<String, BlobKey> = HashMap::new();
+            let mut versions: HashMap<String, u32> = HashMap::new();
+            let mut clean = 0u64;
             for op in ops {
                 match op {
                     Op::Note(i, b) => {
-                        let _displaced = p.note_resident(&path(i), b);
+                        *versions.entry(path(i)).or_default() += 1;
+                        let displaced = p.note_resident(&path(i), b);
+                        prop_assert_eq!(displaced.map(|d| d.key), refs.remove(&path(i)));
                     }
                     Op::Touch(i) => p.touch(&path(i)),
                     Op::EvictAndSpill => {
-                        if let Some(victim) = p.next_eviction() {
-                            let key = BlobKey::digest(victim.as_bytes());
-                            let displaced = p.record_spilled(&victim, key, 64);
-                            prop_assert!(
-                                displaced.is_none(),
-                                "evicted path cannot already be spilled"
-                            );
+                        if let Some((victim, backing)) = p.next_eviction() {
+                            clean += u64::from(backing.is_some());
+                            demote(&mut p, &mut refs, &versions, victim, backing)?;
                         }
                     }
                     Op::Readmit(i, as_prefetch) => {
                         if p.is_spilled(&path(i)) {
-                            prop_assert!(p.record_readmitted(&path(i), 64).is_some());
+                            let entry = p.record_readmitted(&path(i), 64);
+                            prop_assert_eq!(entry.map(|e| e.key), refs.get(&path(i)).copied());
                             if as_prefetch {
                                 p.record_prefetched(&path(i), 64);
                             }
                         }
                     }
                     Op::Forget(i) => {
-                        let _stale = p.forget(&path(i));
+                        let stale = p.forget(&path(i));
+                        prop_assert_eq!(stale.map(|d| d.key), refs.remove(&path(i)));
                     }
                 }
                 p.check_invariants().map_err(TestCaseError::fail)?;
@@ -652,10 +823,23 @@ mod tests {
                     st.spilled_files * 64,
                     "every live spilled entry carries its wire length"
                 );
+                prop_assert_eq!(st.clean_evictions, clean);
+                // The plane holds exactly the model's references, each
+                // path in one of the two maps and under the model's key.
+                let mut on_disk = p.spilled_paths();
+                on_disk.extend(p.backed_paths());
+                on_disk.sort();
+                let mut modelled: Vec<String> = refs.keys().cloned().collect();
+                modelled.sort();
+                prop_assert_eq!(&on_disk, &modelled);
+                for path in &on_disk {
+                    let entry = p.spilled(path).or_else(|| p.backing(path)).expect("listed");
+                    prop_assert_eq!(entry.key, refs[path]);
+                }
             }
             // Draining all evictions always lands the plane within budget.
-            while let Some(victim) = p.next_eviction() {
-                let _ = p.record_spilled(&victim, BlobKey::digest(victim.as_bytes()), 64);
+            while let Some((victim, backing)) = p.next_eviction() {
+                demote(&mut p, &mut refs, &versions, victim, backing)?;
             }
             prop_assert!(p.stats().resident_bytes <= p.budget_bytes());
             p.check_invariants().map_err(TestCaseError::fail)?;

@@ -1167,6 +1167,180 @@ mod spill_plane_tests {
         assert!(sc.blob.compression_ratio() >= 1.0);
     }
 
+    /// `tiles` one-tile files of `A` behind a one-tile budget and no
+    /// decoded-tile cache, so every read of a non-resident tile re-admits
+    /// it and demotes the tile read before. Tile `i` is written from, and
+    /// at `replication` 1 lives only on, node `i % 4`.
+    fn one_tile_budget(tiles: usize, replication: usize) -> (TileStore, LocalMatrix) {
+        let s = TileStore::with_cache_capacity(
+            Dfs::new(
+                4,
+                DfsConfig {
+                    replication,
+                    block_size: 1 << 20,
+                    seed: 77,
+                    racks: 1,
+                },
+            ),
+            0,
+        );
+        let meta = MatrixMeta::new(8 * tiles, 8, 8);
+        let one = encoded_len(&Tile::zeros(8, 8));
+        s.set_memory_budget(&SpillConfig::budgeted(one + 1))
+            .unwrap();
+        let m = fill(&s, "A", meta, 41);
+        (s, m)
+    }
+
+    fn read_all(s: &TileStore, m: &LocalMatrix) {
+        for ((ti, tj), want) in m.iter_tiles() {
+            let (got, _) = s.read_tile("A", ti, tj, None, false).unwrap();
+            assert_eq!(*got, *want, "tile ({ti},{tj})");
+            assert!(s.dfs().spill_conserved());
+        }
+    }
+
+    /// The dedupe the blob store documents: re-evicting a tile that came
+    /// back from disk and was not written since appends nothing — the
+    /// entry it was read from is still live and still the file's.
+    #[test]
+    fn clean_reevictions_move_no_bytes() {
+        let (s, m) = one_tile_budget(6, 2);
+        // First pass: the last tile written is demoted for the first
+        // time; every other demotion is already clean.
+        read_all(&s, &m);
+        let first = s.dfs().spill_stats().unwrap();
+        assert_eq!(first.blob.live_entries, 6, "every tile has been on disk");
+        assert!(first.clean_evictions > 0);
+        read_all(&s, &m);
+        let second = s.dfs().spill_stats().unwrap();
+        assert_eq!(second.readmissions, first.readmissions + 6);
+        assert_eq!(second.evictions, first.evictions + 6);
+        assert_eq!(second.clean_evictions, first.clean_evictions + 6);
+        let one = encoded_len(m.tile(0, 0).unwrap());
+        assert_eq!(
+            second.spilled_bytes_total,
+            first.spilled_bytes_total + 6 * one,
+            "a clean demotion counts its logical bytes like any other"
+        );
+        assert_eq!(second.blob.bytes_written, first.blob.bytes_written);
+        assert_eq!(second.blob.live_entries, 6);
+        assert_eq!(second.blob.dedup_hits, 0, "put was never asked");
+        assert_eq!((second.resident_files, second.spilled_files), (1, 5));
+        // One tile is resident and backed; deleting everything must give
+        // back its reference along with the five spilled ones.
+        s.drop_matrix("A").unwrap();
+        let st = s.dfs().spill_stats().unwrap();
+        assert_eq!(st.blob.live_entries, 0, "leaked blob reference");
+        assert!(s.dfs().spill_conserved());
+    }
+
+    /// A backing is given up where the bytes stop being the file's.
+    #[test]
+    fn overwrite_and_delete_release_the_backing() {
+        let (s, m) = one_tile_budget(3, 2);
+        read_all(&s, &m);
+        // Tile 2 was read last: resident, backed by its entry.
+        assert_eq!(s.dfs().spill_stats().unwrap().blob.live_entries, 3);
+        let fresh = Tile::dense(cumulon_matrix::gen::dense_uniform_tile(
+            9, 0, 0, 8, 8, -1.0, 1.0,
+        ));
+        s.write_tile("A", 2, 0, &fresh, Some(NodeId(2))).unwrap();
+        let st = s.dfs().spill_stats().unwrap();
+        assert_eq!(st.blob.live_entries, 2, "the overwritten bytes are dead");
+        assert!(s.dfs().spill_conserved());
+        // Its next demotion is dirty: the new bytes go to disk, and come
+        // back as written.
+        s.read_tile("A", 0, 0, None, false).unwrap();
+        let st = s.dfs().spill_stats().unwrap();
+        assert_eq!(st.blob.live_entries, 3);
+        assert_eq!(*s.read_tile("A", 2, 0, None, false).unwrap().0, fresh);
+        assert!(s.dfs().spill_conserved());
+        // Delete while backed (tile 2 again, just re-admitted).
+        s.dfs()
+            .delete_file(&TileStore::tile_path("A", 2, 0))
+            .unwrap();
+        assert_eq!(s.dfs().spill_stats().unwrap().blob.live_entries, 2);
+        assert!(s.dfs().spill_conserved());
+        assert!(s.dfs().storage_accounting().is_conserved());
+    }
+
+    /// A backed file whose every replica died with its node is not on the
+    /// handle plane any more when it goes cold: the demotion must give
+    /// the backing up — not leak it, and not swap a stale `Spilled`
+    /// reference over whatever holds the path now.
+    #[test]
+    fn losing_every_replica_of_a_backed_file_releases_the_backing() {
+        let (s, m) = one_tile_budget(3, 1);
+        read_all(&s, &m);
+        s.read_tile("A", 0, 0, None, false).unwrap();
+        // Tile 0 (node 0's only copy) is resident and backed.
+        assert_eq!(s.dfs().spill_stats().unwrap().blob.live_entries, 3);
+        s.dfs().kill_node(NodeId(0)).unwrap();
+        assert!(s.dfs().spill_conserved());
+        // Re-admitting tile 1 pushes tile 0 out of the LRU.
+        s.read_tile("A", 1, 0, None, false).unwrap();
+        let st = s.dfs().spill_stats().unwrap();
+        assert_eq!(st.blob.live_entries, 2, "tile 0's backing was given up");
+        assert_eq!((st.resident_files, st.spilled_files), (1, 1));
+        assert!(s.dfs().spill_conserved());
+        assert!(s.dfs().storage_accounting().is_conserved());
+        assert!(matches!(
+            s.read_tile("A", 0, 0, None, false),
+            Err(DfsError::BlockLost { .. })
+        ));
+        // Lineage recovery rewrites the tile; it is an ordinary dirty
+        // file from here on.
+        let t0 = m.tile(0, 0).unwrap();
+        s.write_tile("A", 0, 0, t0, Some(NodeId(1))).unwrap();
+        read_all(&s, &m);
+        assert_eq!(s.dfs().spill_stats().unwrap().blob.live_entries, 3);
+    }
+
+    /// Checkpoint truncation moves every file to the byte plane, which
+    /// the spill plane does not track: spilled and backed entries alike
+    /// give their references up.
+    #[test]
+    fn checkpoint_truncation_releases_backings() {
+        let (s, m) = one_tile_budget(4, 2);
+        read_all(&s, &m);
+        assert_eq!(s.dfs().spill_stats().unwrap().blob.live_entries, 4);
+        s.checkpoint_matrix("A", 3).unwrap();
+        let st = s.dfs().spill_stats().unwrap();
+        assert_eq!(st.blob.live_entries, 0);
+        assert_eq!((st.resident_files, st.spilled_files), (0, 0));
+        assert!(s.dfs().spill_conserved());
+        assert!(s.dfs().storage_accounting().is_conserved());
+        read_all(&s, &m);
+    }
+
+    /// Replacing or removing a plane that holds backed files strands
+    /// nothing: the files are resident, and the old backings go with the
+    /// old blob store.
+    #[test]
+    fn replacing_the_plane_drops_backings_with_it() {
+        let (s, m) = one_tile_budget(4, 2);
+        read_all(&s, &m);
+        let old = s.dfs().spill_stats().unwrap();
+        assert_eq!((old.resident_files, old.blob.live_entries), (1, 4));
+        let one = encoded_len(m.tile(0, 0).unwrap());
+        s.set_memory_budget(&SpillConfig::budgeted(2 * one))
+            .unwrap();
+        let st = s.dfs().spill_stats().unwrap();
+        assert_eq!((st.resident_files, st.spilled_files), (2, 2));
+        assert_eq!(st.blob.live_entries, 2, "a fresh store, nothing backed");
+        assert_eq!(st.clean_evictions, 0);
+        assert!(s.dfs().spill_conserved());
+        read_all(&s, &m);
+        assert!(s.dfs().spill_stats().unwrap().blob.live_entries > 2);
+        s.set_memory_budget(&SpillConfig::default()).unwrap();
+        assert!(s.dfs().spill_stats().is_none());
+        assert!(s.dfs().spill_conserved());
+        for ((ti, tj), want) in m.iter_tiles() {
+            assert_eq!(*s.read_tile("A", ti, tj, None, false).unwrap().0, *want);
+        }
+    }
+
     /// Phantom tiles are metadata-only and must never reach the blob
     /// store, no matter how tight the budget.
     #[test]

@@ -4,7 +4,9 @@
 
 use bytes::Bytes;
 use cumulon_dfs::dfs::NodeId;
-use cumulon_dfs::{Dfs, DfsConfig, DfsError};
+use cumulon_dfs::{Dfs, DfsConfig, DfsError, SpillConfig, TileStore};
+use cumulon_matrix::serialize::encoded_len;
+use cumulon_matrix::{MatrixMeta, Tile};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -225,4 +227,141 @@ proptest! {
         prop_assert_eq!(data.as_ref(), payload.as_slice());
         prop_assert_eq!(receipt.bytes, len as u64);
     }
+
+    /// The spill plane is invisible: any interleaving of writes,
+    /// overwrites, reads, prefetches, deletes, checkpoints and node kills
+    /// yields the same tiles, receipts and errors on a budgeted store as
+    /// on an unbudgeted twin, and after every step the budgeted store's
+    /// blob references are exactly the ones its spilled and backed files
+    /// account for.
+    #[test]
+    fn budgeted_store_agrees_with_unbudgeted_twin(
+        op_list in tile_ops(),
+        seed in 0u64..100,
+        replication in 1usize..3,
+        budget_tiles in 1u64..4,
+        cache_bytes in prop_oneof![Just(0u64), Just(4096u64)],
+    ) {
+        let store = || TileStore::with_cache_capacity(
+            Dfs::new(4, DfsConfig { replication, block_size: 256, seed, racks: 1 }),
+            cache_bytes,
+        );
+        let (twin, tight) = (store(), store());
+        let meta = MatrixMeta::new(8 * TILES as usize, 8, 8);
+        let one = encoded_len(&Tile::zeros(8, 8));
+        tight.set_memory_budget(&SpillConfig::budgeted(budget_tiles * one + 1)).unwrap();
+        for s in [&twin, &tight] {
+            s.register("A", meta).unwrap();
+        }
+        for op in op_list {
+            // Errors are part of the contract: compared through `Debug`.
+            let same = match op {
+                TileOp::Write { t, content, writer } => {
+                    let run = |s: &TileStore| {
+                        let w = Some(NodeId(writer as u32));
+                        format!("{:?}", s.write_tile("A", t as usize, 0, &tile_content(content), w))
+                    };
+                    run(&twin) == run(&tight)
+                }
+                TileOp::Read { t, reader } => {
+                    let run = |s: &TileStore| {
+                        s.read_tile("A", t as usize, 0, Some(NodeId(reader as u32)), false)
+                            .map(|(tile, receipt)| ((*tile).clone(), receipt))
+                            .map_err(|e| format!("{e:?}"))
+                    };
+                    run(&twin) == run(&tight)
+                }
+                TileOp::Prefetch { t } => {
+                    tight.prefetch_tile("A", t as usize, 0).unwrap();
+                    true
+                }
+                TileOp::Delete { t } => {
+                    // The tile store's path scheme.
+                    let path = format!("/matrix/A/{t}_0");
+                    let run = |s: &TileStore| format!("{:?}", s.dfs().delete_file(&path));
+                    run(&twin) == run(&tight)
+                }
+                TileOp::Checkpoint { replication } => {
+                    let run = |s: &TileStore| {
+                        format!("{:?}", s.checkpoint_matrix("A", replication as usize))
+                    };
+                    run(&twin) == run(&tight)
+                }
+                TileOp::KillNode { n } => {
+                    let run = |s: &TileStore| format!("{:?}", s.dfs().kill_node(NodeId(n as u32)));
+                    run(&twin) == run(&tight)
+                }
+            };
+            prop_assert!(same, "{op:?} told the twins apart");
+            prop_assert!(tight.dfs().spill_conserved(), "after {op:?}");
+            prop_assert!(tight.dfs().storage_accounting().is_conserved(), "after {op:?}");
+            prop_assert_eq!(twin.dfs().storage_accounting(), tight.dfs().storage_accounting());
+        }
+        // Dropping the matrix gives every reference back.
+        tight.drop_matrix("A").unwrap();
+        prop_assert_eq!(tight.dfs().spill_stats().unwrap().blob.live_entries, 0);
+        prop_assert!(tight.dfs().spill_conserved());
+    }
+}
+
+/// Tiles of the one matrix [`budgeted_store_agrees_with_unbudgeted_twin`]
+/// works on.
+const TILES: u8 = 6;
+
+#[derive(Debug, Clone)]
+enum TileOp {
+    /// Write (or overwrite) tile `t` with one of a few contents, so that
+    /// distinct paths do share blob entries.
+    Write {
+        t: u8,
+        content: u8,
+        writer: u8,
+    },
+    Read {
+        t: u8,
+        reader: u8,
+    },
+    /// Re-admit tile `t` ahead of demand (budgeted store only).
+    Prefetch {
+        t: u8,
+    },
+    Delete {
+        t: u8,
+    },
+    /// Truncate every tile to the byte plane at `replication`.
+    Checkpoint {
+        replication: u8,
+    },
+    KillNode {
+        n: u8,
+    },
+}
+
+fn tile_ops() -> impl Strategy<Value = Vec<TileOp>> {
+    let op = prop_oneof![
+        6 => (0..TILES, 0u8..4, 0u8..4)
+            .prop_map(|(t, content, writer)| TileOp::Write { t, content, writer }),
+        8 => (0..TILES, 0u8..4).prop_map(|(t, reader)| TileOp::Read { t, reader }),
+        3 => (0..TILES).prop_map(|t| TileOp::Prefetch { t }),
+        2 => (0..TILES).prop_map(|t| TileOp::Delete { t }),
+        1 => (1u8..4).prop_map(|replication| TileOp::Checkpoint { replication }),
+        1 => (0u8..4).prop_map(|n| TileOp::KillNode { n }),
+    ];
+    proptest::collection::vec(op, 1..60)
+}
+
+/// Content 0 is all zeros (compressed on disk), the rest are noise.
+fn tile_content(content: u8) -> Tile {
+    if content == 0 {
+        return Tile::zeros(8, 8);
+    }
+    Tile::dense(cumulon_matrix::gen::dense_uniform_tile(
+        content as u64,
+        0,
+        0,
+        8,
+        8,
+        -1.0,
+        1.0,
+    ))
 }

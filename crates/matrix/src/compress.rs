@@ -22,6 +22,17 @@
 //! spill path stores whichever of `{raw, compressed}` is smaller (see
 //! [`maybe_compress`]); the identity path doubles as the cross-checked
 //! reference for the conformance tests.
+//!
+//! The matcher runs at a small fraction of disk speed, and on a dense
+//! Gaussian tile it finds nothing. [`maybe_compress`] therefore samples
+//! first: buffers of [`PROBE_MIN_LEN`] bytes or more have a few small
+//! windows spread over their length compressed, and a sample that does
+//! not shrink sends the whole buffer down the `Raw` path untouched. The
+//! probe reads only the bytes it is given, so the same buffer always
+//! takes the same path. Both `Raw` arms ([`maybe_compress`],
+//! [`decompress`]) borrow their input rather than copy it.
+
+use std::borrow::Cow;
 
 use crate::error::{MatrixError, Result};
 
@@ -34,6 +45,14 @@ const MAX_MATCH: usize = MIN_MATCH + 255;
 const WINDOW: usize = 65_535;
 /// Hash-head table size (power of two).
 const HASH_BITS: u32 = 15;
+/// Buffers shorter than this skip the probe: the full matcher is cheap
+/// on them, and a sample of a small buffer is most of the buffer.
+pub const PROBE_MIN_LEN: usize = 32 << 10;
+/// The probe compresses this many windows, spread evenly from the first
+/// byte of the buffer to its last…
+const PROBE_WINDOWS: usize = 4;
+/// …of this many bytes each.
+const PROBE_WINDOW_LEN: usize = 2 << 10;
 
 /// How a spilled buffer is stored, recorded next to the payload so
 /// read-back knows whether to decompress.
@@ -185,12 +204,17 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>> {
                 if out.len() + len > raw_len {
                     return Err(MatrixError::Corrupt("lz match overruns raw length".into()));
                 }
-                // Byte-at-a-time copy: overlapping matches (dist < len)
-                // are the RLE case and must self-reference.
                 let start = out.len() - dist;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                if dist >= len {
+                    // The source ends before the bytes being appended.
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping matches are the RLE case and must
+                    // self-reference: byte-at-a-time copy.
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
                 }
             }
         }
@@ -198,23 +222,42 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// True when a sample of `input` — [`PROBE_WINDOWS`] windows of
+/// [`PROBE_WINDOW_LEN`] bytes, the first at the head and the last at the
+/// tail — comes out of [`lz_compress`] strictly smaller than it went in.
+fn probe_shrinks(input: &[u8]) -> bool {
+    let stride = (input.len() - PROBE_WINDOW_LEN) / (PROBE_WINDOWS - 1);
+    let mut sample = Vec::with_capacity(PROBE_WINDOWS * PROBE_WINDOW_LEN);
+    for w in 0..PROBE_WINDOWS {
+        sample.extend_from_slice(&input[w * stride..w * stride + PROBE_WINDOW_LEN]);
+    }
+    lz_compress(&sample).len() < sample.len()
+}
+
 /// Compresses when it helps: returns `(Codec::Lz, compressed)` when the
-/// compressed form is strictly smaller, `(Codec::Raw, input.to_vec())`
-/// otherwise — so a spilled buffer never grows past its raw size.
-pub fn maybe_compress(input: &[u8]) -> (Codec, Vec<u8>) {
+/// compressed form is strictly smaller, `(Codec::Raw, input)` — borrowed,
+/// not copied — otherwise, so a spilled buffer never grows past its raw
+/// size. Buffers of [`PROBE_MIN_LEN`] bytes or more whose sample does not
+/// shrink (see the module docs) are `Raw` without running the matcher
+/// over the whole of them.
+pub fn maybe_compress(input: &[u8]) -> (Codec, Cow<'_, [u8]>) {
+    if input.len() >= PROBE_MIN_LEN && !probe_shrinks(input) {
+        return (Codec::Raw, Cow::Borrowed(input));
+    }
     let lz = lz_compress(input);
     if lz.len() < input.len() {
-        (Codec::Lz, lz)
+        (Codec::Lz, Cow::Owned(lz))
     } else {
-        (Codec::Raw, input.to_vec())
+        (Codec::Raw, Cow::Borrowed(input))
     }
 }
 
-/// Decodes a buffer stored under `codec` back to raw bytes.
-pub fn decompress(codec: Codec, data: &[u8]) -> Result<Vec<u8>> {
+/// Decodes a buffer stored under `codec` back to raw bytes; a `Raw`
+/// buffer is its own decoding and comes back borrowed.
+pub fn decompress(codec: Codec, data: &[u8]) -> Result<Cow<'_, [u8]>> {
     match codec {
-        Codec::Raw => Ok(data.to_vec()),
-        Codec::Lz => lz_decompress(data),
+        Codec::Raw => Ok(Cow::Borrowed(data)),
+        Codec::Lz => lz_decompress(data).map(Cow::Owned),
     }
 }
 
@@ -230,13 +273,54 @@ mod tests {
         let back = lz_decompress(&lz).expect("decompress");
         assert_eq!(back, input, "lz roundtrip must be identity");
         let (codec, stored) = maybe_compress(input);
-        assert_eq!(decompress(codec, &stored).unwrap(), input);
+        assert_eq!(&decompress(codec, &stored).unwrap()[..], input);
         assert!(
             stored.len() <= input.len().max(4),
             "maybe_compress grew {} -> {}",
             input.len(),
             stored.len()
         );
+    }
+
+    /// `maybe_compress` before the probe existed: the whole-buffer matcher,
+    /// then "strictly smaller or `Raw`".
+    fn unprobed(input: &[u8]) -> (Codec, Vec<u8>) {
+        let lz = lz_compress(input);
+        if lz.len() < input.len() {
+            (Codec::Lz, lz)
+        } else {
+            (Codec::Raw, input.to_vec())
+        }
+    }
+
+    /// A `period`-cycle with one byte in `2^noise_bits` replaced by a
+    /// random one (`noise_bits` 0: all of them).
+    fn noisy_periodic(seed: u64, period: usize, noise_bits: u32, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let random = noise_bits == 0 || x >> (64 - noise_bits) == 0;
+                if random {
+                    (x >> 32) as u8
+                } else {
+                    (i % period) as u8
+                }
+            })
+            .collect()
+    }
+
+    /// `len` bytes with no 4-byte repeats to speak of (a full-period LCG).
+    fn noise(seed: u32, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (x >> 24) as u8
+            })
+            .collect()
     }
 
     #[test]
@@ -272,23 +356,70 @@ mod tests {
             wire.len(),
             stored.len()
         );
-        let back = decode_tile(decompress(codec, &stored).unwrap().into()).unwrap();
+        let back = decode_tile(decompress(codec, &stored).unwrap().into_owned().into()).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn incompressible_input_stays_raw() {
-        // A full-period LCG byte stream has no 4-byte repeats to speak of.
-        let mut x = 0x2545_F491u32;
-        let input: Vec<u8> = (0..4096)
-            .map(|_| {
-                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                (x >> 24) as u8
-            })
-            .collect();
+        let input = noise(0x2545_F491, 4096);
         let (codec, stored) = maybe_compress(&input);
         assert_eq!(codec, Codec::Raw);
-        assert_eq!(stored, input);
+        assert_eq!(&stored[..], &input[..]);
+    }
+
+    #[test]
+    fn probe_keeps_compressible_tiles_on_the_full_path() {
+        let zeros = Tile::zeros(128, 128);
+        let sparse =
+            Tile::dense(crate::gen::sparse_uniform_tile(7, 0, 0, 128, 128, 0.05).to_dense());
+        for t in [zeros, sparse] {
+            let wire = encode_tile(&t);
+            assert!(wire.len() >= PROBE_MIN_LEN, "tile must reach the probe");
+            let (codec, stored) = maybe_compress(&wire);
+            assert_eq!(codec, Codec::Lz);
+            assert_eq!(
+                &stored[..],
+                &lz_compress(&wire)[..],
+                "same bytes as unprobed"
+            );
+        }
+    }
+
+    #[test]
+    fn probe_sends_gaussian_tiles_raw_without_copying() {
+        let t = Tile::dense(crate::gen::dense_gaussian_tile(11, 0, 0, 128, 128));
+        let wire = encode_tile(&t);
+        assert!(wire.len() >= PROBE_MIN_LEN);
+        let (codec, stored) = maybe_compress(&wire);
+        assert_eq!(codec, Codec::Raw);
+        assert!(matches!(stored, Cow::Borrowed(b) if std::ptr::eq(b, &wire[..])));
+        let back = decompress(codec, &stored).unwrap();
+        assert!(matches!(back, Cow::Borrowed(b) if std::ptr::eq(b, &wire[..])));
+    }
+
+    #[test]
+    fn half_compressible_buffers_roundtrip_and_never_grow() {
+        for half in [PROBE_MIN_LEN / 2, PROBE_MIN_LEN, 3 * PROBE_MIN_LEN] {
+            let mut head_noisy = noise(3, half);
+            head_noisy.resize(2 * half, 0);
+            let mut tail_noisy = vec![0u8; half];
+            tail_noisy.extend(noise(5, half));
+            for input in [head_noisy, tail_noisy] {
+                roundtrip(&input);
+                // Half the sample is zeros, so the probe lets it through
+                // and the stored form is the unprobed one.
+                let (codec, stored) = maybe_compress(&input);
+                assert_eq!((codec, stored.into_owned()), unprobed(&input));
+            }
+        }
+        // A compressible stretch no window lands on is stored raw: the
+        // saving is lost, the bytes are not.
+        let mut input = noise(9, 4 * PROBE_MIN_LEN);
+        input[3000..40_000].fill(0);
+        roundtrip(&input);
+        assert_eq!(maybe_compress(&input).0, Codec::Raw);
+        assert_eq!(unprobed(&input).0, Codec::Lz);
     }
 
     #[test]
@@ -328,14 +459,7 @@ mod tests {
             len in 0usize..4096,
         ) {
             // Noisy periodic data — the spill path's realistic middle ground.
-            let mut x = seed | 1;
-            let input: Vec<u8> = (0..len)
-                .map(|i| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if x >> 61 == 0 { (x >> 32) as u8 } else { (i % period) as u8 }
-                })
-                .collect();
-            roundtrip(&input);
+            roundtrip(&noisy_periodic(seed, period, 3, len));
         }
 
         #[test]
@@ -346,8 +470,22 @@ mod tests {
             let (codec, stored) = maybe_compress(&wire);
             let raw = decompress(codec, &stored).unwrap();
             prop_assert_eq!(&raw[..], &wire[..]);
-            let back = decode_tile(raw.into()).unwrap();
+            let back = decode_tile(raw.into_owned().into()).unwrap();
             prop_assert_eq!(back, t);
+        }
+
+        #[test]
+        fn prop_below_probe_threshold_is_unprobed(
+            seed in any::<u64>(),
+            period in 1usize..64,
+            noise_bits in 0u32..5,
+            len in 0usize..PROBE_MIN_LEN,
+        ) {
+            // From almost periodic to pure noise: both sides of
+            // "strictly smaller".
+            let input = noisy_periodic(seed, period, noise_bits, len);
+            let (codec, stored) = maybe_compress(&input);
+            prop_assert_eq!((codec, stored.into_owned()), unprobed(&input));
         }
     }
 }
