@@ -20,7 +20,7 @@ use cumulon_cluster::error::Result as ClusterResult;
 use cumulon_cluster::{Job, JobDag, Task, TaskCtx};
 use cumulon_dfs::TileStore;
 use cumulon_matrix::ops as mops;
-use cumulon_matrix::Tile;
+use cumulon_matrix::{PackScratch, Tile, TileData};
 
 use crate::error::{CoreError, Result};
 use crate::expr::{ExprId, ExprNode, InputDesc, NodeInfo, Program};
@@ -434,6 +434,49 @@ fn read_ref(ctx: &mut TaskCtx, mat: &MatRef, i: usize, j: usize) -> ClusterResul
     }
 }
 
+/// One tile of a mul band's left operand, in the form its multiplies
+/// consume it.
+enum LeftTile {
+    /// Multiplied as read (or as materialised from a transposed read).
+    Plain(Arc<Tile>),
+    /// A dense tile of `A'` kept as stored: each multiply packs it
+    /// transposed instead of the band building a transposed copy.
+    Stored(Arc<Tile>),
+}
+
+impl LeftTile {
+    /// Reads tile `(i, k)` of the left operand `a`. A transposed read is
+    /// charged [`mops::transpose_work`] either way — it is the model's price
+    /// of reading `A'`, not host work — but only sparse and phantom tiles
+    /// are transposed here; dense ones stay as stored.
+    fn read(ctx: &mut TaskCtx, a: &MatRef, i: usize, k: usize) -> ClusterResult<LeftTile> {
+        if !a.transposed {
+            return ctx.read_tile(&a.name, i, k).map(LeftTile::Plain);
+        }
+        let t = ctx.read_tile(&a.name, k, i)?;
+        ctx.charge(mops::transpose_work(&t));
+        Ok(match t.payload() {
+            TileData::Dense(_) => LeftTile::Stored(t),
+            _ => LeftTile::Plain(Arc::new(t.transpose())),
+        })
+    }
+
+    /// Charges and computes this tile times `b`; the product and the
+    /// charge are bitwise what multiplying the materialised operand gives.
+    fn mul(&self, ctx: &mut TaskCtx, b: &Tile, scratch: &mut PackScratch) -> ClusterResult<Tile> {
+        Ok(match self {
+            LeftTile::Plain(a) => {
+                ctx.charge(mops::mul_work(a, b));
+                a.mul_in(b, scratch)?
+            }
+            LeftTile::Stored(at) => {
+                ctx.charge(mops::mul_work_transposed(at, b));
+                at.mul_transposed_in(b, scratch)?
+            }
+        })
+    }
+}
+
 fn mul_tasks(
     a: &MatRef,
     a_stats: &OperandStats,
@@ -480,11 +523,11 @@ fn mul_tasks(
                 }
                 let task = Task::new(move |ctx| {
                     // Read the A band once (ri × rk tiles).
-                    let mut a_tiles: Vec<Vec<Arc<Tile>>> = Vec::with_capacity(i_range.len());
+                    let mut a_tiles: Vec<Vec<LeftTile>> = Vec::with_capacity(i_range.len());
                     for i in i_range.clone() {
                         let mut row = Vec::with_capacity(k_range.len());
                         for k in k_range.clone() {
-                            row.push(read_ref(ctx, &a, i, k)?);
+                            row.push(LeftTile::read(ctx, &a, i, k)?);
                         }
                         a_tiles.push(row);
                     }
@@ -497,15 +540,14 @@ fn mul_tasks(
                         }
                         b_tiles.push(row);
                     }
-                    // Multiply-accumulate each output tile of the band.
+                    // Multiply-accumulate each output tile of the band,
+                    // every multiply packing into the task's one scratch.
+                    let mut scratch = PackScratch::default();
                     for (ii, i) in i_range.clone().enumerate() {
                         for (jj, j) in j_range.clone().enumerate() {
                             let mut acc: Option<Tile> = None;
                             for kk in 0..k_range.len() {
-                                let at = &a_tiles[ii][kk];
-                                let bt = &b_tiles[kk][jj];
-                                ctx.charge(mops::mul_work(at, bt));
-                                let p = at.mul(bt)?;
+                                let p = a_tiles[ii][kk].mul(ctx, &b_tiles[kk][jj], &mut scratch)?;
                                 match &mut acc {
                                     None => acc = Some(p),
                                     Some(c) => {

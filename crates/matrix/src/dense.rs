@@ -3,8 +3,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{MatrixError, Result};
-use crate::microkernel::{self, MR, NR};
-use crate::pack;
+use crate::microkernel::{Kernel, MR, NR};
+use crate::pack::{self, Left, PackScratch};
 
 /// Worker threads the packed GEMM kernel may use *inside one tile
 /// multiply* (`0` = all host cores, `1` = serial). Default 1: intra-task
@@ -245,17 +245,33 @@ impl DenseTile {
     /// and the packed-panel SIMD kernel (large tiles) — see
     /// [`DenseTile::gemm_acc_packed`].
     pub fn gemm_acc(c: &mut DenseTile, a: &DenseTile, b: &DenseTile) -> Result<()> {
+        Self::gemm_acc_in(c, a, b, &mut PackScratch::default())
+    }
+
+    /// [`gemm_acc`](Self::gemm_acc) packing into the caller's scratch.
+    pub(crate) fn gemm_acc_in(
+        c: &mut DenseTile,
+        a: &DenseTile,
+        b: &DenseTile,
+        scratch: &mut PackScratch,
+    ) -> Result<()> {
         Self::check_gemm_shapes(c, a, b)?;
+        if Self::packs(a.rows, a.cols, b.cols) {
+            Self::gemm_acc_packed_in(c, a, b, scratch)
+        } else {
+            Self::gemm_acc_streaming(c, a, b)
+        }
+    }
+
+    /// Whether [`gemm_acc`](Self::gemm_acc) sends an `m × l` by `l × n`
+    /// multiply to the packed kernel.
+    pub(crate) fn packs(m: usize, l: usize, n: usize) -> bool {
         // Measured crossover (see `gemm_bench` dispatch table): streaming
         // wins below n≈8 (0.4x at n=4, where packing/alloc overhead
         // dominates a sub-microsecond multiply), ties at 6, and packed
         // wins from 8 up (1.5x at n=8 rising to 2.8x by n=48).
         const PACKED_MIN_DIM: usize = 8;
-        if a.rows >= PACKED_MIN_DIM && a.cols >= PACKED_MIN_DIM && b.cols >= PACKED_MIN_DIM {
-            Self::gemm_acc_packed(c, a, b)
-        } else {
-            Self::gemm_acc_streaming(c, a, b)
-        }
+        m >= PACKED_MIN_DIM && l >= PACKED_MIN_DIM && n >= PACKED_MIN_DIM
     }
 
     fn check_gemm_shapes(c: &DenseTile, a: &DenseTile, b: &DenseTile) -> Result<()> {
@@ -363,11 +379,12 @@ impl DenseTile {
     /// The classic five-loop nest. Working from the outside in: `NC`-wide
     /// column slabs of `b`, `KC`-deep rank-k slices (packed once into
     /// [`pack::pack_b`] micro-panels), `MC`-tall row blocks of `a` (packed
-    /// into [`pack::pack_a`] micro-panels), then `NR`-wide / `MR`-tall
-    /// micro-tiles computed by the register-resident
-    /// [`crate::microkernel`]. Block sizes keep the A block
-    /// (`MC·KC` ≈ 256 KiB) L2-resident and each B micro-panel (`KC·NR` =
-    /// 16 KiB) L1-resident across all row panels.
+    /// into [`pack::pack_a`] micro-panels), then register blocks computed
+    /// by the [`crate::microkernel`]: 8×16 groups of micro-tiles on
+    /// AVX-512, `MR × NR` tiles elsewhere and on odd leftover panels.
+    /// Block sizes keep the A block (`MC·KC` ≈ 256 KiB) L2-resident and
+    /// each B micro-panel (`KC·NR` = 32 KiB) close to L1 across all row
+    /// panels.
     ///
     /// Numerics: each output element accumulates its `KC`-slice partial
     /// sums in `k`-ascending order into `c`, but the within-slice sum is
@@ -375,6 +392,7 @@ impl DenseTile {
     /// via FMA on SIMD hosts), so agreement with
     /// [`gemm_acc_streaming`](Self::gemm_acc_streaming) is epsilon-bounded
     /// rather than bitwise — pinned by the `kernel-conformance` invariant.
+    /// Between the AVX2+FMA and AVX-512 levels it is bitwise.
     ///
     /// When [`kernel_threads`] is above 1 and the multiply is large enough
     /// to amortize thread startup, the `MC` row loop is split into
@@ -382,81 +400,65 @@ impl DenseTile {
     /// element is still computed by exactly one thread in exactly the
     /// serial order, so results are bitwise-identical at any thread count.
     pub fn gemm_acc_packed(c: &mut DenseTile, a: &DenseTile, b: &DenseTile) -> Result<()> {
+        Self::gemm_acc_packed_in(c, a, b, &mut PackScratch::default())
+    }
+
+    /// [`gemm_acc_packed`](Self::gemm_acc_packed) packing into the caller's
+    /// scratch, so a run of multiplies allocates its pack buffers once.
+    pub(crate) fn gemm_acc_packed_in(
+        c: &mut DenseTile,
+        a: &DenseTile,
+        b: &DenseTile,
+        scratch: &mut PackScratch,
+    ) -> Result<()> {
         Self::check_gemm_shapes(c, a, b)?;
-        const KC: usize = 512;
-        const NC: usize = 4096;
-        let (m, l, n) = (a.rows, a.cols, b.cols);
-        // Threads only engage above ~2·256³ flops: below that a tile
-        // multiply is tens of microseconds and spawn overhead dominates.
-        const PAR_MIN_FLOPS: f64 = 2.0 * 256.0 * 256.0 * 256.0;
-        let mut threads = kernel_threads().min(m.div_ceil(MR));
-        if (2.0 * m as f64 * l as f64 * n as f64) < PAR_MIN_FLOPS {
-            threads = 1;
+        gemm_packed(c, Left::Plain(&a.data), a.rows, a.cols, b, scratch);
+        Ok(())
+    }
+
+    /// `c += atᵀ × b` where `at` holds `Aᵀ` as stored: the packed GEMM of
+    /// [`gemm_acc_packed`](Self::gemm_acc_packed) with `A`'s panels packed
+    /// straight from `at` ([`pack::pack_a_t`]) into the caller's scratch.
+    /// Bitwise equal to `gemm_acc_packed(c, &at.transpose(), b)`, without
+    /// building the transpose.
+    pub fn gemm_acc_t_packed_in(
+        c: &mut DenseTile,
+        at: &DenseTile,
+        b: &DenseTile,
+        scratch: &mut PackScratch,
+    ) -> Result<()> {
+        let (m, l) = (at.cols, at.rows);
+        if l != b.rows {
+            return Err(MatrixError::ShapeMismatch {
+                op: "gemm",
+                left: (m, l),
+                right: (b.rows, b.cols),
+            });
         }
-        let mut b_pack = Vec::new();
-        for j0 in (0..n).step_by(NC) {
-            let nc = NC.min(n - j0);
-            for k0 in (0..l).step_by(KC) {
-                let kc = KC.min(l - k0);
-                pack::pack_b(&b.data, n, k0, kc, j0, nc, &mut b_pack);
-                if threads <= 1 {
-                    let mut a_pack = Vec::new();
-                    packed_row_block(
-                        &mut c.data,
-                        &a.data,
-                        l,
-                        n,
-                        0,
-                        m,
-                        k0,
-                        kc,
-                        j0,
-                        nc,
-                        &b_pack,
-                        &mut a_pack,
-                    );
-                } else {
-                    // MR-aligned contiguous row chunks, one per thread.
-                    let chunk_rows = m.div_ceil(threads).div_ceil(MR) * MR;
-                    let b_pack = &b_pack;
-                    let a_data = &a.data;
-                    std::thread::scope(|s| {
-                        let mut rest = &mut c.data[..];
-                        let mut row0 = 0;
-                        while row0 < m {
-                            let rows = chunk_rows.min(m - row0);
-                            let (chunk, tail) = rest.split_at_mut(rows * n);
-                            rest = tail;
-                            s.spawn(move || {
-                                let mut a_pack = Vec::new();
-                                packed_row_block(
-                                    chunk,
-                                    a_data,
-                                    l,
-                                    n,
-                                    row0,
-                                    rows,
-                                    k0,
-                                    kc,
-                                    j0,
-                                    nc,
-                                    b_pack,
-                                    &mut a_pack,
-                                );
-                            });
-                            row0 += rows;
-                        }
-                    });
-                }
-            }
+        if c.rows != m || c.cols != b.cols {
+            return Err(MatrixError::ShapeMismatch {
+                op: "gemm-out",
+                left: (c.rows, c.cols),
+                right: (m, b.cols),
+            });
         }
+        gemm_packed(c, Left::Transposed(&at.data), m, l, b, scratch);
         Ok(())
     }
 
     /// Convenience wrapper: returns `a × b` as a fresh tile.
     pub fn matmul(a: &DenseTile, b: &DenseTile) -> Result<DenseTile> {
+        Self::matmul_in(a, b, &mut PackScratch::default())
+    }
+
+    /// [`matmul`](Self::matmul) packing into the caller's scratch.
+    pub(crate) fn matmul_in(
+        a: &DenseTile,
+        b: &DenseTile,
+        scratch: &mut PackScratch,
+    ) -> Result<DenseTile> {
         let mut c = DenseTile::zeros(a.rows, b.cols);
-        DenseTile::gemm_acc(&mut c, a, b)?;
+        DenseTile::gemm_acc_in(&mut c, a, b, scratch)?;
         Ok(c)
     }
 
@@ -472,51 +474,163 @@ impl DenseTile {
     }
 }
 
-/// Packed-GEMM macrokernel over one contiguous chunk of output rows.
-///
-/// `c_rows` is the chunk's backing slice (`rows × n`, starting at global
-/// row `row0`); `b_pack` holds the current `kc × nc` slab of `b` already
-/// packed. Packs each `MC`-tall A block into `a_pack` (a reusable
-/// scratch buffer) and drives the microkernel over every micro-tile,
-/// masking the write-back at ragged edges.
-#[allow(clippy::too_many_arguments)]
-fn packed_row_block(
-    c_rows: &mut [f64],
-    a: &[f64],
+/// The packed GEMM `c += A × b` for an `m × l` left operand `a` (shapes
+/// already checked): the slab and rank-slice loops, `b` packed into
+/// `scratch.b`, and the row loop serial (into `scratch.a`) or split across
+/// threads.
+fn gemm_packed(
+    c: &mut DenseTile,
+    a: Left<'_>,
+    m: usize,
+    l: usize,
+    b: &DenseTile,
+    scratch: &mut PackScratch,
+) {
+    const KC: usize = 512;
+    const NC: usize = 4096;
+    let n = b.cols;
+    // Threads only engage above ~2·256³ flops: below that a tile
+    // multiply is tens of microseconds and spawn overhead dominates.
+    const PAR_MIN_FLOPS: f64 = 2.0 * 256.0 * 256.0 * 256.0;
+    let mut threads = kernel_threads().min(m.div_ceil(MR));
+    if (2.0 * m as f64 * l as f64 * n as f64) < PAR_MIN_FLOPS {
+        threads = 1;
+    }
+    let kernel = Kernel::resolve();
+    let block = RowBlock { kernel, a, m, l, n };
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        for k0 in (0..l).step_by(KC) {
+            let kc = KC.min(l - k0);
+            pack::pack_b(&b.data, n, k0, kc, j0, nc, &mut scratch.b);
+            if threads <= 1 {
+                block.run(
+                    &mut c.data,
+                    0,
+                    m,
+                    k0,
+                    kc,
+                    j0,
+                    nc,
+                    &scratch.b,
+                    &mut scratch.a,
+                );
+            } else {
+                // MR-aligned contiguous row chunks, one per thread.
+                let chunk_rows = m.div_ceil(threads).div_ceil(MR) * MR;
+                let b_pack = &scratch.b;
+                let block = &block;
+                std::thread::scope(|s| {
+                    let mut rest = &mut c.data[..];
+                    let mut row0 = 0;
+                    while row0 < m {
+                        let rows = chunk_rows.min(m - row0);
+                        let (chunk, tail) = rest.split_at_mut(rows * n);
+                        rest = tail;
+                        s.spawn(move || {
+                            let mut a_pack = Vec::new();
+                            block.run(chunk, row0, rows, k0, kc, j0, nc, b_pack, &mut a_pack);
+                        });
+                        row0 += rows;
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// What the packed-GEMM macrokernel needs beyond one call's block
+/// coordinates: the kernels resolved for this GEMM and the `m × l` left
+/// operand of an `n`-column product.
+struct RowBlock<'a> {
+    kernel: Kernel,
+    a: Left<'a>,
+    m: usize,
     l: usize,
     n: usize,
-    row0: usize,
-    rows: usize,
-    k0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-    b_pack: &[f64],
-    a_pack: &mut Vec<f64>,
-) {
-    const MC: usize = 64;
-    let jpanels = nc.div_ceil(NR);
-    for ic in (0..rows).step_by(MC) {
-        let mc = MC.min(rows - ic);
-        pack::pack_a(a, l, row0 + ic, mc, k0, kc, a_pack);
-        let ipanels = mc.div_ceil(MR);
-        for jp in 0..jpanels {
-            let b_panel = &b_pack[jp * kc * NR..][..kc * NR];
-            let j_base = j0 + jp * NR;
-            let cols = NR.min(j0 + nc - j_base);
-            for ip in 0..ipanels {
-                let a_panel = &a_pack[ip * kc * MR..][..kc * MR];
-                let mut acc = [[0.0; NR]; MR];
-                microkernel::run(kc, a_panel, b_panel, &mut acc);
-                let i_base = ic + ip * MR;
-                let mrows = MR.min(mc - ip * MR);
-                for (r, acc_row) in acc.iter().enumerate().take(mrows) {
-                    let c_row = &mut c_rows[(i_base + r) * n + j_base..][..cols];
-                    for (cv, av) in c_row.iter_mut().zip(acc_row.iter()) {
-                        *cv += *av;
+}
+
+impl RowBlock<'_> {
+    /// The macrokernel over one contiguous chunk of output rows.
+    ///
+    /// `c_rows` is the chunk's backing slice (`rows × n`, starting at
+    /// global row `row0`); `b_pack` holds the current `kc × nc` slab of `b`
+    /// already packed. Packs each `MC`-tall A block into `a_pack` (a
+    /// reusable scratch buffer) and covers its micro-panels with 8×16
+    /// groups where the kernel has them and two A and two B panels remain,
+    /// and with 4×8 tiles otherwise, masking the write-back at ragged
+    /// edges.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        c_rows: &mut [f64],
+        row0: usize,
+        rows: usize,
+        k0: usize,
+        kc: usize,
+        j0: usize,
+        nc: usize,
+        b_pack: &[f64],
+        a_pack: &mut Vec<f64>,
+    ) {
+        const MC: usize = 64;
+        let n = self.n;
+        let jpanels = nc.div_ceil(NR);
+        let group = if self.kernel.has_wide() { 2 } else { 1 };
+        let b_panel = |jp: usize| &b_pack[jp * kc * NR..][..kc * NR];
+        for ic in (0..rows).step_by(MC) {
+            let mc = MC.min(rows - ic);
+            self.a.pack(self.m, self.l, row0 + ic, mc, k0, kc, a_pack);
+            let ipanels = mc.div_ceil(MR);
+            let a_panel = |ip: usize| &a_pack[ip * kc * MR..][..kc * MR];
+            // The output block whose top-left tile is (ip, jp), clipped to
+            // the chunk and the slab.
+            let clip = |ip: usize, jp: usize, h: usize, w: usize| {
+                let (i, j) = (ic + ip * MR, j0 + jp * NR);
+                (i, (h * MR).min(mc - ip * MR), j, (w * NR).min(j0 + nc - j))
+            };
+            let mut jp = 0;
+            while jp < jpanels {
+                let jw = if jp + group <= jpanels { group } else { 1 };
+                let mut ip = 0;
+                while ip < ipanels {
+                    if jw == 2 && ip + 2 <= ipanels {
+                        let mut acc = [[0.0; 2 * NR]; 2 * MR];
+                        self.kernel.run_wide(
+                            kc,
+                            [a_panel(ip), a_panel(ip + 1)],
+                            [b_panel(jp), b_panel(jp + 1)],
+                            &mut acc,
+                        );
+                        add_block(c_rows, n, &acc, clip(ip, jp, 2, 2));
+                        ip += 2;
+                    } else {
+                        for jq in jp..jp + jw {
+                            let mut acc = [[0.0; NR]; MR];
+                            self.kernel.run(kc, a_panel(ip), b_panel(jq), &mut acc);
+                            add_block(c_rows, n, &acc, clip(ip, jq, 1, 1));
+                        }
+                        ip += 1;
                     }
                 }
+                jp += jw;
             }
+        }
+    }
+}
+
+/// `c += acc` over the `(row, rows, col, cols)` window of the row-major
+/// `c` (row length `n`) that `acc`'s top-left corner lands on.
+fn add_block<const W: usize>(
+    c: &mut [f64],
+    n: usize,
+    acc: &[[f64; W]],
+    (i, rows, j, cols): (usize, usize, usize, usize),
+) {
+    for (r, acc_row) in acc.iter().enumerate().take(rows) {
+        let c_row = &mut c[(i + r) * n + j..][..cols];
+        for (cv, av) in c_row.iter_mut().zip(acc_row.iter()) {
+            *cv += *av;
         }
     }
 }

@@ -41,6 +41,7 @@ pub use error::{MatrixError, Result};
 pub use local::LocalMatrix;
 pub use meta::{MatrixMeta, TileGrid};
 pub use microkernel::{detected_simd_level, simd_level, SimdLevel};
+pub use pack::PackScratch;
 pub use sparse::CsrTile;
 pub use tile::{Tile, TileData};
 

@@ -39,10 +39,24 @@ impl std::iter::Sum for Work {
 /// the realised nnz: each stored entry of the sparse side touches a full
 /// row/column of the dense side.
 pub fn mul_work(a: &Tile, b: &Tile) -> Work {
-    let m = a.rows() as f64;
-    let l = a.cols() as f64;
+    product_work(a.rows(), a.cols(), a.stored_bytes(), a, b)
+}
+
+/// Work of `aᵀ × b` — what [`Tile::mul_transposed_in`] computes — charged
+/// from the logical operand: bitwise `mul_work(&a.transpose(), b)` for
+/// dense, sparse and phantom tiles, without building the transpose
+/// (which keeps the payload kind, nnz and density).
+pub fn mul_work_transposed(a: &Tile, b: &Tile) -> Work {
+    product_work(a.cols(), a.rows(), a.transposed_stored_bytes(), a, b)
+}
+
+/// [`mul_work`] of an `a_rows × a_cols` left operand stored in
+/// `a_bytes`, whose kind, nnz and density are `a`'s.
+fn product_work(a_rows: usize, a_cols: usize, a_bytes: u64, a: &Tile, b: &Tile) -> Work {
+    let m = a_rows as f64;
+    let l = a_cols as f64;
     let n = b.cols() as f64;
-    let bytes_in = (a.stored_bytes() + b.stored_bytes()) as f64;
+    let bytes_in = (a_bytes + b.stored_bytes()) as f64;
     let flops = match (
         a.is_sparse() || a.is_phantom(),
         b.is_sparse() || b.is_phantom(),
@@ -60,9 +74,7 @@ pub fn mul_work(a: &Tile, b: &Tile) -> Work {
     };
     // Output bytes are the product tile's storage; callers that accumulate
     // in memory should only charge the final write.
-    let out_rows = a.rows();
-    let out_cols = b.cols();
-    let bytes_out = (out_rows * out_cols * 8) as f64;
+    let bytes_out = (a_rows * b.cols() * 8) as f64;
     Work {
         flops,
         bytes_in,

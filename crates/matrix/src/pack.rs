@@ -13,6 +13,11 @@
 //!   steps of `NR` consecutive columns — element `(k, j)` of panel `jp`
 //!   lives at `jp·kc·NR + k·NR + j`.
 //!
+//! A left operand stored transposed (`Aᵀ` row-major, as a tile of `A'`
+//! is) packs into the same layout with [`pack_a_t`]: there the `MR` rows
+//! of one `k` step are already contiguous, so no transposed copy of the
+//! tile is ever built.
+//!
 //! Edge panels (when `mc % MR != 0` or `nc % NR != 0`) are zero-padded to
 //! full width: the microkernel always computes a full `MR × NR` tile and
 //! the macrokernel's write-back masks out the padding, so the kernel
@@ -21,6 +26,49 @@
 //! results.
 
 use crate::microkernel::{MR, NR};
+
+/// The pack buffers of the packed GEMM, reusable across calls.
+///
+/// Packing replaces a buffer's contents and keeps its capacity, so a
+/// caller that multiplies many same-shaped tiles (one task's band) makes
+/// one scratch and passes it to every multiply: the buffers are allocated
+/// once per scratch instead of once per call. Scratch is owned by its
+/// caller — there is no pool — so nothing is shared between tasks.
+#[derive(Debug, Default)]
+pub struct PackScratch {
+    pub(crate) a: Vec<f64>,
+    pub(crate) b: Vec<f64>,
+}
+
+/// The left operand of a packed GEMM as it is stored.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Left<'a> {
+    /// `A` itself, row-major `m × l`.
+    Plain(&'a [f64]),
+    /// `Aᵀ` row-major `l × m`, packed without transposing.
+    Transposed(&'a [f64]),
+}
+
+impl Left<'_> {
+    /// Packs the `mc × kc` block of `A` at `(i0, k0)`, whose shape is
+    /// `m × l`, into `out` (see [`pack_a`] / [`pack_a_t`]).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn pack(
+        self,
+        m: usize,
+        l: usize,
+        i0: usize,
+        mc: usize,
+        k0: usize,
+        kc: usize,
+        out: &mut Vec<f64>,
+    ) {
+        match self {
+            Left::Plain(a) => pack_a(a, l, i0, mc, k0, kc, out),
+            Left::Transposed(at) => pack_a_t(at, m, i0, mc, k0, kc, out),
+        }
+    }
+}
 
 /// Packs the `mc × kc` block of row-major `a` (leading dimension `lda`)
 /// starting at `(i0, k0)` into `MR`-interleaved micro-panels, replacing
@@ -46,6 +94,32 @@ pub fn pack_a(
             for (k, &v) in src.iter().enumerate() {
                 dst[k * MR + r] = v;
             }
+        }
+    }
+}
+
+/// [`pack_a`] of `A` read from `at` = `Aᵀ` stored row-major (leading
+/// dimension `ldat`, the row count of `A`): produces exactly the panels
+/// `pack_a` would from a materialised `A`. For each `k` step the `MR`
+/// rows of a panel are one contiguous run of `at`'s row `k0 + k`.
+pub fn pack_a_t(
+    at: &[f64],
+    ldat: usize,
+    i0: usize,
+    mc: usize,
+    k0: usize,
+    kc: usize,
+    out: &mut Vec<f64>,
+) {
+    let panels = mc.div_ceil(MR);
+    out.clear();
+    out.resize(panels * kc * MR, 0.0);
+    for ip in 0..panels {
+        let i_base = i0 + ip * MR;
+        let rows = MR.min(i0 + mc - i_base);
+        let dst = &mut out[ip * kc * MR..(ip + 1) * kc * MR];
+        for (k, step) in dst.chunks_exact_mut(MR).enumerate() {
+            step[..rows].copy_from_slice(&at[(k0 + k) * ldat + i_base..][..rows]);
         }
     }
 }
@@ -104,6 +178,25 @@ mod tests {
         assert_eq!(out.len(), 2 * MR);
         assert_eq!(&out[..MR], &[5.0, 9.0, 0.0, 0.0]); // k=0: a[1][1], a[2][1]
         assert_eq!(&out[MR..], &[6.0, 10.0, 0.0, 0.0]); // k=1: a[1][2], a[2][2]
+    }
+
+    #[test]
+    fn pack_a_t_equals_pack_a_of_the_transpose() {
+        // A is 7×9 (two panels, the second ragged); Aᵀ is stored 9×7.
+        let (m, l) = (7, 9);
+        let a: Vec<f64> = (0..m * l).map(|i| i as f64 + 0.5).collect();
+        let mut at = vec![0.0; l * m];
+        for i in 0..m {
+            for k in 0..l {
+                at[k * m + i] = a[i * l + k];
+            }
+        }
+        for (i0, mc, k0, kc) in [(0, 7, 0, 9), (1, 5, 2, 6), (3, 4, 8, 1)] {
+            let (mut want, mut got) = (Vec::new(), vec![999.0; 3]);
+            pack_a(&a, l, i0, mc, k0, kc, &mut want);
+            pack_a_t(&at, m, i0, mc, k0, kc, &mut got);
+            assert_eq!(got, want, "block ({i0},{mc},{k0},{kc})");
+        }
     }
 
     #[test]

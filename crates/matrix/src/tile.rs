@@ -10,6 +10,7 @@
 
 use crate::dense::DenseTile;
 use crate::error::{MatrixError, Result};
+use crate::pack::PackScratch;
 use crate::sparse::CsrTile;
 
 /// Storage payload of a [`Tile`].
@@ -126,13 +127,25 @@ impl Tile {
     /// pointers; phantom tiles are costed as if stored in the cheaper of the
     /// two layouts, which is what a real system's format chooser would do.
     pub fn stored_bytes(&self) -> u64 {
+        self.stored_bytes_with_rows(self.rows)
+    }
+
+    /// [`stored_bytes`](Self::stored_bytes) of [`transpose`](Self::transpose)'s
+    /// result, without building it: transposing keeps the payload kind,
+    /// the element count and the nnz, and only the row count (which sizes
+    /// a sparse layout's row pointers) changes.
+    pub(crate) fn transposed_stored_bytes(&self) -> u64 {
+        self.stored_bytes_with_rows(self.cols)
+    }
+
+    fn stored_bytes_with_rows(&self, rows: usize) -> u64 {
         const HEADER: u64 = 24;
         match &self.data {
             TileData::Dense(_) => HEADER + (self.rows * self.cols * 8) as u64,
-            TileData::Sparse(s) => HEADER + 4 * (self.rows as u64 + 1) + 12 * s.nnz(),
+            TileData::Sparse(s) => HEADER + 4 * (rows as u64 + 1) + 12 * s.nnz(),
             TileData::Phantom { nnz } => {
                 let dense = (self.rows * self.cols * 8) as u64;
-                let sparse = 4 * (self.rows as u64 + 1) + 12 * nnz;
+                let sparse = 4 * (rows as u64 + 1) + 12 * nnz;
                 HEADER + dense.min(sparse)
             }
         }
@@ -203,13 +216,20 @@ impl Tile {
     /// Tile product `self × other`, dispatching on representations.
     /// Any phantom operand yields a phantom result.
     pub fn mul(&self, other: &Tile) -> Result<Tile> {
+        self.mul_in(other, &mut PackScratch::default())
+    }
+
+    /// [`mul`](Self::mul) with the dense kernel packing into the caller's
+    /// scratch: a task multiplying many tiles passes one scratch to all of
+    /// them.
+    pub fn mul_in(&self, other: &Tile, scratch: &mut PackScratch) -> Result<Tile> {
         self.check_mul_shapes(other)?;
         use TileData::*;
         let out = match (&self.data, &other.data) {
             (Phantom { .. }, _) | (_, Phantom { .. }) => {
                 Tile::phantom(self.rows, other.cols, self.mul_nnz_estimate(other))
             }
-            (Dense(a), Dense(b)) => Tile::dense(DenseTile::matmul(a, b)?),
+            (Dense(a), Dense(b)) => Tile::dense(DenseTile::matmul_in(a, b, scratch)?),
             (Sparse(a), Dense(b)) => {
                 let mut c = DenseTile::zeros(self.rows, other.cols);
                 a.spmm_acc(&mut c, b)?;
@@ -223,6 +243,26 @@ impl Tile {
             (Sparse(a), Sparse(b)) => Tile::sparse(a.spgemm(b)?),
         };
         Ok(out)
+    }
+
+    /// `selfᵀ × other`, bitwise equal to `self.transpose().mul(other)`.
+    ///
+    /// When both tiles are dense and the product takes the packed kernel,
+    /// `self` is packed as stored ([`DenseTile::gemm_acc_t_packed_in`]) and
+    /// the transpose is never built; any other combination materialises
+    /// the transpose and multiplies it.
+    pub fn mul_transposed_in(&self, other: &Tile, scratch: &mut PackScratch) -> Result<Tile> {
+        match (&self.data, &other.data) {
+            (TileData::Dense(at), TileData::Dense(b))
+                if self.rows == other.rows
+                    && DenseTile::packs(self.cols, self.rows, other.cols) =>
+            {
+                let mut c = DenseTile::zeros(self.cols, other.cols);
+                DenseTile::gemm_acc_t_packed_in(&mut c, at, b, scratch)?;
+                Ok(Tile::dense(c))
+            }
+            _ => self.transpose().mul_in(other, scratch),
+        }
     }
 
     /// `self += other` (for accumulating partial products). Sparse operands
