@@ -5,7 +5,7 @@
 //! cargo run --release -p bench --bin repro                      # everything
 //! cargo run --release -p bench --bin repro e2 e7 t1             # selected ids
 //! cargo run --release -p bench --bin repro e18 --trace e18.json # + timeline
-//! cargo run --release -p bench --bin repro e19 --spot-json BENCH_spot.json
+//! cargo run --release -p bench --bin repro e19 --json           # machine-readable
 //! ```
 
 use bench::experiments;
@@ -48,18 +48,6 @@ fn main() {
     } else {
         None
     };
-    // --spot-json FILE: export the E19 expected-cost curve (spot vs
-    // on-demand, with rework ratios) as machine-readable JSON.
-    let spot_path = if let Some(pos) = args.iter().position(|a| a == "--spot-json") {
-        args.remove(pos);
-        if pos >= args.len() {
-            eprintln!("--spot-json needs a file path");
-            std::process::exit(2);
-        }
-        Some(args.remove(pos))
-    } else {
-        None
-    };
     cumulon::cluster::set_default_threads(threads);
     let series = if args.is_empty() || args.iter().any(|a| a == "all") {
         experiments::all()
@@ -85,14 +73,6 @@ fn main() {
         for s in series {
             println!("{}", s.render());
         }
-    }
-    if let Some(path) = spot_path {
-        let series = experiments::e19();
-        if let Err(e) = std::fs::write(&path, series.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("spot curve: {} rows -> {path}", series.rows.len());
     }
     if let Some(path) = trace_path {
         let (_, log) = experiments::e18_with_log();

@@ -3,8 +3,8 @@
 //! EXPERIMENTS.md for expected-vs-measured shapes.
 //!
 //! Every experiment returns a [`Series`] — a named table of rows — so the
-//! `repro` binary, the criterion benches and the documentation all consume
-//! the same code path. Experiments run in *simulated* (phantom) mode at
+//! `repro` binary, the tests below and the documentation all consume the
+//! same code path. Experiments run in *simulated* (phantom) mode at
 //! paper scale: real tile math is covered by the test suites at small
 //! scale; here the subject is time-and-dollars behaviour.
 

@@ -1,6 +1,7 @@
 //! Experiment harness for Cumulon-RS: every table and figure of the
 //! reproduced evaluation has a function here that regenerates its data.
-//! The `repro` binary prints them; the criterion benches time them.
+//! The `repro` binary prints them; `benchmark/` is where performance is
+//! measured.
 
 pub mod experiments;
 

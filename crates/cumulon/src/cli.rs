@@ -1529,9 +1529,14 @@ mod tests {
         assert!(parse_args(&args("plan s.cm --input A=1x1 --bogus 3")).is_err());
     }
 
+    /// Writes `content` to a script file of its own: tests run on
+    /// parallel threads of one process, so the pid alone is not unique.
     fn write_script(content: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("cumulon_cli_test_{}.cm", std::process::id()));
+        path.push(format!("cumulon_cli_test_{}_{n}.cm", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content.as_bytes()).unwrap();
         path

@@ -391,11 +391,16 @@ impl Dfs {
         let mut handle: Option<Arc<Tile>> = None;
         let mut receipt = IoReceipt::default();
         for (idx, block) in blocks.iter().enumerate() {
-            let (source, data) = Self::serve_block(&mut st, &self.config, reader, block)
-                .ok_or_else(|| DfsError::BlockLost {
+            let Some((source, data)) = Self::serve_block(&mut st, &self.config, reader, block)
+            else {
+                // An earlier block may have re-admitted the file: settle
+                // the budget before reporting the loss.
+                Self::enforce_budget(&mut st)?;
+                return Err(DfsError::BlockLost {
                     path: path.to_string(),
                     block: idx,
-                })?;
+                });
+            };
             receipt.bytes += block.len;
             if reader == Some(source) {
                 receipt.local_bytes += block.len;

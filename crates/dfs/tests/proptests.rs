@@ -233,7 +233,8 @@ proptest! {
     /// yields the same tiles, receipts and errors on a budgeted store as
     /// on an unbudgeted twin, and after every step the budgeted store's
     /// blob references are exactly the ones its spilled and backed files
-    /// account for.
+    /// account for and its resident bytes fit the budget — also after a
+    /// read that re-admitted one block and then lost the next.
     #[test]
     fn budgeted_store_agrees_with_unbudgeted_twin(
         op_list in tile_ops(),
@@ -249,7 +250,8 @@ proptest! {
         let (twin, tight) = (store(), store());
         let meta = MatrixMeta::new(8 * TILES as usize, 8, 8);
         let one = encoded_len(&Tile::zeros(8, 8));
-        tight.set_memory_budget(&SpillConfig::budgeted(budget_tiles * one + 1)).unwrap();
+        let budget = budget_tiles * one + 1;
+        tight.set_memory_budget(&SpillConfig::budgeted(budget)).unwrap();
         for s in [&twin, &tight] {
             s.register("A", meta).unwrap();
         }
@@ -294,6 +296,8 @@ proptest! {
             };
             prop_assert!(same, "{op:?} told the twins apart");
             prop_assert!(tight.dfs().spill_conserved(), "after {op:?}");
+            let resident = tight.dfs().spill_stats().unwrap().resident_bytes;
+            prop_assert!(resident <= budget, "{resident} B resident over {budget} B after {op:?}");
             prop_assert!(tight.dfs().storage_accounting().is_conserved(), "after {op:?}");
             prop_assert_eq!(twin.dfs().storage_accounting(), tight.dfs().storage_accounting());
         }

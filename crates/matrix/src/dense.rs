@@ -266,8 +266,8 @@ impl DenseTile {
     /// Whether [`gemm_acc`](Self::gemm_acc) sends an `m × l` by `l × n`
     /// multiply to the packed kernel.
     pub(crate) fn packs(m: usize, l: usize, n: usize) -> bool {
-        // Measured crossover (see `gemm_bench` dispatch table): streaming
-        // wins below n≈8 (0.4x at n=4, where packing/alloc overhead
+        // Crossover measured when the packed kernel landed (its CHANGES.md
+        // entry): streaming wins below n≈8 (0.4x at n=4, where packing/alloc overhead
         // dominates a sub-microsecond multiply), ties at 6, and packed
         // wins from 8 up (1.5x at n=8 rising to 2.8x by n=48).
         const PACKED_MIN_DIM: usize = 8;
@@ -307,68 +307,6 @@ impl DenseTile {
                 }
                 let b_row = &b.data[k * n..(k + 1) * n];
                 axpy_row(c_row, b_row, aik);
-            }
-        }
-        Ok(())
-    }
-
-    /// Cache-blocked GEMM: panels of `b` sized to stay L2-resident, with a
-    /// 4×row microkernel that keeps four accumulator rows of `c` live while
-    /// streaming each `b` row exactly once per 4 output rows — quartering
-    /// `b` traffic versus the streaming kernel.
-    pub fn gemm_acc_blocked(c: &mut DenseTile, a: &DenseTile, b: &DenseTile) -> Result<()> {
-        Self::check_gemm_shapes(c, a, b)?;
-        // Block sizes: KC·NC·8B ≈ 256 KiB keeps the b-panel in L2.
-        const KC: usize = 512;
-        const NC: usize = 256;
-        const MR: usize = 4;
-        let (m, l, n) = (a.rows, a.cols, b.cols);
-        for k0 in (0..l).step_by(KC) {
-            let k1 = (k0 + KC).min(l);
-            for j0 in (0..n).step_by(NC) {
-                let j1 = (j0 + NC).min(n);
-                let mut i = 0;
-                // --- 4-row microkernel ---------------------------------
-                while i + MR <= m {
-                    // Four a-rows of this k-panel.
-                    let a0 = &a.data[i * l + k0..i * l + k1];
-                    let a1 = &a.data[(i + 1) * l + k0..(i + 1) * l + k1];
-                    let a2 = &a.data[(i + 2) * l + k0..(i + 2) * l + k1];
-                    let a3 = &a.data[(i + 3) * l + k0..(i + 3) * l + k1];
-                    // Split c into four disjoint row slices.
-                    let (c01, c23) = c.data[i * n..(i + 4) * n].split_at_mut(2 * n);
-                    let (c0, c1) = c01.split_at_mut(n);
-                    let (c2, c3) = c23.split_at_mut(n);
-                    let c0 = &mut c0[j0..j1];
-                    let c1 = &mut c1[j0..j1];
-                    let c2 = &mut c2[j0..j1];
-                    let c3 = &mut c3[j0..j1];
-                    for (kk, k) in (k0..k1).enumerate() {
-                        let b_row = &b.data[k * n + j0..k * n + j1];
-                        let (v0, v1, v2, v3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                        for (idx, &bv) in b_row.iter().enumerate() {
-                            c0[idx] += v0 * bv;
-                            c1[idx] += v1 * bv;
-                            c2[idx] += v2 * bv;
-                            c3[idx] += v3 * bv;
-                        }
-                    }
-                    i += MR;
-                }
-                // --- remainder rows -------------------------------------
-                while i < m {
-                    let a_row = &a.data[i * l + k0..i * l + k1];
-                    let c_row = &mut c.data[i * n + j0..i * n + j1];
-                    for (kk, k) in (k0..k1).enumerate() {
-                        let aik = a_row[kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b.data[k * n + j0..k * n + j1];
-                        axpy_row(c_row, b_row, aik);
-                    }
-                    i += 1;
-                }
             }
         }
         Ok(())
@@ -647,6 +585,7 @@ fn axpy_row(y: &mut [f64], x: &[f64], alpha: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen;
 
     fn tile_abc() -> (DenseTile, DenseTile) {
         let a = DenseTile::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -687,6 +626,18 @@ mod tests {
             err,
             MatrixError::ShapeMismatch { op: "gemm-out", .. }
         ));
+    }
+
+    #[test]
+    fn dispatcher_agrees_with_streaming() {
+        let a = gen::dense_uniform_tile(1, 0, 0, 200, 200, -1.0, 1.0);
+        let b = gen::dense_uniform_tile(2, 0, 0, 200, 200, -1.0, 1.0);
+        let via_dispatch = DenseTile::matmul(&a, &b).unwrap();
+        let mut via_stream = DenseTile::zeros(200, 200);
+        DenseTile::gemm_acc_streaming(&mut via_stream, &a, &b).unwrap();
+        for (x, y) in via_dispatch.data().iter().zip(via_stream.data().iter()) {
+            assert!((x - y).abs() < 1e-9 * 200.0);
+        }
     }
 
     #[test]
@@ -767,76 +718,5 @@ mod tests {
     fn nnz_counts_zeros() {
         let a = DenseTile::from_vec(2, 2, vec![0.0, 1.0, 0.0, 2.0]);
         assert_eq!(a.nnz(), 2);
-    }
-}
-
-#[cfg(test)]
-mod blocked_gemm_tests {
-    use super::*;
-    use crate::gen;
-
-    fn check_agree(m: usize, l: usize, n: usize, seed: u64) {
-        let a = gen::dense_uniform_tile(seed, 0, 0, m, l, -1.0, 1.0);
-        let b = gen::dense_uniform_tile(seed, 0, 1, l, n, -1.0, 1.0);
-        let mut c_stream = DenseTile::from_fn(m, n, |i, j| (i + j) as f64 * 0.01);
-        let mut c_block = c_stream.clone();
-        DenseTile::gemm_acc_streaming(&mut c_stream, &a, &b).unwrap();
-        DenseTile::gemm_acc_blocked(&mut c_block, &a, &b).unwrap();
-        for (x, y) in c_stream.data().iter().zip(c_block.data().iter()) {
-            assert!(
-                (x - y).abs() < 1e-9 * l as f64,
-                "kernels disagree: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn kernels_agree_on_varied_shapes() {
-        // Shapes straddling every block boundary and the MR=4 remainder.
-        for (m, l, n) in [
-            (4, 4, 4),
-            (5, 7, 3),
-            (127, 129, 131),
-            (128, 128, 128),
-            (130, 257, 259),
-            (257, 100, 33),
-            (3, 300, 300),
-        ] {
-            check_agree(m, l, n, (m * 31 + l * 7 + n) as u64);
-        }
-    }
-
-    #[test]
-    fn dispatcher_uses_blocked_for_large_tiles() {
-        // Behavioural check: results identical through the dispatcher.
-        let a = gen::dense_uniform_tile(1, 0, 0, 200, 200, -1.0, 1.0);
-        let b = gen::dense_uniform_tile(2, 0, 0, 200, 200, -1.0, 1.0);
-        let via_dispatch = DenseTile::matmul(&a, &b).unwrap();
-        let mut via_stream = DenseTile::zeros(200, 200);
-        DenseTile::gemm_acc_streaming(&mut via_stream, &a, &b).unwrap();
-        for (x, y) in via_dispatch.data().iter().zip(via_stream.data().iter()) {
-            assert!((x - y).abs() < 1e-9 * 200.0);
-        }
-    }
-
-    #[test]
-    fn blocked_accumulates_like_streaming() {
-        let a = gen::dense_uniform_tile(3, 0, 0, 140, 140, -1.0, 1.0);
-        let b = gen::dense_uniform_tile(4, 0, 0, 140, 140, -1.0, 1.0);
-        let mut c = DenseTile::from_fn(140, 140, |_, _| 1.0);
-        DenseTile::gemm_acc_blocked(&mut c, &a, &b).unwrap();
-        let mut expect = DenseTile::from_fn(140, 140, |_, _| 1.0);
-        DenseTile::gemm_acc_streaming(&mut expect, &a, &b).unwrap();
-        for (x, y) in c.data().iter().zip(expect.data().iter()) {
-            assert!((x - y).abs() < 1e-9 * 140.0);
-        }
-    }
-
-    #[test]
-    fn blocked_shape_checks() {
-        let a = DenseTile::zeros(130, 130);
-        let b = DenseTile::zeros(131, 130);
-        let mut c = DenseTile::zeros(130, 130);
-        assert!(DenseTile::gemm_acc_blocked(&mut c, &a, &b).is_err());
     }
 }

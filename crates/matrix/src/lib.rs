@@ -9,7 +9,7 @@
 //!
 //! Three tile representations are provided:
 //!
-//! * [`DenseTile`] — row-major `f64` storage, with a blocked GEMM kernel;
+//! * [`DenseTile`] — row-major `f64` storage, with a packed-panel SIMD GEMM kernel;
 //! * [`CsrTile`] — compressed sparse row storage for the sparse workloads
 //!   (e.g. the document-term matrix in GNMF);
 //! * *phantom* tiles ([`Tile::phantom`]) — metadata-only tiles (dims + an

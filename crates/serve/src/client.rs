@@ -1,5 +1,5 @@
 //! A minimal blocking client for the `cumulon-serve-v1` protocol — used
-//! by the CI smoke harness, tests and scripts. One TCP connection, one
+//! by tests, the benchmark and scripts. One TCP connection, one
 //! in-order request/response exchange per call.
 
 use std::io::{BufRead, BufReader, Write};
