@@ -222,21 +222,25 @@ impl TaskCtx {
             return Ok(tile);
         }
         let phantom = self.mode == ExecMode::Simulated;
-        let (tile, io) = self
-            .store
-            .read_tile(matrix, ti, tj, Some(self.node), phantom)?;
-        if io == IoReceipt::default() && self.store.lookup(matrix)?.generator.is_some() {
+        let (tile, io) =
+            self.store
+                .read_or_generate_tile(matrix, ti, tj, Some(self.node), phantom)?;
+        match io {
             // Generating a tile costs ~a few flops per cell of RNG work.
-            let cells = (tile.rows() * tile.cols()) as f64;
-            self.receipt.work = self.receipt.work.add(Work {
-                flops: GEN_FLOPS_PER_CELL * cells,
-                bytes_in: 0.0,
-                bytes_out: 0.0,
-            });
-        }
-        self.receipt.read = self.receipt.read.add(io);
-        if io != IoReceipt::default() {
-            self.receipt.io_ops += 1;
+            None => {
+                let cells = (tile.rows() * tile.cols()) as f64;
+                self.receipt.work = self.receipt.work.add(Work {
+                    flops: GEN_FLOPS_PER_CELL * cells,
+                    bytes_in: 0.0,
+                    bytes_out: 0.0,
+                });
+            }
+            Some(io) => {
+                self.receipt.read = self.receipt.read.add(io);
+                if io != IoReceipt::default() {
+                    self.receipt.io_ops += 1;
+                }
+            }
         }
         // Tiles read are resident for the task's lifetime; charge their
         // *dense logical* footprint when the tile participates in dense

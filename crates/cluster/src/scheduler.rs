@@ -56,6 +56,7 @@ use crate::hw::HardwareModel;
 use crate::job::{ExecMode, JobDag};
 use crate::metrics::{FaultStats, JobStats, RunReport, TaskStat};
 
+use fill::Homes;
 use specpool::SpecLease;
 pub use specpool::{shared_spec_pool, SpecPool};
 
@@ -295,6 +296,12 @@ struct JobState {
 }
 
 impl JobState {
+    /// Whether the job's tasks may be picked: not done, every dependency
+    /// complete.
+    fn ready(&self) -> bool {
+        !self.done && self.remaining_deps == 0
+    }
+
     /// Mean duration of this job's completed tasks (None before the first
     /// completion — speculation needs a baseline).
     fn mean_completed_s(&self) -> Option<f64> {
@@ -464,6 +471,8 @@ struct Exec<'a> {
     /// Monotone `fill_slots` pass counter; attempts assigned in the same
     /// pass share a wave number in the trace.
     wave: u64,
+    /// This pass's locality snapshot, stamped with `wave`.
+    homes: Homes,
 }
 
 /// Trace metadata for one in-flight attempt, keyed by its epoch.
@@ -564,6 +573,7 @@ impl<'a> Exec<'a> {
             trace,
             epoch_meta: HashMap::new(),
             wave: 0,
+            homes: Homes::new(dag),
         }
     }
 
@@ -729,10 +739,16 @@ impl<'a> Exec<'a> {
                 // drained rather than lost.
                 self.faults.drained_tasks += 1;
             }
-            // Kill any still-running copies of this task. If a killed twin
+            // Kill any still-running copies of this task (only a speculated
+            // task can have one, see `twin_running`). If a killed twin
             // started earlier, the completing copy is the backup — a
             // speculative win.
-            for twin_idx in 0..self.slot_state.len() {
+            let scanned = if self.jobs[job].speculated[task] {
+                self.slot_state.len()
+            } else {
+                0
+            };
+            for twin_idx in 0..scanned {
                 if !matches!(self.slot_state[twin_idx], Some(r) if r.job == job && r.task == task) {
                     continue;
                 }
@@ -781,12 +797,17 @@ impl<'a> Exec<'a> {
         self.fill_slots(queue)
     }
 
-    /// Whether some slot still runs a copy of `(job, task)`.
+    /// Whether some slot still runs a copy of `(job, task)`. Only a
+    /// speculative backup makes a second copy — a task is requeued only
+    /// once no copy of it runs — so for a task that never had one there
+    /// is nothing to scan for.
     fn twin_running(&self, job: usize, task: usize) -> bool {
-        self.slot_state
-            .iter()
-            .flatten()
-            .any(|r| r.job == job && r.task == task)
+        self.jobs[job].speculated[task]
+            && self
+                .slot_state
+                .iter()
+                .flatten()
+                .any(|r| r.job == job && r.task == task)
     }
 
     /// The run report of a completed execution.

@@ -5,12 +5,90 @@
 use std::sync::Arc;
 
 use cumulon_dfs::dfs::NodeId;
+use cumulon_dfs::TileStore;
 
 use crate::des::{EventQueue, SimTime};
 use crate::error::{ClusterError, Result};
-use crate::job::{StagedWrite, TaskCtx, TaskOp, TaskReceipt};
+use crate::job::{JobDag, StagedWrite, TaskCtx, TaskOp, TaskReceipt};
 
 use super::{Event, Exec, Running, SpanMeta};
+
+/// A dominant-input hint: `(matrix, ti, tj)`.
+type Hint = (String, usize, usize);
+
+/// The per-pass locality snapshot: for each hinted task, its *home* —
+/// the nodes holding every block of its hint tile — asked of the DFS at
+/// most once per `fill_slots` pass, on first use. Exact, not a cache:
+/// the assign phase never mutates the DFS (writes commit in `finalize`,
+/// after every pick), and everything that moves a replica — commits,
+/// node kills, revocation drains — happens between passes, so a home
+/// stamped with an older pass is stale by construction and is asked
+/// again.
+pub(super) struct Homes {
+    /// Index in `slots` of each job's first task.
+    offsets: Vec<usize>,
+    /// One per task of the DAG.
+    slots: Vec<HomeSlot>,
+    /// The homes resolved in pass `pass`, back to back.
+    nodes: Vec<NodeId>,
+    pass: u64,
+}
+
+/// Where one task's home sits in [`Homes::nodes`], and the pass it was
+/// resolved in (0: never — passes count from 1).
+#[derive(Clone, Copy, Default)]
+struct HomeSlot {
+    pass: u64,
+    start: u32,
+    len: u32,
+}
+
+impl Homes {
+    pub(super) fn new(dag: &JobDag) -> Self {
+        let offsets = dag
+            .jobs
+            .iter()
+            .scan(0, |next, job| {
+                let first = *next;
+                *next += job.tasks.len();
+                Some(first)
+            })
+            .collect();
+        Homes {
+            offsets,
+            slots: vec![HomeSlot::default(); dag.total_tasks()],
+            nodes: Vec::new(),
+            pass: 0,
+        }
+    }
+
+    /// Whether `node` is home to task `(job, task)`, whose hint is
+    /// `hint`, as of pass `pass`.
+    fn contains(
+        &mut self,
+        store: &TileStore,
+        pass: u64,
+        (job, task): (usize, usize),
+        hint: &Hint,
+        node: NodeId,
+    ) -> bool {
+        if self.pass != pass {
+            self.pass = pass;
+            self.nodes.clear();
+        }
+        let slot = &mut self.slots[self.offsets[job] + task];
+        if slot.pass != pass {
+            let start = self.nodes.len();
+            store.tile_home(&hint.0, hint.1, hint.2, |n| self.nodes.push(n));
+            *slot = HomeSlot {
+                pass,
+                start: start as u32,
+                len: (self.nodes.len() - start) as u32,
+            };
+        }
+        self.nodes[slot.start as usize..][..slot.len as usize].contains(&node)
+    }
+}
 
 /// A task assignment made at slot-fill time. Carries everything the
 /// executor and finalizer need so task *compute* can run off-thread while
@@ -51,20 +129,29 @@ impl ExecOutcome {
 impl Exec<'_> {
     /// Picks the next task for a node: scan ready jobs in index order; within
     /// a job prefer a pending task whose dominant input is local to `node`.
-    fn pick_task(&self, node: NodeId) -> Option<(usize, usize)> {
-        for (j, state) in self.jobs.iter().enumerate() {
-            if state.done || state.remaining_deps > 0 || state.pending.is_empty() {
+    fn pick_task(&mut self, node: NodeId) -> Option<(usize, usize)> {
+        let Exec {
+            jobs,
+            dag,
+            homes,
+            sched,
+            wave,
+            ..
+        } = self;
+        for (j, state) in jobs.iter().enumerate() {
+            if !state.ready() || state.pending.is_empty() {
                 continue;
             }
             // Locality pass.
             for &t in &state.pending {
-                if let Some((m, ti, tj)) = &self.dag.jobs[j].tasks[t].locality_hint {
-                    if self.sched.store.tile_is_local(m, *ti, *tj, node) {
-                        return Some((j, t));
+                match &dag.jobs[j].tasks[t].locality_hint {
+                    Some(hint) => {
+                        if homes.contains(&sched.store, *wave, (j, t), hint, node) {
+                            return Some((j, t));
+                        }
                     }
-                } else {
                     // No hint: any slot is as good as any other.
-                    return Some((j, t));
+                    None => return Some((j, t)),
                 }
             }
             // No local task: take the oldest pending one.
@@ -73,10 +160,61 @@ impl Exec<'_> {
         None
     }
 
+    /// Whether `node` holds every block of task `(j, t)`'s hint tile,
+    /// from this pass's snapshot (a task without a hint is local
+    /// anywhere).
+    fn input_local(&mut self, j: usize, t: usize, node: NodeId) -> bool {
+        let hint = self.dag.jobs[j].tasks[t].locality_hint.as_ref();
+        hint.is_none_or(|hint| {
+            self.homes
+                .contains(&self.sched.store, self.wave, (j, t), hint, node)
+        })
+    }
+
+    /// [`Exec::pick_task`] asking the DFS afresh for every pending task it
+    /// weighs: the per-slot probe debug builds check every snapshot pick
+    /// against.
+    #[cfg(debug_assertions)]
+    fn probe_pick(&self, node: NodeId) -> Option<(usize, usize)> {
+        for (j, state) in self.jobs.iter().enumerate() {
+            if !state.ready() || state.pending.is_empty() {
+                continue;
+            }
+            for &t in &state.pending {
+                if self.probe_local(j, t, node) {
+                    return Some((j, t));
+                }
+            }
+            return state.pending.front().map(|&t| (j, t));
+        }
+        None
+    }
+
+    /// [`Exec::input_local`] asked of the DFS now, not of the snapshot.
+    #[cfg(debug_assertions)]
+    fn probe_local(&self, j: usize, t: usize, node: NodeId) -> bool {
+        let hint = self.dag.jobs[j].tasks[t].locality_hint.as_ref();
+        hint.is_none_or(|(m, ti, tj)| {
+            let mut local = false;
+            self.sched
+                .store
+                .tile_home(m, *ti, *tj, |n| local |= n == node);
+            local
+        })
+    }
+
     /// Task choice for one free slot: a pending task, or — when slots would
     /// otherwise idle — a speculative backup of a straggler.
-    fn pick_for_slot(&self, node: u32, now: SimTime) -> Option<(usize, usize, bool)> {
-        if let Some((j, t)) = self.pick_task(NodeId(node)) {
+    fn pick_for_slot(&mut self, node: u32, now: SimTime) -> Option<(usize, usize, bool)> {
+        let pick = self.pick_task(NodeId(node));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            pick,
+            self.probe_pick(NodeId(node)),
+            "pass {}: the locality snapshot and a fresh DFS probe pick differently for node {node}",
+            self.wave
+        );
+        if let Some((j, t)) = pick {
             return Some((j, t, false));
         }
         if !self.config.speculative {
@@ -123,11 +261,14 @@ impl Exec<'_> {
         let attempt = self.jobs[j].attempts[t] + 1;
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let input_local = self.dag.jobs[j].tasks[t]
-            .locality_hint
-            .as_ref()
-            .map(|(m, ti, tj)| self.sched.store.tile_is_local(m, *ti, *tj, NodeId(node)))
-            .unwrap_or(true);
+        let input_local = self.input_local(j, t, NodeId(node));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            input_local,
+            self.probe_local(j, t, NodeId(node)),
+            "pass {}: the locality snapshot is stale for task ({j}, {t})",
+            self.wave
+        );
         let idx = (node * self.sched.spec.slots_per_node + slot) as usize;
         self.slot_state[idx] = Some(Running {
             job: j,
@@ -361,10 +502,11 @@ impl Exec<'_> {
     /// Fills every free slot with the best pending task, as one wave in
     /// four phases:
     ///
-    /// 1. *Assign* every free slot in canonical node/slot order.
-    ///    Assignment decisions are insensitive to same-pass commits: a
-    ///    ready job's inputs come from jobs that finished before this
-    ///    pass, so locality lookups see the same placement either way.
+    /// 1. *Assign* every free slot in canonical node/slot order, stopping
+    ///    once no ready task is pending (unless speculation may still
+    ///    launch backups). Nothing here mutates the DFS — commits wait
+    ///    for phase 4 — so the locality lookups ([`Homes`]) see one
+    ///    placement for the whole phase.
     /// 2. *Resolve* the entries whose hinted input is RAM-resident. Under
     ///    a memory budget the others — input demoted to the spill plane —
     ///    wait, so their on-demand readbacks cannot evict tiles the rest
@@ -394,16 +536,30 @@ impl Exec<'_> {
         let slots = self.sched.spec.slots_per_node;
         let now = queue.now();
         let mut entries: Vec<WaveEntry> = Vec::new();
-        for node in 0..nodes {
+        // Tasks a slot can still pick: with none left and no backups to
+        // launch, every remaining slot would pick nothing.
+        let mut pickable: usize = self
+            .jobs
+            .iter()
+            .filter(|s| s.ready())
+            .map(|s| s.pending.len())
+            .sum();
+        'nodes: for node in 0..nodes {
             if !self.node_alive[node as usize] || self.doomed[node as usize] {
                 continue;
             }
             for slot in 0..slots {
+                if pickable == 0 && !self.config.speculative {
+                    break 'nodes;
+                }
                 let idx = (node * slots + slot) as usize;
                 if self.slot_state[idx].is_some() {
                     continue;
                 }
                 if let Some(entry) = self.assign(node, slot, now) {
+                    if !entry.is_backup {
+                        pickable -= 1;
+                    }
                     entries.push(entry);
                 }
             }

@@ -74,10 +74,7 @@ impl Exec<'_> {
         // again — the prefetcher becomes a readback amplifier. (The
         // fill's own entries are immune: their reads land before any of
         // this fill's writes commit.)
-        let ready_drained = self
-            .jobs
-            .iter()
-            .all(|s| s.done || s.remaining_deps > 0 || s.pending.is_empty());
+        let ready_drained = self.jobs.iter().all(|s| !s.ready() || s.pending.is_empty());
         if !ready_drained {
             return frontier;
         }

@@ -223,9 +223,16 @@ impl Dfs {
         replication: usize,
     ) -> Result<IoReceipt> {
         let total = data.len() as u64;
-        self.write_blocks(path, total, writer, replication, |offset, len| {
-            BlockPayload::Bytes(data.slice(offset as usize..(offset + len) as usize))
-        })
+        let mut st = self.state.lock();
+        Self::write_blocks(
+            &mut st,
+            &self.config,
+            path,
+            total,
+            writer,
+            replication,
+            |offset, len| BlockPayload::Bytes(data.slice(offset as usize..(offset + len) as usize)),
+        )
     }
 
     /// Writes a tile onto the handle plane: blocks store the shared
@@ -233,7 +240,9 @@ impl Dfs {
     /// encoded length (see `cumulon_matrix::serialize::encoded_len`) — the
     /// file splits into blocks of that logical size, so placement, replica
     /// counts, and receipts match a byte-plane write of the encoding
-    /// bit-for-bit, without paying for the encoding.
+    /// bit-for-bit, without paying for the encoding. A file already at
+    /// `path` is deleted first, as [`Dfs::delete_file`] would (a
+    /// re-executed task overwrites its earlier output).
     pub fn write_tile_file(
         &self,
         path: &str,
@@ -242,29 +251,36 @@ impl Dfs {
         writer: Option<NodeId>,
         replication: usize,
     ) -> Result<IoReceipt> {
-        let receipt = self.write_blocks(path, wire_len, writer, replication, |_offset, len| {
-            BlockPayload::Tile {
+        let mut st = self.state.lock();
+        if st.namenode.exists(path) {
+            Self::delete_locked(&mut st, path)?;
+        }
+        let receipt = Self::write_blocks(
+            &mut st,
+            &self.config,
+            path,
+            wire_len,
+            writer,
+            replication,
+            |_offset, len| BlockPayload::Tile {
                 tile: Arc::clone(&tile),
                 len,
-            }
-        })?;
+            },
+        )?;
         // Out-of-core plane: the new handle file becomes the hottest
         // resident entry; demote colder files until the budget holds.
         // Phantom tiles pin no data and are never tracked.
-        if !tile.is_phantom() {
-            let mut st = self.state.lock();
-            if st.spill.is_some() {
-                drop(tile); // release this fn's pin before enforcement
-                if let Some(plane) = st.spill.as_mut() {
-                    // An overwrite of a demoted or backed path supersedes
-                    // the copy on disk; drop its blob reference so
-                    // compaction can reclaim the stale bytes.
-                    if let Some(stale) = plane.note_resident(path, wire_len) {
-                        plane.blob_mut().release(stale.key)?;
-                    }
+        if !tile.is_phantom() && st.spill.is_some() {
+            drop(tile); // release this fn's pin before enforcement
+            if let Some(plane) = st.spill.as_mut() {
+                // An overwrite of a demoted or backed path supersedes
+                // the copy on disk; drop its blob reference so
+                // compaction can reclaim the stale bytes.
+                if let Some(stale) = plane.note_resident(path, wire_len) {
+                    plane.blob_mut().release(stale.key)?;
                 }
-                Self::enforce_budget(&mut st)?;
             }
+            Self::enforce_budget(&mut st)?;
         }
         Ok(receipt)
     }
@@ -274,21 +290,21 @@ impl Dfs {
     /// supplies each block's stored form; both planes use the identical
     /// splitting rule so the placement RNG sees the same draw sequence.
     fn write_blocks(
-        &self,
+        st: &mut DfsState,
+        config: &DfsConfig,
         path: &str,
         total: u64,
         writer: Option<NodeId>,
         replication: usize,
         payload_for: impl Fn(u64, u64) -> BlockPayload,
     ) -> Result<IoReceipt> {
-        let mut st = self.state.lock();
         st.namenode.create_file(path)?;
         let mut receipt = IoReceipt::default();
         let mut offset = 0u64;
         loop {
-            let len = (total - offset).min(self.config.block_size);
+            let len = (total - offset).min(config.block_size);
             let payload = payload_for(offset, len);
-            let replicas = match Self::place_replicas(&mut st, &self.config, writer, replication) {
+            let replicas = match Self::place_replicas(st, config, writer, replication) {
                 Ok(r) => r,
                 Err(e) => {
                     // Roll back the namespace entry so a failed write does
@@ -318,43 +334,37 @@ impl Dfs {
     }
 
     /// Per-block replica selection shared by [`Dfs::read_file`] and
-    /// [`Dfs::read_receipt`]: candidates are tried in locality order
-    /// (reader-local, same-rack, then the rest) and the first datanode
-    /// actually holding the payload serves. `DataNode::get` is called on the
-    /// serving node, so its read counter advances the same way for both
-    /// entry points. Returns `None` when no replica can serve.
+    /// [`Dfs::read_receipt`]: replicas are tried in locality order
+    /// (reader-local, same-rack, then the rest, each tier in replica-list
+    /// order) and the first datanode actually holding the payload serves.
+    /// `DataNode::get` is called on the serving node, so its read counter
+    /// advances the same way for both entry points. Returns `None` when no
+    /// replica can serve.
     fn serve_block(
-        st: &mut DfsState,
+        datanodes: &mut [DataNode],
         config: &DfsConfig,
         reader: Option<NodeId>,
         block: &BlockMeta,
     ) -> Option<(NodeId, BlockPayload)> {
-        let mut candidates: Vec<NodeId> = Vec::with_capacity(block.replicas.len());
-        if let Some(r) = reader.filter(|r| block.replicas.contains(r)) {
-            candidates.push(r);
-        }
-        if let Some(reader_rack) = reader.map(|r| config.rack_of(r)) {
-            candidates.extend(
+        let reader_rack = reader.map(|r| config.rack_of(r));
+        let tier = |n: NodeId| {
+            if Some(n) == reader {
+                0
+            } else if Some(config.rack_of(n)) == reader_rack {
+                1
+            } else {
+                2
+            }
+        };
+        (0..3)
+            .flat_map(|t| {
                 block
                     .replicas
                     .iter()
                     .copied()
-                    .filter(|&n| Some(n) != reader && config.rack_of(n) == reader_rack),
-            );
-        }
-        let rest: Vec<NodeId> = block
-            .replicas
-            .iter()
-            .copied()
-            .filter(|n| !candidates.contains(n))
-            .collect();
-        candidates.extend(rest);
-        for source in candidates {
-            if let Some(data) = st.datanodes[source.0 as usize].get(block.id) {
-                return Some((source, data));
-            }
-        }
-        None
+                    .filter(move |&n| tier(n) == t)
+            })
+            .find_map(|n| datanodes[n.0 as usize].get(block.id).map(|data| (n, data)))
     }
 
     /// Reads a whole file. Per block, replicas are tried in locality order —
@@ -382,24 +392,22 @@ impl Dfs {
         path: &str,
         reader: Option<NodeId>,
     ) -> Result<(FilePayload, IoReceipt)> {
-        let mut st = self.state.lock();
-        let blocks = st.namenode.stat(path)?.blocks.clone();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let blocks = &st.namenode.stat(path)?.blocks;
         if let Some(plane) = st.spill.as_mut() {
             plane.touch(path);
         }
         let mut out = bytes::BytesMut::new();
         let mut handle: Option<Arc<Tile>> = None;
         let mut receipt = IoReceipt::default();
+        let mut lost = None;
         for (idx, block) in blocks.iter().enumerate() {
-            let Some((source, data)) = Self::serve_block(&mut st, &self.config, reader, block)
+            let Some((source, data)) =
+                Self::serve_block(&mut st.datanodes, &self.config, reader, block)
             else {
-                // An earlier block may have re-admitted the file: settle
-                // the budget before reporting the loss.
-                Self::enforce_budget(&mut st)?;
-                return Err(DfsError::BlockLost {
-                    path: path.to_string(),
-                    block: idx,
-                });
+                lost = Some(idx);
+                break;
             };
             receipt.bytes += block.len;
             if reader == Some(source) {
@@ -417,13 +425,30 @@ impl Dfs {
                 // identical wire length, so receipts and counters cannot
                 // tell a disk-resident tile from a RAM-resident one.
                 BlockPayload::Spilled { key, .. } => {
-                    handle = Some(Self::readmit_path(&mut st, path, key)?);
+                    let plane = st
+                        .spill
+                        .as_deref_mut()
+                        .expect("spilled payload implies a plane");
+                    handle = Some(Self::readmit_path(
+                        &st.namenode,
+                        &mut st.datanodes,
+                        plane,
+                        path,
+                        key,
+                    )?);
                 }
             }
         }
-        // Re-admission may have pushed the plane over budget; demote
-        // colder files now (the file just read is the hottest entry).
-        Self::enforce_budget(&mut st)?;
+        // Re-admission may have pushed the plane over budget — also when
+        // a later block is lost: demote colder files now (the file just
+        // read is the hottest entry), then report the loss.
+        Self::enforce_budget(st)?;
+        if let Some(block) = lost {
+            return Err(DfsError::BlockLost {
+                path: path.to_string(),
+                block,
+            });
+        }
         match handle {
             Some(tile) => Ok((FilePayload::Tile(tile), receipt)),
             None => Ok((FilePayload::Bytes(out.freeze()), receipt)),
@@ -436,8 +461,9 @@ impl Dfs {
     /// identical to a real read — including [`DfsError::BlockLost`] when the
     /// underlying replicas have since been destroyed.
     pub fn read_receipt(&self, path: &str, reader: Option<NodeId>) -> Result<IoReceipt> {
-        let mut st = self.state.lock();
-        let blocks = st.namenode.stat(path)?.blocks.clone();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let blocks = &st.namenode.stat(path)?.blocks;
         // A receipt replay is a cache hit on the decoded tile: the file's
         // data was just accessed, so refresh its LRU recency. A spilled
         // file stays spilled — the cached Arc serves the data, and the
@@ -447,7 +473,7 @@ impl Dfs {
         }
         let mut receipt = IoReceipt::default();
         for (idx, block) in blocks.iter().enumerate() {
-            let (source, _data) = Self::serve_block(&mut st, &self.config, reader, block)
+            let (source, _data) = Self::serve_block(&mut st.datanodes, &self.config, reader, block)
                 .ok_or_else(|| DfsError::BlockLost {
                     path: path.to_string(),
                     block: idx,
@@ -470,7 +496,10 @@ impl Dfs {
     /// Deletes a file and all replicas. A demoted or backed file also drops
     /// its blob-store reference, so segment compaction can reclaim the bytes.
     pub fn delete_file(&self, path: &str) -> Result<()> {
-        let mut st = self.state.lock();
+        Self::delete_locked(&mut self.state.lock(), path)
+    }
+
+    fn delete_locked(st: &mut DfsState, path: &str) -> Result<()> {
         let blocks = st.namenode.delete_file(path)?;
         for b in blocks {
             for node in b.replicas {
@@ -490,14 +519,27 @@ impl Dfs {
         self.state.lock().namenode.list(prefix)
     }
 
-    /// Whether any replica of the first block of `path` lives on `node` —
-    /// the locality hint the task scheduler uses.
-    pub fn is_local(&self, path: &str, node: NodeId) -> bool {
+    /// Visits the nodes a read of `path` is fully local on — the file's
+    /// *home*: those the namenode lists as holding a replica of *every*
+    /// block of the file — in the first block's replica order. Visits
+    /// nothing, and allocates nothing, when there is no file at `path` or
+    /// some block has lost every replica. `visit` runs under the DFS lock
+    /// and must not call back into the DFS. The task scheduler's locality
+    /// hint.
+    pub fn home_of(&self, path: &str, visit: impl FnMut(NodeId)) {
         let st = self.state.lock();
-        match st.namenode.stat(path) {
-            Ok(meta) => meta.blocks.iter().all(|b| b.replicas.contains(&node)),
-            Err(_) => false,
-        }
+        // Every file has at least one block: a write whose first placement
+        // fails removes the namespace entry it created.
+        let Some((first, rest)) = st.namenode.file(path).and_then(|f| f.blocks.split_first())
+        else {
+            return;
+        };
+        first
+            .replicas
+            .iter()
+            .copied()
+            .filter(|n| rest.iter().all(|b| b.replicas.contains(n)))
+            .for_each(visit);
     }
 
     /// Kills a datanode. Surviving under-replicated blocks are re-replicated
@@ -697,17 +739,12 @@ impl Dfs {
     /// order) and enforces the budget immediately. Replacing an existing
     /// plane first re-admits through the old one for the same reason.
     pub fn set_spill_config(&self, config: &SpillConfig) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.spill.is_some() {
-            let paths = st.spill.as_ref().expect("just checked").spilled_paths();
-            for path in paths {
-                let entry = st
-                    .spill
-                    .as_ref()
-                    .expect("plane present")
-                    .spilled(&path)
-                    .expect("listed => spilled");
-                Self::readmit_path(&mut st, &path, entry.key)?;
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if let Some(plane) = st.spill.as_deref_mut() {
+            for path in plane.spilled_paths() {
+                let entry = plane.spilled(&path).expect("listed => spilled");
+                Self::readmit_path(&st.namenode, &mut st.datanodes, plane, &path, entry.key)?;
             }
             st.spill = None;
         }
@@ -735,7 +772,7 @@ impl Dfs {
             }
         }
         st.spill = Some(Box::new(plane));
-        Self::enforce_budget(&mut st)
+        Self::enforce_budget(st)
     }
 
     /// Spill-plane counters, when a plane is installed.
@@ -772,17 +809,19 @@ impl Dfs {
     /// receipt, draws no placement RNG, and advances no simulated time —
     /// only where the payload physically lives changes.
     pub fn prefetch_path(&self, path: &str) -> Result<u64> {
-        let mut st = self.state.lock();
-        let Some(entry) = st.spill.as_ref().and_then(|p| p.spilled(path)) else {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let Some(plane) = st.spill.as_deref_mut() else {
             return Ok(0);
         };
-        Self::readmit_path(&mut st, path, entry.key)?;
-        if let Some(plane) = st.spill.as_mut() {
-            plane.record_prefetched(path, entry.wire_len);
-        }
+        let Some(entry) = plane.spilled(path) else {
+            return Ok(0);
+        };
+        Self::readmit_path(&st.namenode, &mut st.datanodes, plane, path, entry.key)?;
+        plane.record_prefetched(path, entry.wire_len);
         // Early admission must not breach the budget: demote colder files
         // now (the prefetched file is the hottest entry, so it survives).
-        Self::enforce_budget(&mut st)?;
+        Self::enforce_budget(st)?;
         Ok(entry.wire_len)
     }
 
@@ -933,8 +972,13 @@ impl Dfs {
     /// again (see [`crate::spill`]). The returned Arc is *new* —
     /// bitwise-equal to the one that was demoted, but not
     /// pointer-identical (the documented residency exception).
-    fn readmit_path(st: &mut DfsState, path: &str, key: BlobKey) -> Result<Arc<Tile>> {
-        let plane = st.spill.as_mut().expect("spilled payload implies a plane");
+    fn readmit_path(
+        namenode: &NameNode,
+        datanodes: &mut [DataNode],
+        plane: &mut SpillPlane,
+        path: &str,
+        key: BlobKey,
+    ) -> Result<Arc<Tile>> {
         let (codec, payload, raw_len) = plane.blob_mut().get(key)?;
         let wire = match decompress(codec, &payload)? {
             Cow::Owned(wire) => wire,
@@ -948,11 +992,11 @@ impl Dfs {
             )));
         }
         let tile = Arc::new(decode_tile(Bytes::from(wire))?);
-        let blocks = st.namenode.stat(path)?.blocks.clone();
+        let blocks = &namenode.stat(path)?.blocks;
         let wire_len: u64 = blocks.iter().map(|b| b.len).sum();
-        for b in &blocks {
+        for b in blocks {
             for &n in &b.replicas {
-                st.datanodes[n.0 as usize].swap_payload(
+                datanodes[n.0 as usize].swap_payload(
                     b.id,
                     BlockPayload::Tile {
                         tile: Arc::clone(&tile),
@@ -961,9 +1005,7 @@ impl Dfs {
                 );
             }
         }
-        st.spill
-            .as_mut()
-            .expect("plane still present")
+        plane
             .record_readmitted(path, wire_len)
             .expect("readmit of a recorded spill");
         Ok(tile)
@@ -1258,12 +1300,46 @@ mod tests {
 
     #[test]
     fn is_local_hint() {
+        let home = |d: &Dfs, path: &str| {
+            let mut home = Vec::new();
+            d.home_of(path, |n| home.push(n));
+            home
+        };
         let d = dfs(3, 1);
         d.write_file("/f", Bytes::from(vec![1u8; 8]), Some(NodeId(2)))
             .unwrap();
-        assert!(d.is_local("/f", NodeId(2)));
-        assert!(!d.is_local("/f", NodeId(0)));
-        assert!(!d.is_local("/missing", NodeId(0)));
+        assert_eq!(home(&d, "/f"), [NodeId(2)]);
+        assert_eq!(home(&d, "/missing"), []);
+        // Three 64-byte blocks at replication 2: a node holding only some
+        // of them is not home.
+        let d = dfs(4, 2);
+        d.write_file("/g", Bytes::from(vec![1u8; 150]), Some(NodeId(0)))
+            .unwrap();
+        let (first, rest): (Vec<NodeId>, Vec<Vec<NodeId>>) = {
+            let st = d.state.lock();
+            let blocks = &st.namenode.stat("/g").unwrap().blocks;
+            (
+                blocks[0].replicas.clone(),
+                blocks[1..].iter().map(|b| b.replicas.clone()).collect(),
+            )
+        };
+        let want: Vec<NodeId> = first
+            .into_iter()
+            .filter(|n| rest.iter().all(|r| r.contains(n)))
+            .collect();
+        assert_eq!(home(&d, "/g"), want);
+        assert!(want.contains(&NodeId(0)), "the writer holds every block");
+        d.kill_node(NodeId(0)).unwrap();
+        assert!(
+            !home(&d, "/g").contains(&NodeId(0)),
+            "dead nodes are no home"
+        );
+        // Replication 1, every holder dead: the file has no home at all.
+        let d = dfs(2, 1);
+        d.write_file("/h", Bytes::from(vec![1u8; 8]), Some(NodeId(1)))
+            .unwrap();
+        d.kill_node(NodeId(1)).unwrap();
+        assert_eq!(home(&d, "/h"), []);
     }
 
     #[test]

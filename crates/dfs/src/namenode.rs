@@ -135,9 +135,14 @@ impl NameNode {
 
     /// Looks up file metadata.
     pub fn stat(&self, path: &str) -> Result<&FileMeta> {
-        self.files
-            .get(path)
+        self.file(path)
             .ok_or_else(|| DfsError::FileNotFound(path.to_string()))
+    }
+
+    /// File metadata, or `None` — without building an error — when there
+    /// is no file at `path`.
+    pub fn file(&self, path: &str) -> Option<&FileMeta> {
+        self.files.get(path)
     }
 
     /// True if the path exists.

@@ -258,6 +258,20 @@ impl TileStore {
         format!("/matrix/{name}/{ti}_{tj}")
     }
 
+    /// Runs `f` on [`TileStore::tile_path`], formatted into a stack buffer
+    /// when it fits (any name under ~90 bytes), so a lookup by path
+    /// allocates nothing.
+    fn with_tile_path<R>(name: &str, ti: usize, tj: usize, f: impl FnOnce(&str) -> R) -> R {
+        use std::io::Write;
+        let mut buf = [0u8; 128];
+        let mut rest = &mut buf[..];
+        if write!(rest, "/matrix/{name}/{ti}_{tj}").is_err() {
+            return f(&Self::tile_path(name, ti, tj));
+        }
+        let len = 128 - rest.len();
+        f(std::str::from_utf8(&buf[..len]).expect("formatted from a str and integers"))
+    }
+
     /// Registers a stored (non-generated) matrix.
     pub fn register(&self, name: &str, meta: MatrixMeta) -> Result<MatrixHandle> {
         self.register_inner(name, meta, None)
@@ -308,17 +322,32 @@ impl TileStore {
         self.state.read().matrices.keys().cloned().collect()
     }
 
+    /// A registered matrix's shape and generator, copied out under the
+    /// registry's read lock (no handle or name is cloned).
+    fn matrix(&self, name: &str) -> Result<(MatrixMeta, Option<Generator>)> {
+        self.state
+            .read()
+            .matrices
+            .get(name)
+            .map(|h| (h.meta, h.generator))
+            .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))
+    }
+
     /// Validates that a tile's dims match slot `(ti, tj)` of a registered
-    /// matrix, returning the handle. Deferred-write task contexts run this
-    /// at staging time so in-task error behavior matches an eager write.
-    pub fn validate_tile(
-        &self,
-        name: &str,
-        ti: usize,
-        tj: usize,
-        tile: &Tile,
-    ) -> Result<MatrixHandle> {
-        let handle = self.lookup(name)?;
+    /// matrix. Deferred-write task contexts run this at staging time so
+    /// in-task error behavior matches an eager write.
+    pub fn validate_tile(&self, name: &str, ti: usize, tj: usize, tile: &Tile) -> Result<()> {
+        self.validate_for_write(name, ti, tj, tile).map(|_| ())
+    }
+
+    /// [`TileStore::validate_tile`], also returning whether writes
+    /// materialize bytes — both read under one registry lock.
+    fn validate_for_write(&self, name: &str, ti: usize, tj: usize, tile: &Tile) -> Result<bool> {
+        let st = self.state.read();
+        let handle = st
+            .matrices
+            .get(name)
+            .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))?;
         let want = handle.meta.tile_dims(ti, tj);
         if (tile.rows(), tile.cols()) != want {
             return Err(DfsError::Codec(format!(
@@ -327,7 +356,7 @@ impl TileStore {
                 tile.cols()
             )));
         }
-        Ok(handle)
+        Ok(st.materialize_bytes)
     }
 
     /// Writes one tile of a registered matrix from `writer`'s node.
@@ -356,21 +385,22 @@ impl TileStore {
         writer: Option<NodeId>,
     ) -> Result<IoReceipt> {
         // Validate registration and dims.
-        self.validate_tile(name, ti, tj, &tile)?;
+        let materialize = self.validate_for_write(name, ti, tj, &tile)?;
         let stored = tile.stored_bytes();
-        if self.materialize_bytes() {
+        if materialize {
             return self.write_tile_encoded(name, ti, tj, encode_tile(&tile), stored, writer);
         }
-        let path = Self::tile_path(name, ti, tj);
-        if self.dfs.exists(&path) {
-            // Re-execution after task failure overwrites the old output.
-            self.dfs.delete_file(&path)?;
-        }
         let wire = encoded_len(&tile);
-        let receipt =
-            self.dfs
-                .write_tile_file(&path, tile, wire, writer, self.dfs.config().replication)?;
-        self.cache.invalidate(&path);
+        let replication = self.dfs.config().replication;
+        let receipt = Self::with_tile_path(name, ti, tj, |path| {
+            // Re-execution after task failure overwrites the old output:
+            // the DFS replaces whatever file is at the path.
+            let receipt = self
+                .dfs
+                .write_tile_file(path, tile, wire, writer, replication)?;
+            self.cache.invalidate(path);
+            Ok::<_, DfsError>(receipt)
+        })?;
         Ok(scale_receipt(receipt, wire, stored))
     }
 
@@ -420,36 +450,60 @@ impl TileStore {
         reader: Option<NodeId>,
         phantom: bool,
     ) -> Result<(Arc<Tile>, IoReceipt)> {
-        let handle = self.lookup(name)?;
-        if let Some(generator) = handle.generator {
+        self.read_or_generate_tile(name, ti, tj, reader, phantom)
+            .map(|(tile, receipt)| (tile, receipt.unwrap_or_default()))
+    }
+
+    /// [`TileStore::read_tile`], saying from the same registry lookup
+    /// whether the tile was read or generated: the receipt is `None` when
+    /// the matrix's generator synthesized the tile (no I/O — the caller
+    /// charges the generation CPU instead).
+    pub fn read_or_generate_tile(
+        &self,
+        name: &str,
+        ti: usize,
+        tj: usize,
+        reader: Option<NodeId>,
+        phantom: bool,
+    ) -> Result<(Arc<Tile>, Option<IoReceipt>)> {
+        let (meta, generator) = self.matrix(name)?;
+        if let Some(generator) = generator {
             if phantom {
-                let tile = generator.generate_phantom(&handle.meta, ti, tj);
-                return Ok((Arc::new(tile), IoReceipt::default()));
+                return Ok((Arc::new(generator.generate_phantom(&meta, ti, tj)), None));
             }
             let path = Self::tile_path(name, ti, tj);
             if let Some(tile) = self.cache.get(&path) {
                 self.trace_cache(true);
-                return Ok((tile, IoReceipt::default()));
+                return Ok((tile, None));
             }
             self.trace_cache(false);
-            let tile = Arc::new(generator.generate(&handle.meta, ti, tj));
+            let tile = Arc::new(generator.generate(&meta, ti, tj));
             self.cache.insert(&path, tile.clone());
-            return Ok((tile, IoReceipt::default()));
+            return Ok((tile, None));
         }
-        let path = Self::tile_path(name, ti, tj);
-        if !self.dfs.exists(&path) {
-            return Err(DfsError::TileNotFound {
+        match Self::with_tile_path(name, ti, tj, |path| self.read_stored(path, reader)) {
+            Ok((tile, receipt)) => Ok((tile, Some(receipt))),
+            Err(DfsError::FileNotFound(_)) => Err(DfsError::TileNotFound {
                 matrix: name.to_string(),
                 tile: (ti, tj),
-            });
+            }),
+            Err(e) => Err(e),
         }
-        if let Some(tile) = self.cache.get(&path) {
+    }
+
+    /// The DFS half of [`TileStore::read_or_generate_tile`]: reads the
+    /// tile stored at `path` through the decoded-tile cache.
+    fn read_stored(&self, path: &str, reader: Option<NodeId>) -> Result<(Arc<Tile>, IoReceipt)> {
+        if let Some(tile) = self.cache.get(path) {
+            if !self.dfs.exists(path) {
+                return Err(DfsError::FileNotFound(path.to_string()));
+            }
             self.trace_cache(true);
-            let receipt = self.dfs.read_receipt(&path, reader)?;
+            let receipt = self.dfs.read_receipt(path, reader)?;
             let receipt = scale_receipt(receipt, receipt.bytes, tile.stored_bytes());
             return Ok((tile, receipt));
         }
-        let (payload, receipt) = self.dfs.read_payload(&path, reader)?;
+        let (payload, receipt) = self.dfs.read_payload(path, reader)?;
         match payload {
             // Handle-plane file: the DFS itself holds the Arc — no decode,
             // no cache entry needed; identity is stable across reads. Not
@@ -463,7 +517,7 @@ impl TileStore {
                 let actual = bytes.len() as u64;
                 let tile = Arc::new(decode_tile(bytes)?);
                 let receipt = scale_receipt(receipt, actual, tile.stored_bytes());
-                self.cache.insert(&path, tile.clone());
+                self.cache.insert(path, tile.clone());
                 Ok((tile, receipt))
             }
         }
@@ -483,9 +537,20 @@ impl TileStore {
             .all(|(ti, tj)| self.dfs.exists(&Self::tile_path(name, ti, tj))))
     }
 
-    /// Whether tile `(ti, tj)` of `name` is fully resident on `node`.
-    pub fn tile_is_local(&self, name: &str, ti: usize, tj: usize, node: NodeId) -> bool {
-        self.dfs.is_local(&Self::tile_path(name, ti, tj), node)
+    /// Visits the nodes a read of tile `(ti, tj)` of `name` is fully local
+    /// on ([`Dfs::home_of`]); allocates nothing. A generated matrix's tiles
+    /// are synthesized by whichever node reads them, so they have no home:
+    /// asking costs one registry lookup.
+    pub fn tile_home(&self, name: &str, ti: usize, tj: usize, visit: impl FnMut(NodeId)) {
+        let generated = self
+            .state
+            .read()
+            .matrices
+            .get(name)
+            .is_some_and(|h| h.generator.is_some());
+        if !generated {
+            Self::with_tile_path(name, ti, tj, |path| self.dfs.home_of(path, visit));
+        }
     }
 
     /// Whether a read of tile `(ti, tj)` of `name` would pay a
@@ -744,11 +809,29 @@ mod tests {
 
     #[test]
     fn locality_hint_via_store() {
+        let home = |s: &TileStore, name: &str| {
+            let mut home = Vec::new();
+            s.tile_home(name, 0, 0, |n| home.push(n));
+            home
+        };
         let s = store();
         s.register("A", MatrixMeta::new(2, 2, 2)).unwrap();
+        assert_eq!(home(&s, "A"), [], "not written yet");
         s.write_tile("A", 0, 0, &Tile::zeros(2, 2), Some(NodeId(3)))
             .unwrap();
-        assert!(s.tile_is_local("A", 0, 0, NodeId(3)));
+        let got = home(&s, "A");
+        assert_eq!((got.len(), got[0]), (2, NodeId(3)), "writer-local first");
+        // An overwrite from another node moves the home with the file.
+        s.write_tile("A", 0, 0, &Tile::zeros(2, 2), Some(NodeId(1)))
+            .unwrap();
+        assert_eq!(home(&s, "A")[0], NodeId(1));
+        s.register_generated(
+            "G",
+            MatrixMeta::new(2, 2, 2),
+            Generator::DenseGaussian { seed: 1 },
+        )
+        .unwrap();
+        assert_eq!(home(&s, "G"), [], "generated tiles have no home");
     }
 
     #[test]

@@ -45,6 +45,208 @@ fn name(f: u8) -> String {
     format!("/f{f}")
 }
 
+/// Replays `op_list` against a fresh DFS and the model: reads return
+/// exactly what the model says or fail only by a loss a node failure
+/// explains, and namespace and storage state match at the end.
+fn agrees_with_model(op_list: &[Op], seed: u64) -> Result<(), TestCaseError> {
+    let dfs = Dfs::new(
+        4,
+        DfsConfig {
+            replication: 4,
+            block_size: 256,
+            seed,
+            racks: 1,
+        },
+    );
+    // Model: file name → payload, plus whether any node failure has
+    // happened since the file was written (the only legitimate cause
+    // of data loss).
+    let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut kills_since_write: HashMap<String, bool> = HashMap::new();
+    let mut live_nodes = 4i32;
+    let mut next_node = 4u32;
+    let mut killed = [false; 64];
+
+    for op in op_list {
+        match op {
+            Op::Write {
+                f,
+                len,
+                fill,
+                writer,
+            } => {
+                let path = name(*f);
+                let payload = vec![*fill; *len as usize];
+                let writer_node = NodeId(*writer as u32);
+                let result = dfs.write_file(&path, Bytes::from(payload.clone()), Some(writer_node));
+                match result {
+                    Ok(receipt) => {
+                        prop_assert!(!model.contains_key(&path), "write over existing must fail");
+                        prop_assert_eq!(receipt.bytes, *len as u64);
+                        kills_since_write.insert(path.clone(), false);
+                        model.insert(path, payload);
+                    }
+                    Err(DfsError::AlreadyExists(_)) => {
+                        prop_assert!(model.contains_key(&path));
+                    }
+                    Err(DfsError::InsufficientNodes { .. }) => {
+                        prop_assert!(live_nodes == 0);
+                    }
+                    Err(e) => prop_assert!(false, "unexpected write error {e}"),
+                }
+            }
+            Op::Read { f, reader } => {
+                let path = name(*f);
+                let result = dfs.read_file(&path, Some(NodeId(*reader as u32)));
+                match (result, model.get(&path)) {
+                    (Ok((data, receipt)), Some(expect)) => {
+                        prop_assert_eq!(data.as_ref(), expect.as_slice());
+                        prop_assert_eq!(receipt.local_bytes + receipt.remote_bytes, receipt.bytes);
+                    }
+                    (Err(DfsError::FileNotFound(_)), None) => {}
+                    (Ok(_), None) => prop_assert!(false, "read of unwritten file succeeded"),
+                    // Loss is only legitimate after a node failure
+                    // postdating the write (every replica holder may
+                    // have died before re-replication found a target).
+                    (Err(DfsError::BlockLost { .. }), Some(_)) => {
+                        prop_assert!(
+                            kills_since_write[&path],
+                            "data lost without any node failure since the write"
+                        );
+                    }
+                    (Err(e), Some(_)) => {
+                        prop_assert!(false, "wrong error for written file: {e}");
+                    }
+                    (Err(e), None) => {
+                        prop_assert!(matches!(e, DfsError::FileNotFound(_)), "wrong error {e}")
+                    }
+                }
+            }
+            Op::Delete { f } => {
+                let path = name(*f);
+                kills_since_write.remove(&path);
+                match (dfs.delete_file(&path), model.remove(&path)) {
+                    (Ok(()), Some(_)) => {}
+                    (Err(DfsError::FileNotFound(_)), None) => {}
+                    (r, m) => {
+                        prop_assert!(false, "delete mismatch: {r:?} vs model {:?}", m.is_some())
+                    }
+                }
+            }
+            Op::KillNode { n } => {
+                if !killed[*n as usize] {
+                    killed[*n as usize] = true;
+                    live_nodes -= 1;
+                    for flag in kills_since_write.values_mut() {
+                        *flag = true;
+                    }
+                    let _ = dfs.kill_node(NodeId(*n as u32));
+                }
+            }
+            Op::AddNode => {
+                let id = dfs.add_node();
+                prop_assert_eq!(id.0, next_node);
+                killed[next_node as usize] = false;
+                next_node += 1;
+                live_nodes += 1;
+            }
+        }
+    }
+
+    // Final invariants. Logical bytes equal the model's totals: a file
+    // whose every holder died keeps its namespace entry and its length,
+    // like an HDFS file with missing blocks, but no stored byte. So it is
+    // the files that still read back — at least one replica of every
+    // block — whose bytes the datanodes must hold at least once, and the
+    // namenode's replica lists must match what the datanodes hold.
+    let (logical, physical) = dfs.storage_stats();
+    let expect_logical: u64 = model.values().map(|v| v.len() as u64).sum();
+    prop_assert_eq!(logical, expect_logical);
+    let readable: u64 = model
+        .iter()
+        .filter(|(path, _)| dfs.read_file(path, None).is_ok())
+        .map(|(_, v)| v.len() as u64)
+        .sum();
+    prop_assert!(
+        physical >= readable,
+        "physical {physical} < readable {readable}"
+    );
+    prop_assert!(dfs.storage_accounting().is_conserved());
+    Ok(())
+}
+
+/// Case 411 of 4 000 of [`dfs_agrees_with_model`], pinned: nodes 0, 2
+/// and 3 die, leaving `/f1` on node 1 alone; node 1 dies too, and three
+/// fresh nodes join. `/f1` is lost — legitimately — so physical bytes
+/// (`/f0` three times, 1 119) fall below logical ones (2 151), which the
+/// model must allow.
+#[test]
+fn dfs_agrees_with_model_after_a_file_loses_every_holder() {
+    use Op::*;
+    let ops = [
+        Read { f: 4, reader: 0 },
+        KillNode { n: 0 },
+        Read { f: 0, reader: 0 },
+        KillNode { n: 2 },
+        Write {
+            f: 1,
+            len: 1778,
+            fill: 32,
+            writer: 0,
+        },
+        KillNode { n: 2 },
+        Read { f: 5, reader: 3 },
+        Write {
+            f: 2,
+            len: 1857,
+            fill: 62,
+            writer: 3,
+        },
+        Write {
+            f: 1,
+            len: 678,
+            fill: 153,
+            writer: 3,
+        },
+        KillNode { n: 3 },
+        Delete { f: 5 },
+        Read { f: 5, reader: 2 },
+        KillNode { n: 1 },
+        Delete { f: 2 },
+        Read { f: 2, reader: 1 },
+        Write {
+            f: 1,
+            len: 1094,
+            fill: 219,
+            writer: 3,
+        },
+        Read { f: 2, reader: 2 },
+        Read { f: 0, reader: 0 },
+        AddNode,
+        AddNode,
+        AddNode,
+        Read { f: 4, reader: 3 },
+        Delete { f: 3 },
+        Read { f: 2, reader: 0 },
+        Write {
+            f: 4,
+            len: 419,
+            fill: 106,
+            writer: 0,
+        },
+        Delete { f: 5 },
+        Write {
+            f: 0,
+            len: 373,
+            fill: 13,
+            writer: 2,
+        },
+        Read { f: 2, reader: 2 },
+        Delete { f: 4 },
+    ];
+    agrees_with_model(&ops, 90).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -52,102 +254,7 @@ proptest! {
     /// the model says, and namespace state matches.
     #[test]
     fn dfs_agrees_with_model(op_list in ops(), seed in 0u64..100) {
-        let dfs = Dfs::new(4, DfsConfig { replication: 4, block_size: 256, seed, racks: 1 });
-        // Model: file name → payload, plus whether any node failure has
-        // happened since the file was written (the only legitimate cause
-        // of data loss).
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
-        let mut kills_since_write: HashMap<String, bool> = HashMap::new();
-        let mut live_nodes = 4i32;
-        let mut next_node = 4u32;
-        let mut killed = [false; 64];
-
-        for op in &op_list {
-            match op {
-                Op::Write { f, len, fill, writer } => {
-                    let path = name(*f);
-                    let payload = vec![*fill; *len as usize];
-                    let writer_node = NodeId(*writer as u32);
-                    let result = dfs.write_file(&path, Bytes::from(payload.clone()), Some(writer_node));
-                    match result {
-                        Ok(receipt) => {
-                            prop_assert!(!model.contains_key(&path), "write over existing must fail");
-                            prop_assert_eq!(receipt.bytes, *len as u64);
-                            kills_since_write.insert(path.clone(), false);
-                            model.insert(path, payload);
-                        }
-                        Err(DfsError::AlreadyExists(_)) => {
-                            prop_assert!(model.contains_key(&path));
-                        }
-                        Err(DfsError::InsufficientNodes { .. }) => {
-                            prop_assert!(live_nodes == 0);
-                        }
-                        Err(e) => prop_assert!(false, "unexpected write error {e}"),
-                    }
-                }
-                Op::Read { f, reader } => {
-                    let path = name(*f);
-                    let result = dfs.read_file(&path, Some(NodeId(*reader as u32)));
-                    match (result, model.get(&path)) {
-                        (Ok((data, receipt)), Some(expect)) => {
-                            prop_assert_eq!(data.as_ref(), expect.as_slice());
-                            prop_assert_eq!(receipt.local_bytes + receipt.remote_bytes, receipt.bytes);
-                        }
-                        (Err(DfsError::FileNotFound(_)), None) => {}
-                        (Ok(_), None) => prop_assert!(false, "read of unwritten file succeeded"),
-                        // Loss is only legitimate after a node failure
-                        // postdating the write (every replica holder may
-                        // have died before re-replication found a target).
-                        (Err(DfsError::BlockLost { .. }), Some(_)) => {
-                            prop_assert!(
-                                kills_since_write[&path],
-                                "data lost without any node failure since the write"
-                            );
-                        }
-                        (Err(e), Some(_)) => {
-                            prop_assert!(false, "wrong error for written file: {e}");
-                        }
-                        (Err(e), None) => prop_assert!(
-                            matches!(e, DfsError::FileNotFound(_)),
-                            "wrong error {e}"
-                        ),
-                    }
-                }
-                Op::Delete { f } => {
-                    let path = name(*f);
-                    kills_since_write.remove(&path);
-                    match (dfs.delete_file(&path), model.remove(&path)) {
-                        (Ok(()), Some(_)) => {}
-                        (Err(DfsError::FileNotFound(_)), None) => {}
-                        (r, m) => prop_assert!(false, "delete mismatch: {r:?} vs model {:?}", m.is_some()),
-                    }
-                }
-                Op::KillNode { n } => {
-                    if !killed[*n as usize] {
-                        killed[*n as usize] = true;
-                        live_nodes -= 1;
-                        for flag in kills_since_write.values_mut() {
-                            *flag = true;
-                        }
-                        let _ = dfs.kill_node(NodeId(*n as u32));
-                    }
-                }
-                Op::AddNode => {
-                    let id = dfs.add_node();
-                    prop_assert_eq!(id.0, next_node);
-                    killed[next_node as usize] = false;
-                    next_node += 1;
-                    live_nodes += 1;
-                }
-            }
-        }
-
-        // Final invariant: logical bytes equal the model's totals.
-        let (logical, physical) = dfs.storage_stats();
-        let expect_logical: u64 = model.values().map(|v| v.len() as u64).sum();
-        prop_assert_eq!(logical, expect_logical);
-        prop_assert!(physical >= logical || model.is_empty() || live_nodes <= 1,
-            "physical {physical} < logical {logical}");
+        agrees_with_model(&op_list, seed)?;
     }
 
     /// Sequential single-node kills with replication ≥ 2 lose NOTHING:
