@@ -45,22 +45,11 @@ impl Series {
         self.rows.push(row);
     }
 
-    /// Renders as a JSON object (hand-rolled; the only JSON this repo
-    /// emits, so a serializer dependency isn't warranted).
+    /// Renders as a JSON object, hand-rolled with the workspace's one
+    /// string escaper ([`cumulon::trace::json::escape`]), so no
+    /// serializer dependency is needed.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
+        use cumulon::trace::json::escape as esc;
         let header = self
             .header
             .iter()

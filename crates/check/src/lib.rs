@@ -6,8 +6,8 @@
 //! The other crates each test themselves; this one tests the *contracts
 //! between them*. It drives a small workload suite (a multiply chain, a
 //! Gram matrix, an iterative power method) through the full observational
-//! configuration lattice — worker threads 1 vs. N, tile-handle vs.
-//! materialized-byte payloads, tracing on/off, billing policies, injected
+//! configuration lattice — worker threads 1 vs. N, unbounded vs.
+//! spill-forcing memory budgets, tracing on/off, billing policies, injected
 //! faults with lineage recovery, and solo vs. multi-tenant service
 //! concurrency — and machine-checks the global identities that hold the
 //! system together:

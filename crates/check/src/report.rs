@@ -11,7 +11,7 @@ use cumulon_trace::json::escape;
 pub struct CheckOutcome {
     /// Invariant identifier (stable, kebab-case — see DESIGN.md).
     pub invariant: &'static str,
-    /// The configuration lattice point, e.g. `gram/t4/bytes/trace`.
+    /// The configuration lattice point, e.g. `gram/t4/tiles/trace`.
     pub config: String,
     /// Whether the invariant held.
     pub passed: bool,

@@ -9,7 +9,6 @@
 //! change what it computes:
 //!
 //! * worker threads: 1 vs. N (deterministic parallel executor);
-//! * payload plane: tile handles vs. materialized wire bytes;
 //! * memory budget: unbounded vs. a budget tight enough that the
 //!   out-of-core plane must continuously spill tiles to the blob store;
 //! * tracing: off vs. on (spans are observational by design);
@@ -30,7 +29,7 @@
 //!   differs, so this one is a tight tolerance, not bitwise).
 //! * `byte-conservation` — after every run, namenode metadata and
 //!   datanode byte counters agree exactly, block for block, node for
-//!   node (checked on both payload planes, including after node kills).
+//!   node (checked at every lattice point, including after node kills).
 //! * `billing-identity` — every report's `billed_hours`/`cost_dollars`
 //!   equal the billing functions applied to its makespan, bitwise, and
 //!   `cluster_cost == nodes × price × billed_hours` for every policy.
@@ -287,7 +286,6 @@ impl Workload for Gram {
 #[derive(Debug, Clone, Copy)]
 struct LatticePoint {
     threads: usize,
-    materialize_bytes: bool,
     trace: bool,
     billing: BillingPolicy,
     /// Resident-tile budget in bytes; 0 leaves the out-of-core plane off.
@@ -296,22 +294,18 @@ struct LatticePoint {
 
 const BASELINE: LatticePoint = LatticePoint {
     threads: 1,
-    materialize_bytes: false,
     trace: false,
     billing: BillingPolicy::HourlyCeil,
     memory_budget: 0,
 };
 
 impl LatticePoint {
+    /// `tiles` names the one payload plane; it stays in the label so the
+    /// labels match those of earlier lattices.
     fn label(&self, case: &str) -> String {
         format!(
-            "{case}/t{}/{}/{}{}{}",
+            "{case}/t{}/tiles/{}{}{}",
             self.threads,
-            if self.materialize_bytes {
-                "bytes"
-            } else {
-                "tiles"
-            },
             if self.trace { "trace" } else { "notrace" },
             if self.billing == BillingPolicy::PerSecond {
                 "/sec"
@@ -360,9 +354,6 @@ fn run_case_prefetched(
 ) -> Result<RunArtifacts> {
     let mut cluster = Cluster::provision(spec()).map_err(CoreError::from)?;
     cluster.set_billing(point.billing);
-    cluster
-        .store()
-        .set_materialize_bytes(point.materialize_bytes);
     if point.memory_budget > 0 {
         cluster
             .store()
@@ -461,25 +452,15 @@ fn check_case(case: &Case, opts: &CheckOptions, report: &mut CheckReport) -> u64
 
     let n = threads_n();
     let mut variants: Vec<LatticePoint> = Vec::new();
-    let combos: &[(usize, bool, bool)] = if opts.quick {
-        // One point per untested axis: threads+trace together, then the
-        // byte plane alone.
-        &[(0, false, true), (1, true, false)]
+    let combos: &[(usize, bool)] = if opts.quick {
+        // Both untested axes in one point: threads and trace together.
+        &[(0, true)]
     } else {
-        &[
-            (1, false, true),
-            (1, true, false),
-            (1, true, true),
-            (0, false, false),
-            (0, false, true),
-            (0, true, false),
-            (0, true, true),
-        ]
+        &[(1, true), (0, false), (0, true)]
     };
-    for &(t, mat, tr) in combos {
+    for &(t, tr) in combos {
         variants.push(LatticePoint {
             threads: if t == 0 { n } else { t },
-            materialize_bytes: mat,
             trace: tr,
             ..BASELINE
         });
@@ -1451,9 +1432,38 @@ fn winner_matches_sweep(
 mod tests {
     use super::*;
 
+    /// The report's `invariant config` pairs, sorted, one per line, with
+    /// the host-dependent parts of a label normalized: the N of the
+    /// `threads ∈ {1, N}` axis becomes `tN`, and the packed GEMM's SIMD
+    /// tier becomes `SIMD`.
+    fn golden_labels(report: &CheckReport) -> String {
+        let threads = format!("/t{}/", threads_n());
+        let simd = format!("dense-packed/{}/", cumulon_matrix::simd_level().name());
+        let mut lines: Vec<String> = report
+            .outcomes
+            .iter()
+            .map(|o| {
+                let config = o
+                    .config
+                    .replace(&threads, "/tN/")
+                    .replace(&simd, "dense-packed/SIMD/");
+                format!("{} {config}\n", o.invariant)
+            })
+            .collect();
+        lines.sort();
+        lines.concat()
+    }
+
     /// The quick lattice at HEAD must pass clean — this is the CI gate's
     /// in-process twin, so a reintroduced invariant violation fails
-    /// `cargo test` even before the `cumulon check` step runs.
+    /// `cargo test` even before the `cumulon check` step runs. Its labels
+    /// must equal the committed golden list, so a label that appears,
+    /// disappears or is renamed fails here by name. Re-bless after an
+    /// intentional lattice change with:
+    ///
+    /// ```sh
+    /// BLESS_CHECK_GOLDEN=1 cargo test -p cumulon-check quick_suite_passes_at_head
+    /// ```
     #[test]
     fn quick_suite_passes_at_head() {
         let report = run_checks(&CheckOptions { quick: true }).unwrap();
@@ -1462,6 +1472,24 @@ mod tests {
             "invariant violations at HEAD:\n{}",
             report.render()
         );
+        let labels = golden_labels(&report);
+        if std::env::var_os("BLESS_CHECK_GOLDEN").is_some() {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/quick_labels.txt");
+            std::fs::write(path, &labels).expect("bless golden");
+        }
+        let golden = include_str!("../golden/quick_labels.txt");
+        if labels != golden {
+            let (got, want): (BTreeSet<&str>, BTreeSet<&str>) =
+                (labels.lines().collect(), golden.lines().collect());
+            panic!(
+                "check labels diverged from golden/quick_labels.txt\n\
+                 new: {:?}\nmissing: {:?}\n\
+                 if intentional, re-bless with BLESS_CHECK_GOLDEN=1 \
+                 cargo test -p cumulon-check quick_suite_passes_at_head",
+                got.difference(&want).collect::<Vec<_>>(),
+                want.difference(&got).collect::<Vec<_>>()
+            );
+        }
         // Every invariant class must actually be exercised.
         for inv in [
             "result-identity",

@@ -1244,20 +1244,18 @@ mod tests {
         assert!(r.jobs[0].receipt.write.bytes > 0);
     }
 
-    /// Triple-plane equivalence at the executor level: the same faulty
-    /// tile workload on the handle plane, the materialize-bytes plane,
-    /// and the handle plane under a memory budget tight enough to force
-    /// constant eviction must produce the same report fingerprint and
-    /// the same output bits, at one worker thread and at several. Only
-    /// the budgeted arms may touch the spill path.
+    /// Spill equivalence at the executor level: the same faulty tile
+    /// workload unbounded and under a memory budget tight enough to force
+    /// constant eviction must produce the same report fingerprint and the
+    /// same output bits, at one worker thread and at several. Only the
+    /// budgeted arms may touch the spill path.
     #[test]
-    fn spill_pressure_and_payload_planes_share_one_fingerprint() {
+    fn spill_pressure_and_threads_share_one_fingerprint() {
         use cumulon_matrix::tile::ElemOp;
 
-        // (threads, budget bytes, materialize) -> (fingerprint+output, evictions)
-        let run = |threads: usize, budget: u64, materialize: bool| {
+        // (threads, budget bytes) -> (fingerprint+output, evictions)
+        let run = |threads: usize, budget: u64| {
             let c = cluster(3, 2);
-            c.store().set_materialize_bytes(materialize);
             if budget > 0 {
                 c.store()
                     .set_memory_budget(&cumulon_dfs::SpillConfig::budgeted(budget))
@@ -1344,20 +1342,11 @@ mod tests {
 
         // ~150 wire bytes per 4x4 dense tile, 36 tiles in flight: a 600 B
         // budget keeps only a handful resident and evicts continuously.
-        let (base, ev) = run(1, 0, false);
+        let (base, ev) = run(1, 0);
         assert_eq!(ev, 0, "no budget, no spill plane");
-        for (threads, budget, materialize) in [
-            (4, 0, false),
-            (1, 0, true),
-            (4, 0, true),
-            (1, 600, false),
-            (4, 600, false),
-        ] {
-            let (fp, ev) = run(threads, budget, materialize);
-            assert_eq!(
-                fp, base,
-                "plane divergence at threads={threads} budget={budget} materialize={materialize}"
-            );
+        for (threads, budget) in [(4, 0), (1, 600), (4, 600)] {
+            let (fp, ev) = run(threads, budget);
+            assert_eq!(fp, base, "divergence at threads={threads} budget={budget}");
             if budget > 0 {
                 assert!(
                     ev > 0,

@@ -70,10 +70,6 @@ pub enum Command {
         /// task resolved inline in the event loop). Results are identical
         /// either way.
         threads: usize,
-        /// Materialize encoded bytes on every DFS tile write instead of
-        /// zero-copy handles. Results are identical; useful for testing
-        /// the byte plane.
-        materialize_bytes: bool,
         /// Write a Chrome `trace_event` JSON timeline of the run here
         /// (load in Perfetto or `chrome://tracing`). Tracing never
         /// changes results.
@@ -190,7 +186,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                       [--spot [--bid FRAC]]   (spot-vs-on-demand × checkpoint\n\
                       interval search under the deadline)\n\
              run:     --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
-                      [--kernel-threads K] [--materialize-bytes] [--trace FILE.json]\n\
+                      [--kernel-threads K] [--trace FILE.json]\n\
                       [--memory-budget BYTES [--spill-dir PATH] [--prefetch-depth N]]\n\
                       [--spot [--bid FRAC]] [--elastic]\n\
              trace:   --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
@@ -319,7 +315,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
     let mut real = false;
     let mut threads = 0usize;
     let mut kernel_threads = 1usize;
-    let mut materialize_bytes = false;
     let mut trace: Option<String> = None;
     let mut spot = false;
     let mut bid: Option<f64> = None;
@@ -372,7 +367,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .map_err(|_| CoreError::Invariant("--slots needs an integer".into()))?
             }
             "--real" => real = true,
-            "--materialize-bytes" => materialize_bytes = true,
             "--spot" => spot = true,
             "--elastic" => elastic = true,
             "--bid" => {
@@ -491,7 +485,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 slots,
                 real,
                 threads,
-                materialize_bytes,
                 trace,
                 spot,
                 bid,
@@ -773,7 +766,6 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             slots,
             real,
             threads,
-            materialize_bytes,
             trace,
             spot,
             bid,
@@ -788,7 +780,6 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             let compiled = load_script(script)?;
             let descs = check_inputs(&compiled, inputs)?;
             let cluster = provision_for_run(inputs, instance, *nodes, *slots)?;
-            cluster.store().set_materialize_bytes(*materialize_bytes);
             if *memory_budget > 0 {
                 let config = cumulon_dfs::SpillConfig {
                     budget_bytes: *memory_budget,
@@ -1205,8 +1196,7 @@ mod tests {
     #[test]
     fn parse_run_command() {
         let cmd = parse_args(&args(
-            "run s.cm --input A=10x10 --instance m1.large --nodes 4 --slots 2 --real --threads 3 \
-             --materialize-bytes",
+            "run s.cm --input A=10x10 --instance m1.large --nodes 4 --slots 2 --real --threads 3",
         ))
         .unwrap();
         assert_eq!(
@@ -1219,7 +1209,6 @@ mod tests {
                 slots: 2,
                 real: true,
                 threads: 3,
-                materialize_bytes: true,
                 trace: None,
                 spot: false,
                 bid: None,
@@ -1570,7 +1559,6 @@ mod tests {
                 slots: 0,
                 real: true,
                 threads: 0,
-                materialize_bytes: false,
                 trace: None,
                 spot: false,
                 bid: None,
@@ -1609,7 +1597,6 @@ mod tests {
                     slots: 0,
                     real: true,
                     threads: 1,
-                    materialize_bytes: false,
                     trace: None,
                     spot: false,
                     bid: None,
@@ -1666,7 +1653,6 @@ mod tests {
                 slots: 2,
                 real: true,
                 threads: 1,
-                materialize_bytes: false,
                 trace: None,
                 spot: true,
                 bid: Some(0.3),

@@ -1,9 +1,11 @@
 //! Datanode block storage.
 //!
-//! Blocks live on one of two planes:
+//! Blocks live in one of three forms:
 //!
 //! * the **byte plane** ([`BlockPayload::Bytes`]) — a materialized encoded
-//!   buffer, as a real DFS would store;
+//!   buffer, as a real DFS would store. Only files that crossed a real
+//!   serialization boundary take this form: checkpoints, and anything
+//!   written through [`crate::Dfs::write_file`];
 //! * the **handle plane** ([`BlockPayload::Tile`]) — a shared `Arc<Tile>`
 //!   plus the exact wire length the encoded block *would* occupy. All
 //!   byte-accounting counters use that wire length, so the two planes are
@@ -29,7 +31,8 @@ pub struct BlockId(pub u64);
 /// The stored form of one block replica.
 #[derive(Debug, Clone)]
 pub enum BlockPayload {
-    /// Materialized encoded bytes (checkpoints, `--materialize-bytes` mode).
+    /// Materialized encoded bytes: checkpointed tiles and raw
+    /// [`crate::Dfs::write_file`] payloads.
     Bytes(Bytes),
     /// Zero-copy tile handle. `len` is the wire length this block would have
     /// if encoded — for single-block tile files that is the full encoding;

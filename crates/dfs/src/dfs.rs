@@ -1015,7 +1015,8 @@ impl Dfs {
 /// Both sides of the byte-conservation ledger, from one consistent
 /// snapshot: what the namenode's block metadata says the datanodes hold,
 /// and what their own counters report. [`StorageAccounting::is_conserved`]
-/// is the invariant `cumulon check` enforces on both payload planes.
+/// is the invariant `cumulon check` enforces after every lattice run, and
+/// the DFS property tests across checkpoints to the byte plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageAccounting {
     /// Σ file lengths (logical, not × replication).

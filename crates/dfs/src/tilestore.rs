@@ -6,11 +6,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use cumulon_matrix::gen::Generator;
-use cumulon_matrix::serialize::{decode_tile, encode_tile, encoded_len};
+use cumulon_matrix::serialize::{decode_tile, encoded_len};
 use cumulon_matrix::{LocalMatrix, MatrixMeta, Tile};
 
 use crate::dfs::{Dfs, FilePayload, IoReceipt, NodeId};
@@ -31,11 +30,6 @@ pub struct MatrixHandle {
 
 struct StoreState {
     matrices: BTreeMap<String, MatrixHandle>,
-    /// When set, tile writes materialize encoded bytes (the pre-handle-plane
-    /// behavior) instead of storing `Arc<Tile>` handles. Kept for tests and
-    /// the `--materialize-bytes` CLI mode; receipts and results must be
-    /// identical either way.
-    materialize_bytes: bool,
 }
 
 /// Number of independent cache shards; keyed reads on different tiles do
@@ -191,7 +185,6 @@ impl TileStore {
             dfs,
             state: Arc::new(RwLock::new(StoreState {
                 matrices: BTreeMap::new(),
-                materialize_bytes: false,
             })),
             cache: Arc::new(TileCache::new(cache_bytes)),
             trace: Arc::new(RwLock::new(cumulon_trace::Trace::disabled())),
@@ -239,19 +232,6 @@ impl TileStore {
         } else {
             trace.cache_miss();
         }
-    }
-
-    /// Forces tile writes onto the byte plane (encode on write, decode on
-    /// read) instead of the zero-copy handle plane. Receipts, placement,
-    /// and results are identical either way; this mode exists so tests can
-    /// assert that equivalence and exercise the codec end-to-end.
-    pub fn set_materialize_bytes(&self, on: bool) {
-        self.state.write().materialize_bytes = on;
-    }
-
-    /// Whether writes currently materialize encoded bytes.
-    pub fn materialize_bytes(&self) -> bool {
-        self.state.read().materialize_bytes
     }
 
     fn tile_path(name: &str, ti: usize, tj: usize) -> String {
@@ -334,15 +314,9 @@ impl TileStore {
     }
 
     /// Validates that a tile's dims match slot `(ti, tj)` of a registered
-    /// matrix. Deferred-write task contexts run this at staging time so
-    /// in-task error behavior matches an eager write.
+    /// matrix. Task contexts run this when they stage a write, so a
+    /// malformed tile fails inside the task, as a direct write would.
     pub fn validate_tile(&self, name: &str, ti: usize, tj: usize, tile: &Tile) -> Result<()> {
-        self.validate_for_write(name, ti, tj, tile).map(|_| ())
-    }
-
-    /// [`TileStore::validate_tile`], also returning whether writes
-    /// materialize bytes — both read under one registry lock.
-    fn validate_for_write(&self, name: &str, ti: usize, tj: usize, tile: &Tile) -> Result<bool> {
         let st = self.state.read();
         let handle = st
             .matrices
@@ -356,7 +330,7 @@ impl TileStore {
                 tile.cols()
             )));
         }
-        Ok(st.materialize_bytes)
+        Ok(())
     }
 
     /// Writes one tile of a registered matrix from `writer`'s node.
@@ -371,11 +345,10 @@ impl TileStore {
         self.write_tile_arc(name, ti, tj, Arc::new(tile.clone()), writer)
     }
 
-    /// Writes one tile as a shared handle — the hot path. On the default
-    /// handle plane the `Arc<Tile>` goes into the DFS as-is, charged at its
-    /// exact wire length; under [`TileStore::set_materialize_bytes`] the
-    /// tile is encoded and written as bytes instead. Both paths produce
-    /// identical receipts and placement.
+    /// Writes one tile as a shared handle — the hot path. The `Arc<Tile>`
+    /// goes into the DFS as-is, charged at its exact encoded length
+    /// ([`encoded_len`]), so receipts and placement match a byte write of
+    /// the same tile; phantom tiles are charged at their logical size.
     pub fn write_tile_arc(
         &self,
         name: &str,
@@ -384,12 +357,8 @@ impl TileStore {
         tile: Arc<Tile>,
         writer: Option<NodeId>,
     ) -> Result<IoReceipt> {
-        // Validate registration and dims.
-        let materialize = self.validate_for_write(name, ti, tj, &tile)?;
+        self.validate_tile(name, ti, tj, &tile)?;
         let stored = tile.stored_bytes();
-        if materialize {
-            return self.write_tile_encoded(name, ti, tj, encode_tile(&tile), stored, writer);
-        }
         let wire = encoded_len(&tile);
         let replication = self.dfs.config().replication;
         let receipt = Self::with_tile_path(name, ti, tj, |path| {
@@ -402,33 +371,6 @@ impl TileStore {
             Ok::<_, DfsError>(receipt)
         })?;
         Ok(scale_receipt(receipt, wire, stored))
-    }
-
-    /// Writes one pre-encoded tile. Deferred-write task contexts encode at
-    /// staging time (so the compute cost lands on the worker) and commit
-    /// through this entry point; dims must already have been validated via
-    /// [`TileStore::validate_tile`].
-    pub fn write_tile_encoded(
-        &self,
-        name: &str,
-        ti: usize,
-        tj: usize,
-        encoded: Bytes,
-        stored_bytes: u64,
-        writer: Option<NodeId>,
-    ) -> Result<IoReceipt> {
-        let path = Self::tile_path(name, ti, tj);
-        if self.dfs.exists(&path) {
-            // Re-execution after task failure overwrites the old output.
-            self.dfs.delete_file(&path)?;
-        }
-        let actual = encoded.len() as u64;
-        let receipt = self.dfs.write_file(&path, encoded, writer)?;
-        self.cache.invalidate(&path);
-        // Phantom tiles are tiny on the wire but stand in for full-size
-        // data: rescale the receipt to the tile's logical stored size so
-        // simulated-scale runs charge realistic I/O.
-        Ok(scale_receipt(receipt, actual, stored_bytes))
     }
 
     /// Reads one tile as a shared handle; generated matrices synthesize the
@@ -875,7 +817,6 @@ mod tests {
 mod data_plane_tests {
     use super::*;
     use crate::dfs::DfsConfig;
-    use cumulon_matrix::gen::Generator;
 
     fn store_with(seed: u64) -> TileStore {
         TileStore::new(Dfs::new(
@@ -887,53 +828,6 @@ mod data_plane_tests {
                 racks: 1,
             },
         ))
-    }
-
-    /// The handle plane and the byte plane must be indistinguishable to
-    /// every observable: write receipts, read receipts, read-back values,
-    /// placement, and storage stats.
-    #[test]
-    fn materialize_bytes_mode_is_observationally_identical() {
-        let meta = MatrixMeta::new(20, 20, 8);
-        let m = LocalMatrix::generate(meta, &Generator::DenseGaussian { seed: 42 });
-        let handle_store = store_with(77);
-        let byte_store = store_with(77);
-        byte_store.set_materialize_bytes(true);
-        assert!(byte_store.materialize_bytes() && !handle_store.materialize_bytes());
-        for s in [&handle_store, &byte_store] {
-            s.register("A", meta).unwrap();
-        }
-        for ((ti, tj), tile) in m.iter_tiles() {
-            let rh = handle_store
-                .write_tile("A", ti, tj, tile, Some(NodeId(1)))
-                .unwrap();
-            let rb = byte_store
-                .write_tile("A", ti, tj, tile, Some(NodeId(1)))
-                .unwrap();
-            assert_eq!(rh, rb, "write receipts diverge at ({ti},{tj})");
-        }
-        assert_eq!(
-            handle_store.dfs().storage_stats(),
-            byte_store.dfs().storage_stats()
-        );
-        assert_eq!(
-            handle_store.dfs().per_node_bytes(),
-            byte_store.dfs().per_node_bytes()
-        );
-        for ((ti, tj), _) in m.iter_tiles() {
-            let (th, rh) = handle_store
-                .read_tile("A", ti, tj, Some(NodeId(0)), false)
-                .unwrap();
-            let (tb, rb) = byte_store
-                .read_tile("A", ti, tj, Some(NodeId(0)), false)
-                .unwrap();
-            assert_eq!(rh, rb, "read receipts diverge at ({ti},{tj})");
-            assert_eq!(th, tb, "tiles diverge at ({ti},{tj})");
-        }
-        assert_eq!(
-            handle_store.get_local("A").unwrap().to_dense_vec().unwrap(),
-            byte_store.get_local("A").unwrap().to_dense_vec().unwrap()
-        );
     }
 
     #[test]
@@ -964,7 +858,9 @@ mod data_plane_tests {
     fn checkpoint_moves_handle_file_to_byte_plane() {
         // checkpoint_matrix reads files as bytes (the serialization
         // boundary) and rewrites them durably — afterwards the file is a
-        // real byte-plane file that decodes to the same tile.
+        // real byte-plane file that decodes to the same tile, and reading
+        // it (decode, receipt rescale, cache insert) charges the bytes a
+        // handle read charged.
         let s = store_with(3);
         let meta = MatrixMeta::new(6, 6, 6);
         s.register("W", meta).unwrap();
@@ -972,14 +868,21 @@ mod data_plane_tests {
             1, 0, 0, 6, 6, -1.0, 1.0,
         ));
         s.write_tile("W", 0, 0, &tile, Some(NodeId(0))).unwrap();
-        let (before, _) = s.read_tile("W", 0, 0, None, false).unwrap();
+        let reader = Some(NodeId(1));
+        let (before, handle_read) = s.read_tile("W", 0, 0, reader, false).unwrap();
         s.checkpoint_matrix("W", 3).unwrap();
         match s.dfs().read_payload("/matrix/W/0_0", None).unwrap().0 {
             FilePayload::Bytes(b) => assert_eq!(decode_tile(b).unwrap(), *before),
             FilePayload::Tile(_) => panic!("checkpointed file still on the handle plane"),
         }
-        let (after, _) = s.read_tile("W", 0, 0, None, false).unwrap();
+        let (after, byte_read) = s.read_tile("W", 0, 0, reader, false).unwrap();
         assert_eq!(*after, *before);
+        assert_eq!(byte_read.bytes, handle_read.bytes, "planes charge alike");
+        // The decoded tile was cached: a second read shares it and
+        // replays the same receipt.
+        let (cached, cached_read) = s.read_tile("W", 0, 0, reader, false).unwrap();
+        assert!(Arc::ptr_eq(&cached, &after), "second read missed the cache");
+        assert_eq!(cached_read, byte_read);
     }
 }
 

@@ -81,9 +81,11 @@ proptest! {
             Tile::phantom(m, n, (m * n) as u64 / 2),
         ];
         for t in tiles {
-            let decoded = cumulon_matrix::serialize::decode_tile(
-                cumulon_matrix::serialize::encode_tile(&t),
-            ).unwrap();
+            let encoded = cumulon_matrix::serialize::encode_tile(&t);
+            // The DFS charges handle-plane tiles this length without
+            // encoding them; it must be the length a byte write stores.
+            prop_assert_eq!(cumulon_matrix::serialize::encoded_len(&t), encoded.len() as u64);
+            let decoded = cumulon_matrix::serialize::decode_tile(encoded).unwrap();
             prop_assert_eq!(decoded, t);
         }
     }
