@@ -354,6 +354,10 @@ impl TaskCtx {
     }
 }
 
+/// A tile of a named matrix: `(matrix, ti, tj)`. The name is shared, so
+/// the hints and read sets of a job's tasks hold one allocation of it.
+pub type TileRef = (Arc<str>, usize, usize);
+
 /// Task logic: a function of the context. Must be `Fn` (not `FnOnce`) so
 /// failed attempts can be retried, and `Send + Sync` so jobs can be
 /// executed from worker threads.
@@ -366,13 +370,13 @@ pub struct Task {
     pub run: TaskFn,
     /// Matrix/tile whose locality should guide placement, if any:
     /// `(matrix, ti, tj)` of the dominant input.
-    pub locality_hint: Option<(String, usize, usize)>,
+    pub locality_hint: Option<TileRef>,
     /// Input tiles the task will read, in read order, when the task
     /// builder knows them (e.g. the operand band of a GEMM task). The
     /// scheduler prefetches spilled tiles from this set; when empty, the
     /// locality hint alone stands in for it. Purely advisory — never
     /// consulted on any result-bearing path.
-    pub read_set: Vec<(String, usize, usize)>,
+    pub read_set: Vec<TileRef>,
 }
 
 impl Task {
@@ -385,16 +389,17 @@ impl Task {
         }
     }
 
-    /// Attaches a locality hint.
-    pub fn with_locality(mut self, matrix: &str, ti: usize, tj: usize) -> Self {
-        self.locality_hint = Some((matrix.to_string(), ti, tj));
+    /// Attaches a locality hint. Pass a shared `Arc<str>` to attach the
+    /// name without copying it.
+    pub fn with_locality(mut self, matrix: impl Into<Arc<str>>, ti: usize, tj: usize) -> Self {
+        self.locality_hint = Some((matrix.into(), ti, tj));
         self
     }
 
     /// Declares the input tiles the task will read, in read order, so the
     /// scheduler can prefetch exactly what is about to be demanded and
     /// nothing else.
-    pub fn with_read_set(mut self, tiles: Vec<(String, usize, usize)>) -> Self {
+    pub fn with_read_set(mut self, tiles: Vec<TileRef>) -> Self {
         self.read_set = tiles;
         self
     }
@@ -580,7 +585,7 @@ mod tests {
     #[test]
     fn locality_hint_builder() {
         let t = Task::new(|_| Ok(())).with_locality("A", 1, 2);
-        assert_eq!(t.locality_hint, Some(("A".to_string(), 1, 2)));
+        assert_eq!(t.locality_hint, Some((Arc::from("A"), 1, 2)));
     }
 
     #[test]

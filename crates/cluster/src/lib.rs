@@ -47,7 +47,7 @@ pub use cluster::{Cluster, ClusterSpec};
 pub use error::{ClusterError, Result};
 pub use hw::{HardwareModel, NoiseModel};
 pub use instances::{catalog, InstanceType};
-pub use job::{ExecMode, Job, JobDag, Task, TaskCtx, TaskReceipt};
+pub use job::{ExecMode, Job, JobDag, Task, TaskCtx, TaskReceipt, TileRef};
 pub use metrics::{FaultStats, JobStats, RunReport};
 pub use scheduler::{
     default_threads, set_default_threads, shared_spec_pool, FailurePlan, Revocation, RunFailure,

@@ -9,12 +9,9 @@ use cumulon_dfs::TileStore;
 
 use crate::des::{EventQueue, SimTime};
 use crate::error::{ClusterError, Result};
-use crate::job::{JobDag, StagedWrite, TaskCtx, TaskOp, TaskReceipt};
+use crate::job::{JobDag, StagedWrite, TaskCtx, TaskOp, TaskReceipt, TileRef};
 
 use super::{Event, Exec, Running, SpanMeta};
-
-/// A dominant-input hint: `(matrix, ti, tj)`.
-type Hint = (String, usize, usize);
 
 /// The per-pass locality snapshot: for each hinted task, its *home* —
 /// the nodes holding every block of its hint tile — asked of the DFS at
@@ -69,7 +66,7 @@ impl Homes {
         store: &TileStore,
         pass: u64,
         (job, task): (usize, usize),
-        hint: &Hint,
+        hint: &TileRef,
         node: NodeId,
     ) -> bool {
         if self.pass != pass {

@@ -5,6 +5,7 @@
 
 use super::fill::WaveEntry;
 use super::Exec;
+use crate::job::TileRef;
 
 impl Exec<'_> {
     /// Residency oracle for one assignment: is its hinted dominant input
@@ -30,9 +31,9 @@ impl Exec<'_> {
     /// produced — reused inputs like the `A` of every power iteration —
     /// already exist and may have spilled, while reads of tiles this fill
     /// is still producing simply aren't demoted yet and are skipped).
-    fn prefetch_frontier(&self, pending: &[(usize, usize)]) -> Vec<(String, usize, usize)> {
+    fn prefetch_frontier(&self, pending: &[(usize, usize)]) -> Vec<TileRef> {
         let depth = self.config.prefetch_depth;
-        let mut frontier: Vec<(String, usize, usize)> = Vec::new();
+        let mut frontier: Vec<TileRef> = Vec::new();
         // Only tiles a not-yet-resolved task is about to read are
         // candidates: every one is still ahead of its demand read, so a
         // readmission can never waste budget on a tile the run has
@@ -40,7 +41,7 @@ impl Exec<'_> {
         // tiles that nothing reads again, evicting live ones to do it).
         // A task's declared read set enumerates those tiles in read
         // order; tasks without one contribute their locality hint.
-        let consider = |job: usize, task: usize, frontier: &mut Vec<(String, usize, usize)>| {
+        let consider = |job: usize, task: usize, frontier: &mut Vec<TileRef>| {
             let t = &self.dag.jobs[job].tasks[task];
             let hint = t
                 .read_set

@@ -82,7 +82,7 @@ fn random_dag(rng: &mut StdRng, store: &TileStore) -> JobDag {
                     Ok(())
                 });
                 match &hint {
-                    Some((m, ti)) => task.with_locality(m, *ti, 0),
+                    Some((m, ti)) => task.with_locality(m.as_str(), *ti, 0),
                     None => task,
                 }
             })

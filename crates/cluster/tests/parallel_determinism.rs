@@ -58,7 +58,7 @@ fn build_dag(shape: &DagShape, store: &cumulon_dfs::TileStore) -> JobDag {
             let dep_tiles = dep_tiles.clone();
             let read_set = dep_tiles
                 .iter()
-                .map(|&(d, dt)| (format!("m{d}"), t % dt, 0))
+                .map(|&(d, dt)| (format!("m{d}").into(), t % dt, 0))
                 .collect();
             let out = format!("m{j}");
             let poisoned = shape.poison == Some((j, t));
@@ -86,7 +86,7 @@ fn build_dag(shape: &DagShape, store: &cumulon_dfs::TileStore) -> JobDag {
                     ctx.write_tile(&out, t, 0, &acc)?;
                     Ok(())
                 })
-                .with_locality(&format!("m{j}"), t, 0)
+                .with_locality(format!("m{j}"), t, 0)
                 .with_read_set(read_set),
             );
         }

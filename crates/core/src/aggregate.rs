@@ -10,6 +10,8 @@
 //! `None` — but the run report still carries the cost of computing it,
 //! which is what deployment planning cares about.
 
+use std::sync::Arc;
+
 use cumulon_cluster::{Cluster, ExecMode, Job, JobDag, RunReport, Task};
 use cumulon_matrix::ops as mops;
 use cumulon_matrix::{DenseTile, MatrixMeta, Tile};
@@ -65,11 +67,14 @@ pub fn aggregate(
     let partials_meta = MatrixMeta::new(n_tasks, 1, 1);
     cluster.store().register(&partials_name, partials_meta)?;
 
+    // One copy of each name, shared by every task of the job.
+    let matrix: Arc<str> = Arc::from(matrix);
+    let partials: Arc<str> = Arc::from(partials_name.as_str());
     let mut tasks = Vec::with_capacity(n_tasks);
     for (task_idx, chunk) in coords.chunks(tiles_per_task.max(1)).enumerate() {
         let chunk: Vec<(usize, usize)> = chunk.to_vec();
-        let matrix_name = matrix.to_string();
-        let partials_name = partials_name.clone();
+        let matrix_name = Arc::clone(&matrix);
+        let partials_name = Arc::clone(&partials);
         let hint = chunk[0];
         tasks.push(
             Task::new(move |ctx| {
@@ -83,7 +88,7 @@ pub fn aggregate(
                 ctx.write_tile(&partials_name, task_idx, 0, out)?;
                 Ok(())
             })
-            .with_locality(matrix, hint.0, hint.1),
+            .with_locality(Arc::clone(&matrix), hint.0, hint.1),
         );
     }
     let mut dag = JobDag::new();

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use cumulon_cluster::error::Result as ClusterResult;
-use cumulon_cluster::{Job, JobDag, Task, TaskCtx};
+use cumulon_cluster::{Job, JobDag, Task, TaskCtx, TileRef};
 use cumulon_dfs::TileStore;
 use cumulon_matrix::ops as mops;
 use cumulon_matrix::{PackScratch, Tile, TileData};
@@ -414,12 +414,13 @@ pub fn instantiate(plan: &PhysPlan, store: &TileStore) -> Result<JobDag> {
 }
 
 /// The stored tile `read_ref(_, mat, i, j)` resolves to: `(j, i)` of the
-/// underlying matrix when the reference is transposed.
-fn stored_coord(mat: &MatRef, i: usize, j: usize) -> (String, usize, usize) {
+/// underlying matrix when the reference is transposed. `name` is the job's
+/// shared copy of `mat.name`.
+fn stored_coord(mat: &MatRef, name: &Arc<str>, i: usize, j: usize) -> TileRef {
     if mat.transposed {
-        (mat.name.clone(), j, i)
+        (Arc::clone(name), j, i)
     } else {
-        (mat.name.clone(), i, j)
+        (Arc::clone(name), i, j)
     }
 }
 
@@ -489,36 +490,48 @@ fn mul_tasks(
     let gb = b_stats.meta.grid();
     let (mt, kt, nt) = (ga.tile_rows, ga.tile_cols, gb.tile_cols);
     let bands = split.k_bands(kt);
+    // One copy of each name and operand per job: the tasks' hints, read
+    // sets and closures share them.
+    let a_name: Arc<str> = Arc::from(a.name.as_str());
+    let b_name: Arc<str> = if b.name == a.name {
+        Arc::clone(&a_name)
+    } else {
+        Arc::from(b.name.as_str())
+    };
+    // Band `k` writes its own partial when the shared dimension is split.
+    let outs: Vec<Arc<str>> = (0..bands)
+        .map(|k| match bands {
+            1 => Arc::from(out),
+            _ => Arc::from(partial_name(out, k)),
+        })
+        .collect();
+    let (a, b) = (Arc::new(a.clone()), Arc::new(b.clone()));
     let mut tasks = Vec::with_capacity(split.task_count(mt, kt, nt));
     for bi in 0..mt.div_ceil(split.ri) {
         for bj in 0..nt.div_ceil(split.rj) {
-            for bk in 0..bands {
-                let a_name = a.name.clone();
-                let a_transposed = a.transposed;
-                let a = a.clone();
-                let b = b.clone();
-                let out_name = if bands > 1 {
-                    partial_name(out, bk)
-                } else {
-                    out.to_string()
-                };
+            for (bk, out_name) in outs.iter().enumerate() {
+                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+                let out_name = Arc::clone(out_name);
                 let i_range = band(bi, split.ri, mt);
                 let j_range = band(bj, split.rj, nt);
                 let k_range = band(bk, split.rk, kt);
-                let hint_i = i_range.start;
-                let hint_k = k_range.start;
+                // Locality follows the first A tile of the band (A is read
+                // ri·rk tiles vs B's rk·rj; close enough for placement).
+                let (hint, hint_i, hint_j) =
+                    stored_coord(&a, &a_name, i_range.start, k_range.start);
                 // The exact stored tiles the closure below will demand,
                 // in read order, so the spill-aware scheduler can
                 // prefetch the band instead of guessing from the hint.
-                let mut read_set: Vec<(String, usize, usize)> = Vec::new();
+                let mut read_set: Vec<TileRef> =
+                    Vec::with_capacity(k_range.len() * (i_range.len() + j_range.len()));
                 for i in i_range.clone() {
                     for k in k_range.clone() {
-                        read_set.push(stored_coord(&a, i, k));
+                        read_set.push(stored_coord(&a, &a_name, i, k));
                     }
                 }
                 for k in k_range.clone() {
                     for j in j_range.clone() {
-                        read_set.push(stored_coord(&b, k, j));
+                        read_set.push(stored_coord(&b, &b_name, k, j));
                     }
                 }
                 let task = Task::new(move |ctx| {
@@ -562,14 +575,10 @@ fn mul_tasks(
                     }
                     Ok(())
                 });
-                // Locality follows the first A tile of the band (A is read
-                // ri·rk tiles vs B's rk·rj; close enough for placement).
-                let task = if a_transposed {
-                    task.with_locality(&a_name, hint_k, hint_i)
-                } else {
-                    task.with_locality(&a_name, hint_i, hint_k)
-                };
-                tasks.push(task.with_read_set(read_set));
+                tasks.push(
+                    task.with_locality(hint, hint_i, hint_j)
+                        .with_read_set(read_set),
+                );
             }
         }
     }
@@ -587,23 +596,26 @@ fn add_tasks(
     out_stats: &OperandStats,
     tiles_per_task: usize,
 ) -> Vec<Task> {
-    let coords: Vec<(usize, usize)> = out_stats.meta.grid().iter().collect();
-    let mut tasks = Vec::new();
-    for chunk in coords.chunks(tiles_per_task.max(1)) {
-        let chunk: Vec<(usize, usize)> = chunk.to_vec();
-        let partials: Vec<String> = partials.to_vec();
-        let out = out.to_string();
-        let hint = chunk[0];
-        let first_partial = partials[0].clone();
-        let read_set: Vec<(String, usize, usize)> = chunk
-            .iter()
-            .flat_map(|&(i, j)| partials.iter().map(move |p| (p.clone(), i, j)))
-            .collect();
+    let coords: Arc<[(usize, usize)]> = out_stats.meta.grid().iter().collect();
+    // One copy of each name per job, shared by every task.
+    let partials: Arc<[Arc<str>]> = partials.iter().map(|p| Arc::from(p.as_str())).collect();
+    let out: Arc<str> = Arc::from(out);
+    let per_task = tiles_per_task.max(1);
+    let mut tasks = Vec::with_capacity(coords.len().div_ceil(per_task));
+    for start in (0..coords.len()).step_by(per_task) {
+        let chunk = start..(start + per_task).min(coords.len());
+        let mut read_set: Vec<TileRef> = Vec::with_capacity(chunk.len() * partials.len());
+        for &(i, j) in &coords[chunk.clone()] {
+            read_set.extend(partials.iter().map(|p| (Arc::clone(p), i, j)));
+        }
+        let (hint, (hint_i, hint_j)) = (Arc::clone(&partials[0]), coords[start]);
+        let (coords, partials, out) =
+            (Arc::clone(&coords), Arc::clone(&partials), Arc::clone(&out));
         tasks.push(
             Task::new(move |ctx| {
-                for &(i, j) in &chunk {
+                for &(i, j) in &coords[chunk.clone()] {
                     let mut acc: Option<Tile> = None;
-                    for p in &partials {
+                    for p in partials.iter() {
                         let t = ctx.read_tile(p, i, j)?;
                         match &mut acc {
                             None => acc = Some(Arc::unwrap_or_clone(t)),
@@ -618,7 +630,7 @@ fn add_tasks(
                 }
                 Ok(())
             })
-            .with_locality(&first_partial, hint.0, hint.1)
+            .with_locality(hint, hint_i, hint_j)
             .with_read_set(read_set),
         );
     }
@@ -662,32 +674,46 @@ fn fused_tasks(
     out_stats: &OperandStats,
     tiles_per_task: usize,
 ) -> Vec<Task> {
-    let coords: Vec<(usize, usize)> = out_stats.meta.grid().iter().collect();
-    let mut tasks = Vec::new();
-    for chunk in coords.chunks(tiles_per_task.max(1)) {
-        let chunk: Vec<(usize, usize)> = chunk.to_vec();
-        let inputs: Vec<(MatRef, OperandStats)> = inputs.to_vec();
-        let expr = expr.clone();
-        let out = out.to_string();
-        let hint = chunk[0];
-        let first = inputs[0].0.clone();
-        let read_set: Vec<(String, usize, usize)> = chunk
-            .iter()
-            .flat_map(|&(i, j)| inputs.iter().map(move |(m, _)| stored_coord(m, i, j)))
-            .collect();
+    let coords: Arc<[(usize, usize)]> = out_stats.meta.grid().iter().collect();
+    // One copy of each name, of the inputs and of the expression per job,
+    // shared by every task.
+    let names: Vec<Arc<str>> = inputs
+        .iter()
+        .map(|(m, _)| Arc::from(m.name.as_str()))
+        .collect();
+    let inputs: Arc<[(MatRef, OperandStats)]> = Arc::from(inputs);
+    let expr = Arc::new(expr.clone());
+    let out: Arc<str> = Arc::from(out);
+    let per_task = tiles_per_task.max(1);
+    let mut tasks = Vec::with_capacity(coords.len().div_ceil(per_task));
+    for start in (0..coords.len()).step_by(per_task) {
+        let chunk = start..(start + per_task).min(coords.len());
+        let mut read_set: Vec<TileRef> = Vec::with_capacity(chunk.len() * inputs.len());
+        for &(i, j) in &coords[chunk.clone()] {
+            read_set.extend(
+                inputs
+                    .iter()
+                    .zip(&names)
+                    .map(|((m, _), name)| stored_coord(m, name, i, j)),
+            );
+        }
+        let (hint, hint_i, hint_j) =
+            stored_coord(&inputs[0].0, &names[0], coords[start].0, coords[start].1);
+        let (coords, inputs, expr, out) = (
+            Arc::clone(&coords),
+            Arc::clone(&inputs),
+            Arc::clone(&expr),
+            Arc::clone(&out),
+        );
         tasks.push(
             Task::new(move |ctx| {
-                for &(i, j) in &chunk {
+                for &(i, j) in &coords[chunk.clone()] {
                     let t = eval_fused(ctx, &expr, &inputs, i, j)?;
                     ctx.write_tile(&out, i, j, t)?;
                 }
                 Ok(())
             })
-            .with_locality(
-                &first.name,
-                if first.transposed { hint.1 } else { hint.0 },
-                if first.transposed { hint.0 } else { hint.1 },
-            )
+            .with_locality(hint, hint_i, hint_j)
             .with_read_set(read_set),
         );
     }

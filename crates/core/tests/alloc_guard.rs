@@ -15,11 +15,12 @@ use cumulon_cluster::instances::{by_name, catalog};
 use cumulon_core::deploy::CostBasedChooser;
 use cumulon_core::estimate::{job_features, job_time_s, ClusterView};
 use cumulon_core::expr::InputDesc;
-use cumulon_core::lower::SplitChooser;
+use cumulon_core::lower::{build_plan, instantiate, FixedSplit, SplitChooser};
 use cumulon_core::physical::{partial_name, MatRef, MulSplit, OperandStats};
 use cumulon_core::{
     Constraint, CostModel, DeploymentSearch, OpCoefficients, PhysJob, ProgramBuilder, SearchSpace,
 };
+use cumulon_dfs::{Dfs, DfsConfig, TileStore};
 use cumulon_matrix::MatrixMeta;
 
 thread_local! {
@@ -156,6 +157,56 @@ fn a_search_allocates_for_the_plans_it_builds_not_the_splits_it_weighs() {
     assert!(
         allocations < bound,
         "{allocations} allocations for {grid_points} grid points of {jobs} jobs (bound {bound})"
+    );
+}
+
+/// Allocations [`instantiate`] makes for `C = A·B` on an 8 × 8 output grid
+/// with one task per output tile, each task's k band `width` tiles wide
+/// (the whole shared dimension), so every task reads `2 · width` tiles.
+fn instantiate_allocations(width: usize) -> (u64, usize) {
+    const TILE: usize = 4;
+    let a = MatrixMeta::new(8 * TILE, width * TILE, TILE);
+    let b = MatrixMeta::new(width * TILE, 8 * TILE, TILE);
+    let mut pb = ProgramBuilder::new();
+    let (ia, ib) = (pb.input("A"), pb.input("B"));
+    let c = pb.mul(ia, ib);
+    pb.output("C", c);
+    let inputs = BTreeMap::from([
+        ("A".to_string(), InputDesc::dense(a)),
+        ("B".to_string(), InputDesc::dense(b)),
+    ]);
+    let split = MulSplit {
+        ri: 1,
+        rj: 1,
+        rk: width,
+    };
+    let plan = build_plan(&pb.build(), &inputs, &FixedSplit(split, 1), "t").unwrap();
+    let store = TileStore::new(Dfs::new(2, DfsConfig::default()));
+    let (dag, allocations) = allocations_in(|| instantiate(&plan, &store).unwrap());
+    assert_eq!(dag.jobs.len(), 1, "the band spans the shared dimension");
+    assert!(dag.jobs[0]
+        .tasks
+        .iter()
+        .all(|t| t.read_set.len() == 2 * width));
+    (allocations, dag.total_tasks())
+}
+
+#[test]
+fn instantiate_allocates_per_task_not_per_tile_read() {
+    let (narrow, tasks) = instantiate_allocations(2);
+    let (wide, wide_tasks) = instantiate_allocations(16);
+    assert_eq!((tasks, wide_tasks), (64, 64));
+    eprintln!("instantiate: {narrow} allocations at 4 reads a task, {wide} at 32, {tasks} tasks");
+    // A task is its closure and its read set; the matrix names they carry
+    // are shared per job, so eight times the reads cost no allocation.
+    assert!(
+        wide <= narrow,
+        "{wide} allocations with 32 reads a task vs {narrow} with 4"
+    );
+    const PER_TASK: u64 = 3;
+    assert!(
+        wide <= PER_TASK * tasks as u64,
+        "{wide} allocations for {tasks} tasks (budget {PER_TASK} a task)"
     );
 }
 

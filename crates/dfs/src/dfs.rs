@@ -107,6 +107,9 @@ struct DfsState {
     namenode: NameNode,
     datanodes: Vec<DataNode>,
     rng: StdRng,
+    /// Scratch list of candidate replica targets, reused by every
+    /// placement so a write allocates no node list.
+    candidates: Vec<NodeId>,
     /// Out-of-core plane, when a memory budget is installed. Lives under
     /// the same lock as the datanodes so residency swaps are atomic with
     /// respect to reads. Boxed: a store without a budget carries a null
@@ -129,6 +132,7 @@ impl Dfs {
             namenode: NameNode::new(nodes),
             datanodes: (0..nodes).map(|_| DataNode::new()).collect(),
             rng: StdRng::seed_from_u64(config.seed),
+            candidates: Vec::new(),
             spill: None,
         };
         Dfs {
@@ -155,7 +159,7 @@ impl Dfs {
 
     /// Ids of all live datanodes, sorted.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        self.state.lock().namenode.live_nodes()
+        self.state.lock().namenode.live_nodes().to_vec()
     }
 
     /// Chooses replica target nodes: writer-local first (if the writer is a
@@ -168,7 +172,14 @@ impl Dfs {
         writer: Option<NodeId>,
         want: usize,
     ) -> Result<Vec<NodeId>> {
-        let mut live = state.namenode.live_nodes();
+        let DfsState {
+            namenode,
+            rng,
+            candidates: live,
+            ..
+        } = state;
+        live.clear();
+        live.extend_from_slice(namenode.live_nodes());
         if live.is_empty() {
             return Err(DfsError::InsufficientNodes {
                 wanted: want,
@@ -177,12 +188,12 @@ impl Dfs {
         }
         let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
         if let Some(w) = writer {
-            if state.namenode.is_live(w) {
+            if namenode.is_live(w) {
                 chosen.push(w);
                 live.retain(|&n| n != w);
             }
         }
-        live.shuffle(&mut state.rng);
+        live.shuffle(rng);
         while chosen.len() < want && !live.is_empty() {
             let pick = if chosen.len() == 1 && config.racks > 1 {
                 // Fault-domain rule: second replica off the first's rack.
@@ -298,7 +309,7 @@ impl Dfs {
         replication: usize,
         payload_for: impl Fn(u64, u64) -> BlockPayload,
     ) -> Result<IoReceipt> {
-        st.namenode.create_file(path)?;
+        let path = st.namenode.create_file(path)?;
         let mut receipt = IoReceipt::default();
         let mut offset = 0u64;
         loop {
@@ -309,7 +320,7 @@ impl Dfs {
                 Err(e) => {
                     // Roll back the namespace entry so a failed write does
                     // not leave a ghost file behind.
-                    let _ = st.namenode.delete_file(path);
+                    let _ = st.namenode.delete_file(&path);
                     return Err(e);
                 }
             };
@@ -324,7 +335,7 @@ impl Dfs {
             }
             receipt.bytes += len;
             st.namenode
-                .append_block(path, BlockMeta { id, len, replicas })?;
+                .append_block(&path, BlockMeta { id, len, replicas })?;
             offset += len;
             if offset >= total {
                 break;
@@ -514,7 +525,7 @@ impl Dfs {
         Ok(())
     }
 
-    /// Lists paths under a prefix.
+    /// Lists paths under a prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
         self.state.lock().namenode.list(prefix)
     }
@@ -584,8 +595,9 @@ impl Dfs {
                 .find(|(n, dn)| st.namenode.is_live(NodeId(*n as u32)) && dn.contains(id))
                 .map(|(n, _)| NodeId(n as u32));
             let Some(holder) = holder else { continue };
-            let live = st.namenode.live_nodes();
-            let target = live
+            let target = st
+                .namenode
+                .live_nodes()
                 .iter()
                 .copied()
                 .find(|&n| n != holder && !st.datanodes[n.0 as usize].contains(id));
@@ -608,7 +620,7 @@ impl Dfs {
     /// whose *entire* replica set sits on `victims` is copied to one live
     /// non-victim node, spending at most `byte_budget` bytes of traffic
     /// (what the warning lead window's bandwidth allows). Blocks are
-    /// visited in namespace order (deterministic); blocks that don't fit
+    /// visited in path order (deterministic); blocks that don't fit
     /// the remaining budget are skipped and stay at risk — if the victims
     /// then die, those blocks are lost and lineage recovery takes over.
     /// The victims themselves stay live: in-flight work drains separately.
@@ -643,7 +655,8 @@ impl Dfs {
             let target = st
                 .namenode
                 .live_nodes()
-                .into_iter()
+                .iter()
+                .copied()
                 .find(|&n| !is_victim(n) && !st.datanodes[n.0 as usize].contains(id));
             let Some(target) = target else { continue };
             let data = st.datanodes[holder.0 as usize]
@@ -664,7 +677,8 @@ impl Dfs {
             let st = self.state.lock();
             st.namenode
                 .live_nodes()
-                .into_iter()
+                .iter()
+                .copied()
                 .filter(|&n| self.config.rack_of(n) == rack)
                 .collect()
         };
@@ -735,7 +749,7 @@ impl Dfs {
     /// no data is stranded in the segment files the plane deletes on drop
     /// (every file is then resident, and the backings the re-admissions
     /// left go with the old plane's blob store). Installing with a nonzero
-    /// budget adopts files already resident on the handle plane (namespace
+    /// budget adopts files already resident on the handle plane (path
     /// order) and enforces the budget immediately. Replacing an existing
     /// plane first re-admits through the old one for the same reason.
     pub fn set_spill_config(&self, config: &SpillConfig) -> Result<()> {
@@ -1144,6 +1158,53 @@ mod tests {
             d.read_file("/c", None),
             Err(DfsError::BlockLost { .. })
         ));
+    }
+
+    /// The namespace is a hash map; its order must reach no result. Paths
+    /// created in a shuffled order list sorted, drain in path order under
+    /// a budget, and are reported lost in path order; the live-node list
+    /// stays sorted through growth and failures.
+    #[test]
+    fn namespace_order_is_path_order_wherever_it_shows() {
+        let d = dfs(4, 1);
+        let created: Vec<String> = (0..12).map(|i| format!("/m/{:02}", i * 5 % 12)).collect();
+        for path in &created {
+            d.write_file(path, Bytes::from(vec![1u8; 64]), Some(NodeId(0)))
+                .unwrap();
+        }
+        let mut sorted = created.clone();
+        sorted.sort();
+        assert_ne!(created, sorted, "the test must create out of order");
+        assert_eq!(d.list("/m/"), sorted);
+        assert_eq!(d.list(""), sorted);
+        // A budget of five blocks saves the first five paths.
+        let receipt = d.drain_nodes(&[NodeId(0)], 5 * 64).unwrap();
+        assert_eq!(receipt.bytes, 5 * 64);
+        let mut st = d.state.lock();
+        let replicas =
+            |st: &DfsState, path: &str| st.namenode.stat(path).unwrap().blocks[0].replicas.len();
+        for (i, path) in sorted.iter().enumerate() {
+            assert_eq!(replicas(&st, path), if i < 5 { 2 } else { 1 }, "{path}");
+        }
+        let report = st.namenode.decommission_node(NodeId(0));
+        let lost: Vec<(&str, usize)> = report.lost.iter().map(|(p, i)| (&**p, *i)).collect();
+        let want: Vec<(&str, usize)> = sorted[5..].iter().map(|p| (p.as_str(), 0)).collect();
+        assert_eq!(lost, want);
+        drop(st);
+
+        let d = Dfs::new(
+            6,
+            DfsConfig {
+                racks: 2,
+                ..DfsConfig::default()
+            },
+        );
+        assert_eq!(d.add_node(), NodeId(6));
+        d.kill_nodes(&[NodeId(3), NodeId(1)]).unwrap();
+        assert_eq!(d.live_nodes(), [0, 2, 4, 5, 6].map(NodeId));
+        assert_eq!(d.add_node(), NodeId(7));
+        d.kill_rack(0).unwrap();
+        assert_eq!(d.live_nodes(), [5, 7].map(NodeId));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Namenode metadata: the file namespace and the datanode registry.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::datanode::BlockId;
 use crate::dfs::NodeId;
@@ -40,38 +42,48 @@ impl FileMeta {
 
 /// The namenode: file namespace, block allocation, and node liveness.
 ///
-/// Uses a `BTreeMap` namespace so listings are deterministic — important
-/// for reproducible simulations.
+/// The namespace is a hash map keyed by shared path strings: a lookup is
+/// one hash of the path, and a file's one path allocation is shared with
+/// the reverse block index. Hash order is never observable: the two
+/// results that walk the namespace sort at the boundary — [`NameNode::list`]
+/// (and through it the DFS's drain and spill-adoption order) and
+/// [`DecommissionReport::lost`] — and every other walk is an
+/// order-independent sum. The live-node list is kept sorted, so placement
+/// draws from the same sequence whatever order nodes came and went in.
 #[derive(Debug, Default)]
 pub struct NameNode {
-    files: BTreeMap<String, FileMeta>,
-    live_nodes: HashSet<NodeId>,
+    files: HashMap<Arc<str>, FileMeta>,
+    /// Live datanode ids, sorted.
+    live_nodes: Vec<NodeId>,
     next_block: u64,
     /// Reverse index: block → owning path + index, for failure handling.
-    block_index: HashMap<BlockId, (String, usize)>,
+    block_index: HashMap<BlockId, (Arc<str>, usize)>,
 }
 
 impl NameNode {
     /// Creates a namenode with `nodes` live datanodes (ids `0..nodes`).
     pub fn new(nodes: u32) -> Self {
         NameNode {
-            files: BTreeMap::new(),
             live_nodes: (0..nodes).map(NodeId).collect(),
-            next_block: 0,
-            block_index: HashMap::new(),
+            ..NameNode::default()
         }
     }
 
     /// Registers an additional datanode (cluster grow).
     pub fn register_node(&mut self, node: NodeId) {
-        self.live_nodes.insert(node);
+        if let Err(at) = self.live_nodes.binary_search(&node) {
+            self.live_nodes.insert(at, node);
+        }
     }
 
     /// Marks a datanode dead, removing it from all replica lists. Returns
-    /// the blocks that dropped below one replica (lost) and those that
-    /// still have replicas but fewer than before (under-replicated).
+    /// the blocks that dropped below one replica (lost, in path order) and
+    /// those that still have replicas but fewer than before
+    /// (under-replicated, in no particular order).
     pub fn decommission_node(&mut self, node: NodeId) -> DecommissionReport {
-        self.live_nodes.remove(&node);
+        if let Ok(at) = self.live_nodes.binary_search(&node) {
+            self.live_nodes.remove(at);
+        }
         let mut lost = Vec::new();
         let mut under_replicated = Vec::new();
         for (path, meta) in &mut self.files {
@@ -80,13 +92,14 @@ impl NameNode {
                 block.replicas.retain(|&n| n != node);
                 if block.replicas.len() < before {
                     if block.replicas.is_empty() {
-                        lost.push((path.clone(), idx));
+                        lost.push((Arc::clone(path), idx));
                     } else {
                         under_replicated.push(block.id);
                     }
                 }
             }
         }
+        lost.sort_unstable();
         DecommissionReport {
             lost,
             under_replicated,
@@ -94,15 +107,13 @@ impl NameNode {
     }
 
     /// Live datanode ids, sorted (deterministic placement).
-    pub fn live_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.live_nodes.iter().copied().collect();
-        v.sort();
-        v
+    pub fn live_nodes(&self) -> &[NodeId] {
+        &self.live_nodes
     }
 
     /// True when the node is live.
     pub fn is_live(&self, node: NodeId) -> bool {
-        self.live_nodes.contains(&node)
+        self.live_nodes.binary_search(&node).is_ok()
     }
 
     /// Allocates a fresh block id.
@@ -112,23 +123,28 @@ impl NameNode {
         id
     }
 
-    /// Creates a file entry; fails if the path exists.
-    pub fn create_file(&mut self, path: &str) -> Result<()> {
-        if self.files.contains_key(path) {
-            return Err(DfsError::AlreadyExists(path.to_string()));
+    /// Creates a file entry; fails if the path exists. Returns the
+    /// namespace's key for the path, which [`NameNode::append_block`]
+    /// shares instead of allocating the path again.
+    pub fn create_file(&mut self, path: &str) -> Result<Arc<str>> {
+        match self.files.entry(Arc::from(path)) {
+            Entry::Occupied(_) => Err(DfsError::AlreadyExists(path.to_string())),
+            Entry::Vacant(v) => {
+                let key = Arc::clone(v.key());
+                v.insert(FileMeta::default());
+                Ok(key)
+            }
         }
-        self.files.insert(path.to_string(), FileMeta::default());
-        Ok(())
     }
 
     /// Appends a block record to an existing file.
-    pub fn append_block(&mut self, path: &str, block: BlockMeta) -> Result<()> {
+    pub fn append_block(&mut self, path: &Arc<str>, block: BlockMeta) -> Result<()> {
         let meta = self
             .files
-            .get_mut(path)
+            .get_mut(&**path)
             .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
         self.block_index
-            .insert(block.id, (path.to_string(), meta.blocks.len()));
+            .insert(block.id, (Arc::clone(path), meta.blocks.len()));
         meta.blocks.push(block);
         Ok(())
     }
@@ -162,13 +178,16 @@ impl NameNode {
         Ok(meta.blocks)
     }
 
-    /// Lists paths under a prefix.
+    /// Lists paths under a prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.files
-            .range(prefix.to_string()..)
-            .take_while(|(p, _)| p.starts_with(prefix))
-            .map(|(p, _)| p.clone())
-            .collect()
+        let mut paths: Vec<String> = self
+            .files
+            .keys()
+            .filter(|p| p.starts_with(prefix))
+            .map(|p| p.to_string())
+            .collect();
+        paths.sort_unstable();
+        paths
     }
 
     /// Records an extra replica for a block (re-replication).
@@ -176,11 +195,11 @@ impl NameNode {
         let (path, idx) = self
             .block_index
             .get(&id)
-            .cloned()
             .ok_or_else(|| DfsError::FileNotFound(format!("block {id:?}")))?;
+        let idx = *idx;
         let meta = self
             .files
-            .get_mut(&path)
+            .get_mut(&**path)
             .expect("index points at live file");
         let block = &mut meta.blocks[idx];
         if !block.replicas.contains(&node) {
@@ -236,8 +255,9 @@ impl NameNode {
 /// Outcome of a node decommission.
 #[derive(Debug, Default)]
 pub struct DecommissionReport {
-    /// `(path, block index)` pairs whose last replica was on the dead node.
-    pub lost: Vec<(String, usize)>,
+    /// `(path, block index)` pairs whose last replica was on the dead
+    /// node, in path order.
+    pub lost: Vec<(Arc<str>, usize)>,
     /// Blocks that survive but are now under-replicated.
     pub under_replicated: Vec<BlockId>,
 }
@@ -257,9 +277,9 @@ mod tests {
     #[test]
     fn create_and_stat() {
         let mut nn = NameNode::new(3);
-        nn.create_file("/m/a").unwrap();
+        let path = nn.create_file("/m/a").unwrap();
         let b = block(&mut nn, vec![NodeId(0), NodeId(1)]);
-        nn.append_block("/m/a", b).unwrap();
+        nn.append_block(&path, b).unwrap();
         assert_eq!(nn.stat("/m/a").unwrap().len(), 100);
         assert!(nn.exists("/m/a"));
         assert_eq!(nn.total_bytes(), 100);
@@ -286,7 +306,7 @@ mod tests {
             len: 1,
             replicas: vec![],
         };
-        assert!(nn.append_block("/nope", b).is_err());
+        assert!(nn.append_block(&Arc::from("/nope"), b).is_err());
     }
 
     #[test]
@@ -303,27 +323,27 @@ mod tests {
     #[test]
     fn decommission_tracks_loss_and_under_replication() {
         let mut nn = NameNode::new(3);
-        nn.create_file("/f").unwrap();
+        let path = nn.create_file("/f").unwrap();
         let b1 = block(&mut nn, vec![NodeId(0), NodeId(1)]);
         let b1_id = b1.id;
         let b2 = block(&mut nn, vec![NodeId(0)]);
-        nn.append_block("/f", b1).unwrap();
-        nn.append_block("/f", b2).unwrap();
+        nn.append_block(&path, b1).unwrap();
+        nn.append_block(&path, b2).unwrap();
 
         let report = nn.decommission_node(NodeId(0));
-        assert_eq!(report.lost, vec![("/f".to_string(), 1)]);
+        assert_eq!(report.lost, vec![(path, 1)]);
         assert_eq!(report.under_replicated, vec![b1_id]);
         assert!(!nn.is_live(NodeId(0)));
-        assert_eq!(nn.live_nodes(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(nn.live_nodes(), [NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn add_replica_after_rereplication() {
         let mut nn = NameNode::new(3);
-        nn.create_file("/f").unwrap();
+        let path = nn.create_file("/f").unwrap();
         let b = block(&mut nn, vec![NodeId(0)]);
         let id = b.id;
-        nn.append_block("/f", b).unwrap();
+        nn.append_block(&path, b).unwrap();
         nn.add_replica(id, NodeId(2)).unwrap();
         nn.add_replica(id, NodeId(2)).unwrap(); // idempotent
         assert_eq!(
@@ -335,9 +355,9 @@ mod tests {
     #[test]
     fn delete_returns_blocks() {
         let mut nn = NameNode::new(2);
-        nn.create_file("/f").unwrap();
+        let path = nn.create_file("/f").unwrap();
         let b = block(&mut nn, vec![NodeId(1)]);
-        nn.append_block("/f", b).unwrap();
+        nn.append_block(&path, b).unwrap();
         let blocks = nn.delete_file("/f").unwrap();
         assert_eq!(blocks.len(), 1);
         assert!(!nn.exists("/f"));

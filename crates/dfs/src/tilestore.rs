@@ -28,8 +28,58 @@ pub struct MatrixHandle {
     pub generator: Option<Generator>,
 }
 
+/// A registered matrix: its handle and, for a generated one, the phantom
+/// tiles Simulated reads share.
+struct Entry {
+    handle: MatrixHandle,
+    /// One phantom per tile shape of a generated matrix, indexed by
+    /// [`phantom_slot`]: interior, last column, last row, corner. Empty
+    /// for a stored matrix.
+    phantoms: Vec<Arc<Tile>>,
+}
+
+impl Entry {
+    fn new(handle: MatrixHandle) -> Self {
+        let phantoms = match &handle.generator {
+            Some(generator) => shared_phantoms(&handle.meta, generator),
+            None => Vec::new(),
+        };
+        Entry { handle, phantoms }
+    }
+
+    /// The shared phantom of tile `(ti, tj)`, for a generated matrix.
+    fn phantom(&self, ti: usize, tj: usize) -> Option<Arc<Tile>> {
+        let slot = phantom_slot(&self.handle.meta, ti, tj);
+        self.phantoms.get(slot).cloned()
+    }
+}
+
+/// Which of a matrix's four tile shapes tile `(ti, tj)` has: bit 1 set on
+/// the last tile row, bit 0 on the last tile column.
+fn phantom_slot(meta: &MatrixMeta, ti: usize, tj: usize) -> usize {
+    let g = meta.grid();
+    2 * usize::from(ti + 1 == g.tile_rows) + usize::from(tj + 1 == g.tile_cols)
+}
+
+/// A generated matrix's phantom tiles, one per [`phantom_slot`] — a
+/// phantom depends on its tile's shape only, so four cover every tile.
+/// Empty for an empty grid, which has no tile to read.
+fn shared_phantoms(meta: &MatrixMeta, generator: &Generator) -> Vec<Arc<Tile>> {
+    let g = meta.grid();
+    if g.count() == 0 {
+        return Vec::new();
+    }
+    (0..4)
+        .map(|slot| {
+            let ti = if slot & 2 == 0 { 0 } else { g.tile_rows - 1 };
+            let tj = if slot & 1 == 0 { 0 } else { g.tile_cols - 1 };
+            Arc::new(generator.generate_phantom(meta, ti, tj))
+        })
+        .collect()
+}
+
 struct StoreState {
-    matrices: BTreeMap<String, MatrixHandle>,
+    matrices: BTreeMap<String, Entry>,
 }
 
 /// Number of independent cache shards; keyed reads on different tiles do
@@ -283,7 +333,8 @@ impl TileStore {
             meta,
             generator,
         };
-        st.matrices.insert(name.to_string(), handle.clone());
+        st.matrices
+            .insert(name.to_string(), Entry::new(handle.clone()));
         Ok(handle)
     }
 
@@ -293,7 +344,7 @@ impl TileStore {
             .read()
             .matrices
             .get(name)
-            .cloned()
+            .map(|e| e.handle.clone())
             .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))
     }
 
@@ -302,27 +353,16 @@ impl TileStore {
         self.state.read().matrices.keys().cloned().collect()
     }
 
-    /// A registered matrix's shape and generator, copied out under the
-    /// registry's read lock (no handle or name is cloned).
-    fn matrix(&self, name: &str) -> Result<(MatrixMeta, Option<Generator>)> {
-        self.state
-            .read()
-            .matrices
-            .get(name)
-            .map(|h| (h.meta, h.generator))
-            .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))
-    }
-
     /// Validates that a tile's dims match slot `(ti, tj)` of a registered
     /// matrix. Task contexts run this when they stage a write, so a
     /// malformed tile fails inside the task, as a direct write would.
     pub fn validate_tile(&self, name: &str, ti: usize, tj: usize, tile: &Tile) -> Result<()> {
         let st = self.state.read();
-        let handle = st
+        let entry = st
             .matrices
             .get(name)
             .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))?;
-        let want = handle.meta.tile_dims(ti, tj);
+        let want = entry.handle.meta.tile_dims(ti, tj);
         if (tile.rows(), tile.cols()) != want {
             return Err(DfsError::Codec(format!(
                 "tile ({ti},{tj}) of {name} has dims ({}, {}), expected {want:?}",
@@ -408,20 +448,38 @@ impl TileStore {
         reader: Option<NodeId>,
         phantom: bool,
     ) -> Result<(Arc<Tile>, Option<IoReceipt>)> {
-        let (meta, generator) = self.matrix(name)?;
+        // Shape and generator are copied out under the registry's read
+        // lock (no handle or name is cloned); a phantom read of a
+        // generated tile shares the entry's phantom of its shape.
+        let (meta, generator) = {
+            let st = self.state.read();
+            let entry = st
+                .matrices
+                .get(name)
+                .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))?;
+            if phantom && entry.handle.generator.is_some() {
+                // Only an empty grid has no phantom, and no tile to read.
+                return entry
+                    .phantom(ti, tj)
+                    .map(|tile| (tile, None))
+                    .ok_or_else(|| DfsError::TileNotFound {
+                        matrix: name.to_string(),
+                        tile: (ti, tj),
+                    });
+            }
+            (entry.handle.meta, entry.handle.generator)
+        };
         if let Some(generator) = generator {
-            if phantom {
-                return Ok((Arc::new(generator.generate_phantom(&meta, ti, tj)), None));
-            }
-            let path = Self::tile_path(name, ti, tj);
-            if let Some(tile) = self.cache.get(&path) {
-                self.trace_cache(true);
-                return Ok((tile, None));
-            }
-            self.trace_cache(false);
-            let tile = Arc::new(generator.generate(&meta, ti, tj));
-            self.cache.insert(&path, tile.clone());
-            return Ok((tile, None));
+            return Self::with_tile_path(name, ti, tj, |path| {
+                if let Some(tile) = self.cache.get(path) {
+                    self.trace_cache(true);
+                    return Ok((tile, None));
+                }
+                self.trace_cache(false);
+                let tile = Arc::new(generator.generate(&meta, ti, tj));
+                self.cache.insert(path, tile.clone());
+                Ok((tile, None))
+            });
         }
         match Self::with_tile_path(name, ti, tj, |path| self.read_stored(path, reader)) {
             Ok((tile, receipt)) => Ok((tile, Some(receipt))),
@@ -476,7 +534,7 @@ impl TileStore {
             .meta
             .grid()
             .iter()
-            .all(|(ti, tj)| self.dfs.exists(&Self::tile_path(name, ti, tj))))
+            .all(|(ti, tj)| Self::with_tile_path(name, ti, tj, |path| self.dfs.exists(path))))
     }
 
     /// Visits the nodes a read of tile `(ti, tj)` of `name` is fully local
@@ -489,7 +547,7 @@ impl TileStore {
             .read()
             .matrices
             .get(name)
-            .is_some_and(|h| h.generator.is_some());
+            .is_some_and(|e| e.handle.generator.is_some());
         if !generated {
             Self::with_tile_path(name, ti, tj, |path| self.dfs.home_of(path, visit));
         }
@@ -502,8 +560,9 @@ impl TileStore {
     /// Always `false` without a memory budget. The scheduler's residency
     /// oracle.
     pub fn tile_is_spilled(&self, name: &str, ti: usize, tj: usize) -> bool {
-        let path = Self::tile_path(name, ti, tj);
-        self.dfs.is_spilled(&path) && self.cache.get(&path).is_none()
+        Self::with_tile_path(name, ti, tj, |path| {
+            self.dfs.is_spilled(path) && self.cache.get(path).is_none()
+        })
     }
 
     /// Re-admits tile `(ti, tj)` of `name` from the spill plane ahead of
@@ -514,11 +573,12 @@ impl TileStore {
     /// admission, so cache hit/miss accounting is identical with
     /// prefetching on or off.
     pub fn prefetch_tile(&self, name: &str, ti: usize, tj: usize) -> Result<u64> {
-        let path = Self::tile_path(name, ti, tj);
-        if self.cache.get(&path).is_some() {
-            return Ok(0);
-        }
-        self.dfs.prefetch_path(&path)
+        Self::with_tile_path(name, ti, tj, |path| {
+            if self.cache.get(path).is_some() {
+                return Ok(0);
+            }
+            self.dfs.prefetch_path(path)
+        })
     }
 
     /// The underlying DFS's resident-byte budget, if a spill plane is
@@ -568,6 +628,7 @@ impl TileStore {
             st.matrices
                 .remove(name)
                 .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))?
+                .handle
         };
         for (ti, tj) in handle.meta.grid().iter() {
             let path = Self::tile_path(name, ti, tj);
@@ -693,6 +754,34 @@ mod tests {
         let (tile, _) = s.read_tile("P", 1, 1, None, true).unwrap();
         assert!(tile.is_phantom());
         assert_eq!(tile.nnz(), 250);
+    }
+
+    #[test]
+    fn generated_phantoms_are_shared_per_tile_shape() {
+        let s = store();
+        // 3 × 3 tiles with ragged last row and column: four shapes.
+        let meta = MatrixMeta::new(25, 23, 10);
+        let generator = Generator::SparseUniform {
+            seed: 2,
+            density: 0.1,
+        };
+        s.register_generated("P", meta, generator).unwrap();
+        let read = |ti, tj| s.read_tile("P", ti, tj, None, true).unwrap().0;
+        let edge = |i: usize| if i == 2 { 2 } else { 0 };
+        for (ti, tj) in meta.grid().iter() {
+            let tile = read(ti, tj);
+            assert_eq!(*tile, generator.generate_phantom(&meta, ti, tj));
+            assert!(Arc::ptr_eq(&tile, &read(edge(ti), edge(tj))));
+        }
+        // Real reads still generate real tiles.
+        assert!(!s.read_tile("P", 0, 0, None, false).unwrap().0.is_phantom());
+        // An empty grid has no tile, phantom or not.
+        s.register_generated("E", MatrixMeta::new(0, 20, 10), generator)
+            .unwrap();
+        assert!(matches!(
+            s.read_tile("E", 0, 0, None, true),
+            Err(DfsError::TileNotFound { .. })
+        ));
     }
 
     #[test]
