@@ -14,26 +14,32 @@
 //! * [`DeploymentSearch::pareto`] — the whole (time, cost) skyline.
 //!
 //! The search walks the grid row by row — one row per `(instance, slots)`,
-//! node counts ascending — and evaluates a candidate only when an
-//! admissible floor on its cost ([`DeploymentSearch::cost_floor`]) says it
-//! could still matter: under a deadline, when the floor does not exceed the
-//! incumbent's cost; under a budget, when it does not exceed the budget.
-//! The floor never decreases along a row, so the first candidate it rules
-//! out ends the row. Nothing is assumed about how the estimated makespan
-//! moves with the node count, and nothing is kept between calls.
+//! node counts ascending — and plans a candidate only when admissible
+//! floors on its makespan ([`DeploymentSearch::makespan_floor`]) and its
+//! cost ([`DeploymentSearch::cost_floor`]) say it could still win. Under a
+//! deadline it is skipped when the makespan floor exceeds the deadline or
+//! the cost floor exceeds the incumbent's cost; under a budget, when the
+//! cost floor exceeds the budget or the makespan floor exceeds the
+//! incumbent's makespan. The makespan floor is work conservation — the
+//! multiply flops no plan avoids, spread over every slot — so it shrinks
+//! as the row grows and a skip is a `continue`. The row ends (`break`) at
+//! the first candidate that even the shortest possible run prices out,
+//! a bound that never decreases along a row. Nothing is assumed about how
+//! the estimated makespan moves with the node count, and nothing is kept
+//! between calls.
 
 use std::collections::BTreeMap;
 
 use cumulon_cluster::instances::{catalog, InstanceType};
 use serde::{Deserialize, Serialize};
 
-use crate::calibrate::{CostModel, OpCoefficients, MIN_TASK_S};
+use crate::calibrate::{featurize, CostModel, OpCoefficients, MIN_TASK_S};
 use crate::error::{CoreError, Result};
 use crate::estimate::{
-    add_partials_features, estimate_plan_coeffs, job_time_s, mul_features, ClusterView,
-    JobTimeModel, PlanEstimate, SpotHazard, TaskFeatures,
+    add_partials_features, estimate_plan_coeffs, job_time_s, mul_features, mul_flops, mul_grid,
+    ClusterView, JobTimeModel, PlanEstimate, SpotHazard, TaskFeatures,
 };
-use crate::expr::{InputDesc, NodeInfo, Program};
+use crate::expr::{ExprNode, InputDesc, NodeInfo, Program};
 use crate::lower::{build_plan_inferred, PlanOptions, SplitChooser};
 use crate::physical::{MulSplit, OperandStats, PhysPlan};
 
@@ -276,31 +282,57 @@ impl<'a> DeploymentSearch<'a> {
         self.optimize_repeated(program, inputs, constraint, 1)
     }
 
-    /// A lower bound on what `repeat` back-to-back executions of `program`
-    /// are billed on `view`, without planning anything: the cluster's price
-    /// for the shortest time any plan of the program can take.
+    /// A lower bound on the estimated makespan of `repeat` back-to-back
+    /// executions of `program` on `view`, without planning anything: the
+    /// floor [`DeploymentSearch::optimize_repeated`] skips candidates by.
     ///
-    /// That time is [`MIN_TASK_S`] per execution: every program output
-    /// lowers to at least one job, every job sits in one topological level,
-    /// a level's time is at least its slowest job's mean task time, and no
-    /// task is predicted below [`MIN_TASK_S`]; expected failures and
-    /// repetition only multiply the makespan by factors of at least one. A
-    /// program without outputs plans no job and costs nothing.
+    /// Per execution it is the larger of two bounds, times `repeat`:
     ///
-    /// The bound is admissible under every [`BillingPolicy`] because billed
-    /// hours never decrease with the makespan. Under `HourlyCeil` any
-    /// positive makespan bills one full hour, so the floor is the cluster's
-    /// hourly price — the bound that lets a deadline search stop growing a
-    /// row. Under `PerSecond` it is a few nano-dollars and rules out
-    /// nothing, which is right: there, a larger cluster can be cheaper.
+    /// * [`MIN_TASK_S`], whenever the program has an output: every output
+    ///   lowers to at least one job, a topological level lasts at least its
+    ///   slowest job's mean task time, and no task is predicted below
+    ///   [`MIN_TASK_S`]. A program without outputs plans nothing and takes
+    ///   no time.
+    /// * Work conservation, `c₁ · cpu_adj · flops / (nodes · slots)`, where
+    ///   `flops` sums [`mul_flops`] over the multiplies reachable from the
+    ///   outputs, each once: lowering emits exactly one multiply job per
+    ///   such node, whose tasks are charged at least these flops under any
+    ///   split. The wave model gives a level at least `Σ mean · n / slots`,
+    ///   and a task's prediction is at least its compute term `c₁ · flops ·
+    ///   cpu_adj` — but only when no coefficient and no `σ` is negative, so
+    ///   for any other model this bound is 0.
+    ///
+    /// Expected failures and repetition multiply the makespan by factors of
+    /// at least one. The work bound is shrunk by a relative `1e-12`, since
+    /// the estimate reaches the same sum through per-task products and
+    /// per-job and per-level sums, rounding in a different order.
+    pub fn makespan_floor(
+        &self,
+        program: &Program,
+        inputs: &BTreeMap<String, InputDesc>,
+        view: &ClusterView,
+        repeat: usize,
+    ) -> Result<f64> {
+        let floor = WorkFloor::new(program, &program.infer(inputs)?, repeat);
+        let coeffs = self.model.require(view.instance.name)?;
+        Ok(floor.makespan(floor.row_work(coeffs, &view.instance, view.slots), view))
+    }
+
+    /// A lower bound on what `view` is billed for a run whose estimated
+    /// makespan is at least `makespan_floor` seconds: the cluster's price
+    /// for that long. It is admissible under every [`BillingPolicy`]
+    /// because billed hours never decrease with the makespan.
+    ///
+    /// At the shortest run any program with an output can take (see
+    /// [`DeploymentSearch::makespan_floor`]) this is `nodes × price` under
+    /// `HourlyCeil` — non-decreasing along a row, so it ends a deadline
+    /// search's row — and a few nano-dollars under `PerSecond`. At a
+    /// work-conservation floor it prunes under both policies, but under
+    /// `HourlyCeil` it can fall as the row grows (`nodes · ⌈work / nodes⌉`
+    /// hours), so it only ever skips the one candidate.
     ///
     /// [`BillingPolicy`]: cumulon_cluster::billing::BillingPolicy
-    pub fn cost_floor(&self, program: &Program, view: &ClusterView, repeat: usize) -> f64 {
-        let makespan_floor = if program.outputs.is_empty() {
-            0.0
-        } else {
-            MIN_TASK_S * repeat.max(1) as f64
-        };
+    pub fn cost_floor(&self, view: &ClusterView, makespan_floor: f64) -> f64 {
         cumulon_cluster::billing::cluster_cost(
             self.space.billing,
             view.nodes,
@@ -321,28 +353,43 @@ impl<'a> DeploymentSearch<'a> {
         repeat: usize,
     ) -> Result<DeploymentPlan> {
         let info = program.infer(inputs)?;
+        let floor = WorkFloor::new(program, &info, repeat);
         let node_options = self.space.node_options();
         let mut best: Option<DeploymentPlan> = None;
         for instance in &self.space.instances {
             let coeffs = self.model.require(instance.name)?;
             for slots in self.space.slot_options(instance) {
+                let row_work = floor.row_work(coeffs, instance, slots);
                 for &nodes in &node_options {
                     let view = self.view(*instance, nodes, slots);
-                    // A candidate whose cost floor already exceeds what the
-                    // constraint can accept is not worth planning. Strictly:
-                    // one that could tie the incumbent's cost still reaches
-                    // `pick_better`, which may prefer it on makespan. The
-                    // floor is `nodes × price × billed hours of a constant`,
-                    // non-decreasing along the ascending `node_options`, so
-                    // the rest of the row is ruled out with it.
+                    let (best_cost, best_makespan) =
+                        best.as_ref().map_or((f64::INFINITY, f64::INFINITY), |b| {
+                            (b.estimate.cost_dollars, b.estimate.makespan_s)
+                        });
+                    // A candidate that even the shortest run prices out
+                    // ends the row: that price is `nodes × price × billed
+                    // hours of a constant`, non-decreasing along the
+                    // ascending `node_options`.
                     let acceptable = match constraint {
-                        Constraint::Deadline(_) => best
-                            .as_ref()
-                            .map_or(f64::INFINITY, |b| b.estimate.cost_dollars),
+                        Constraint::Deadline(_) => best_cost,
                         Constraint::Budget(b) => b,
                     };
-                    if self.cost_floor(program, &view, repeat) > acceptable {
+                    if self.cost_floor(&view, floor.min_makespan()) > acceptable {
                         break;
+                    }
+                    // A candidate that can neither meet the constraint nor
+                    // beat the incumbent is not worth planning. Strictly:
+                    // one that could tie the incumbent's figure still
+                    // reaches `pick_better`, which may prefer it on the
+                    // other one.
+                    let makespan_floor = floor.makespan(row_work, &view);
+                    let cost_floor = self.cost_floor(&view, makespan_floor);
+                    let hopeless = match constraint {
+                        Constraint::Deadline(d) => makespan_floor > d || cost_floor > best_cost,
+                        Constraint::Budget(b) => cost_floor > b || makespan_floor > best_makespan,
+                    };
+                    if hopeless {
+                        continue;
                     }
                     let (plan, estimate) = self.evaluate_inferred(program, &info, coeffs, view)?;
                     let estimate = self.scale_estimate(estimate, repeat, &view);
@@ -435,6 +482,73 @@ fn pick_better(a: DeploymentPlan, b: DeploymentPlan, constraint: Constraint) -> 
         b
     } else {
         a
+    }
+}
+
+/// Relative margin a work-conservation floor is shrunk by. The estimate
+/// reaches the same sum rounding in another order; each rounding moves it
+/// by at most half an ulp (1.1e-16), and crossing this margin would take
+/// thousands of them.
+const FLOOR_SLACK: f64 = 1e-12;
+
+/// What one search knows of every plan of a program before planning any
+/// (see [`DeploymentSearch::makespan_floor`]).
+struct WorkFloor {
+    /// Shortest possible execution: [`MIN_TASK_S`], or 0 without outputs.
+    min_run_s: f64,
+    /// Multiply flops of the live `Mul` nodes, each counted once.
+    mul_flops: f64,
+    /// Back-to-back executions, at least one.
+    repeat: f64,
+}
+
+impl WorkFloor {
+    fn new(program: &Program, info: &[NodeInfo], repeat: usize) -> Self {
+        let mul_flops = program
+            .live_nodes()
+            .into_iter()
+            .filter_map(|id| match program.nodes[id] {
+                ExprNode::Mul(a, b) => Some(mul_flops(
+                    &OperandStats::from(&info[a]),
+                    &OperandStats::from(&info[b]),
+                )),
+                _ => None,
+            })
+            .sum();
+        WorkFloor {
+            min_run_s: if program.outputs.is_empty() {
+                0.0
+            } else {
+                MIN_TASK_S
+            },
+            mul_flops,
+            repeat: repeat.max(1) as f64,
+        }
+    }
+
+    /// Task-seconds of compute every plan puts on an `(instance, slots)`
+    /// row: `c₁ · flops · cpu_adj`, or 0 for a model with a negative
+    /// coefficient or `σ`, under which a prediction can fall below it.
+    fn row_work(&self, coeffs: &OpCoefficients, instance: &InstanceType, slots: u32) -> f64 {
+        if !(coeffs.c.iter().all(|&c| c >= 0.0) && coeffs.sigma >= 0.0) {
+            return 0.0;
+        }
+        let compute = TaskFeatures {
+            flops: self.mul_flops,
+            ..Default::default()
+        };
+        coeffs.c[1] * featurize(instance, slots, &compute)[1]
+    }
+
+    /// The makespan floor of a candidate of the row `row_work` was taken on.
+    fn makespan(&self, row_work: f64, view: &ClusterView) -> f64 {
+        let spread = row_work / view.total_slots() as f64 * (1.0 - FLOOR_SLACK);
+        spread.max(self.min_run_s) * self.repeat
+    }
+
+    /// The makespan floor of a candidate on any row.
+    fn min_makespan(&self) -> f64 {
+        self.min_run_s * self.repeat
     }
 }
 
@@ -663,9 +777,7 @@ fn split_candidates(max: usize) -> impl Iterator<Item = usize> {
 
 impl SplitChooser for CostBasedChooser {
     fn choose_mul(&self, a: &OperandStats, b: &OperandStats, out: &OperandStats) -> MulSplit {
-        let ga = a.meta.grid();
-        let gb = b.meta.grid();
-        let (mt, kt, nt) = (ga.tile_rows, ga.tile_cols, gb.tile_cols);
+        let (mt, kt, nt) = mul_grid(a, b);
         let mut best = MulSplit {
             ri: 1,
             rj: 1,

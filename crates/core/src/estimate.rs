@@ -168,6 +168,23 @@ fn tile_mul_flops(a: &OperandStats, b: &OperandStats) -> f64 {
     2.0 * ar * ac * bc * (a.density * b.density).clamp(0.0, 1.0)
 }
 
+/// Tile-grid extents `(mt, kt, nt)` of the product `a × b`.
+pub(crate) fn mul_grid(a: &OperandStats, b: &OperandStats) -> (usize, usize, usize) {
+    let ga = a.meta.grid();
+    let gb = b.meta.grid();
+    (ga.tile_rows, ga.tile_cols, gb.tile_cols)
+}
+
+/// Flops of the tile multiplies of the whole product `a × b`, whatever its
+/// split: [`mul_features`] charges a task `tile_mul_flops` per
+/// `(i, k, j)` tile triple of its band, and the bands of any split
+/// partition the grid's `mt · kt · nt` triples. Accumulating partial tiles
+/// and generating operands add flops on top of these.
+pub fn mul_flops(a: &OperandStats, b: &OperandStats) -> f64 {
+    let (mt, kt, nt) = mul_grid(a, b);
+    tile_mul_flops(a, b) * (mt * kt * nt) as f64
+}
+
 /// Per-task features and task count for one physical job.
 pub fn job_features(job: &PhysJob, view: &ClusterView) -> (usize, TaskFeatures) {
     match job {
@@ -240,9 +257,7 @@ pub fn mul_features(
     split: MulSplit,
     view: &ClusterView,
 ) -> (usize, TaskFeatures) {
-    let ga = a.meta.grid();
-    let gb = b.meta.grid();
-    let (mt, kt, nt) = (ga.tile_rows, ga.tile_cols, gb.tile_cols);
+    let (mt, kt, nt) = mul_grid(a, b);
     let n_tasks = split.task_count(mt, kt, nt);
     // Effective band extents (last bands may be ragged; use the average).
     let ri = mt as f64 / mt.div_ceil(split.ri) as f64;

@@ -160,11 +160,7 @@ struct PlanBuilder<'a> {
 
 impl<'a> PlanBuilder<'a> {
     fn stats(&self, id: ExprId) -> OperandStats {
-        OperandStats {
-            meta: self.info[id].meta,
-            density: self.info[id].density,
-            generated: self.info[id].generated,
-        }
+        OperandStats::from(&self.info[id])
     }
 
     fn deps_of(&self, names: &[&str]) -> Vec<usize> {

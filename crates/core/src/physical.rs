@@ -23,7 +23,7 @@ use cumulon_matrix::tile::ElemOp;
 use cumulon_matrix::MatrixMeta;
 use serde::{Deserialize, Serialize};
 
-use crate::expr::UnaryOp;
+use crate::expr::{NodeInfo, UnaryOp};
 
 /// Reference to a stored matrix, optionally read transposed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -94,6 +94,17 @@ pub struct OperandStats {
     pub density: f64,
     /// Whether reads come from a generator (no DFS I/O).
     pub generated: bool,
+}
+
+impl From<&NodeInfo> for OperandStats {
+    /// The statistics lowering gives a job that reads the node's value.
+    fn from(info: &NodeInfo) -> Self {
+        OperandStats {
+            meta: info.meta,
+            density: info.density,
+            generated: info.generated,
+        }
+    }
 }
 
 /// Per-tile evaluation tree of a fused job.

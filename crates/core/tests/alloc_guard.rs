@@ -3,9 +3,10 @@
 //! The search costs every split candidate of every multiply of every
 //! candidate deployment, so a heap allocation in that innermost loop is
 //! paid hundreds of thousands of times per request. These tests hold the
-//! loop allocation-free and the whole search to an allocation count that
-//! grows with the plan it returns, not with the split grid it considered;
-//! and they pin the chooser's costing to the estimator's own formulas.
+//! loop allocation-free, planning to an allocation count that grows with
+//! the plans built, not with the split grid considered, and a deadline
+//! search to the candidates its floors let through; and they pin the
+//! chooser's costing to the estimator's own formulas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,8 +18,10 @@ use cumulon_core::estimate::{job_features, job_time_s, ClusterView};
 use cumulon_core::expr::InputDesc;
 use cumulon_core::lower::{build_plan, instantiate, FixedSplit, SplitChooser};
 use cumulon_core::physical::{partial_name, MatRef, MulSplit, OperandStats};
+use cumulon_core::rewrite::standard_pipeline;
 use cumulon_core::{
-    Constraint, CostModel, DeploymentSearch, OpCoefficients, PhysJob, ProgramBuilder, SearchSpace,
+    Constraint, CostModel, DeploymentSearch, OpCoefficients, PhysJob, Program, ProgramBuilder,
+    SearchSpace,
 };
 use cumulon_dfs::{Dfs, DfsConfig, TileStore};
 use cumulon_matrix::MatrixMeta;
@@ -134,29 +137,76 @@ fn a_search_allocates_for_the_plans_it_builds_not_the_splits_it_weighs() {
     let meta = MatrixMeta::new(40_000, 20_000, 1000);
     inputs.insert("A".to_string(), InputDesc::dense(meta));
 
-    let space = SearchSpace::quick();
-    let grid_points: u64 = space
-        .instances
-        .iter()
-        .map(|i| (space.slot_options(i).len() * space.node_options().len()) as u64)
-        .sum();
-    let search = DeploymentSearch::new(&m, space);
-    // A budget nothing exceeds: every grid point is planned.
-    let (winner, allocations) = allocations_in(|| {
-        search
-            .optimize(&program, &inputs, Constraint::Budget(f64::MAX))
-            .unwrap()
-    });
+    let search = DeploymentSearch::new(&m, SearchSpace::quick());
+    // A sweep plans and costs every grid point, whatever the floors say.
+    let (rows, allocations) = allocations_in(|| search.sweep(&program, &inputs).unwrap());
     // Planning a candidate allocates per job it emits (names, dependency
     // lists, the builder's maps, the estimate's rows) and nothing per
     // split it costs: the two multiplies here weigh 6 x 6 x 7 and 6 x 6 x 6
     // splits, and one allocation per split would be several times the
     // bound.
-    let jobs = winner.plan.jobs.len() as u64;
-    let bound = grid_points * (16 + 16 * jobs);
+    let jobs: u64 = rows.iter().map(|r| r.plan.jobs.len() as u64).sum();
+    let bound = 16 * (rows.len() as u64 + jobs);
     assert!(
         allocations < bound,
-        "{allocations} allocations for {grid_points} grid points of {jobs} jobs (bound {bound})"
+        "{allocations} allocations for {} plans of {jobs} jobs in all (bound {bound})",
+        rows.len()
+    );
+}
+
+/// The RSVD chain of the `optimize_search` benchmark at its seed-1 shape:
+/// `Y0 = A·Ω; Y1 = A·(A'·Y0); G1 = Y1'·Y1; Bm = A'·Y1; G2 = Bm'·Bm`,
+/// rewritten as `cumulon plan` rewrites it.
+fn rsvd() -> (Program, BTreeMap<String, InputDesc>) {
+    let mut b = ProgramBuilder::new();
+    let a = b.input("A");
+    let omega = b.input("Omega");
+    let at = b.transpose(a);
+    let y0 = b.mul(a, omega);
+    let at_y0 = b.mul(at, y0);
+    let y1 = b.mul(a, at_y0);
+    let y1t = b.transpose(y1);
+    let g1 = b.mul(y1t, y1);
+    let bm = b.mul(at, y1);
+    let bmt = b.transpose(bm);
+    let g2 = b.mul(bmt, bm);
+    b.output("G1", g1);
+    b.output("G2", g2);
+    let inputs = BTreeMap::from([
+        (
+            "A".to_string(),
+            InputDesc::dense(MatrixMeta::new(102_400, 51_200, 2048)).generated(),
+        ),
+        (
+            "Omega".to_string(),
+            InputDesc::dense(MatrixMeta::new(51_200, 2047, 2048)).generated(),
+        ),
+    ]);
+    let program = standard_pipeline(&b.build(), &inputs).unwrap();
+    (program, inputs)
+}
+
+#[test]
+fn a_deadline_search_allocates_for_the_candidates_that_can_win() {
+    let m = model();
+    let (program, inputs) = rsvd();
+    let search = DeploymentSearch::new(&m, SearchSpace::default());
+    let (winner, allocations) = allocations_in(|| {
+        search
+            .optimize(&program, &inputs, Constraint::Deadline(7_200.0))
+            .unwrap()
+    });
+    eprintln!(
+        "deadline search: {allocations} allocations, {}",
+        winner.summary()
+    );
+    // 448 grid points, of which the makespan and cost floors leave 34 to
+    // plan: 5 129 allocations. Planning the 139 that a cost floor at the
+    // shortest possible run lets through took 18 510.
+    const BUDGET: u64 = 6_500;
+    assert!(
+        allocations <= BUDGET,
+        "{allocations} allocations for one deadline search (budget {BUDGET})"
     );
 }
 

@@ -7,8 +7,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cumulon_cluster::billing::{cluster_cost, BillingPolicy};
 use cumulon_cluster::{Cluster, ClusterSpec, ExecMode};
-use cumulon_core::estimate::FailureModel;
-use cumulon_core::expr::{ExprId, InputDesc, ProgramBuilder, UnaryOp};
+use cumulon_core::calibrate::{featurize, MIN_TASK_S};
+use cumulon_core::estimate::{FailureModel, TaskFeatures};
+use cumulon_core::expr::{ExprId, ExprNode, InputDesc, ProgramBuilder, UnaryOp};
 use cumulon_core::lower::{build_plan, build_plan_with, instantiate, PlanOptions, UnitSplits};
 use cumulon_core::physical::{MatRef, PhysJob};
 use cumulon_core::{
@@ -129,6 +130,73 @@ fn square_inputs(n: usize, tile: usize) -> BTreeMap<String, InputDesc> {
     m.insert("X".to_string(), InputDesc::dense(meta));
     m.insert("Y".to_string(), InputDesc::dense(meta));
     m
+}
+
+/// A fitted model the search is held to.
+#[derive(Debug, Clone)]
+enum Fit {
+    /// The spec sheet's coefficients.
+    Idealized,
+    /// The spec sheet's coefficients scaled term by term (zeros included,
+    /// so compute alone can make up a prediction) under a random `σ ≥ 0`.
+    Scaled([f64; 8], f64),
+    /// The spec sheet with coefficient `i` negated.
+    NegativeCoefficient(usize),
+    /// The spec sheet with a negative `σ`.
+    NegativeSigma,
+}
+
+impl Fit {
+    fn coeffs(&self, instance: &cumulon_cluster::instances::InstanceType) -> OpCoefficients {
+        let mut fit = OpCoefficients::idealized(instance, 2.0, 0.85);
+        match self {
+            Fit::Idealized => {}
+            Fit::Scaled(scales, sigma) => {
+                for (c, s) in fit.c.iter_mut().zip(scales) {
+                    *c *= s;
+                }
+                fit.sigma = *sigma;
+            }
+            Fit::NegativeCoefficient(i) => fit.c[*i] = -fit.c[*i],
+            Fit::NegativeSigma => fit.sigma = -0.3,
+        }
+        fit
+    }
+
+    /// Whether the work-conservation floor applies to this fit.
+    fn non_negative(&self) -> bool {
+        matches!(self, Fit::Idealized | Fit::Scaled(..))
+    }
+}
+
+fn fits() -> impl Strategy<Value = Fit> {
+    let scale = prop_oneof![Just(0.0), Just(1.0), 0.0f64..4.0];
+    prop_oneof![
+        2 => Just(Fit::Idealized),
+        4 => (proptest::collection::vec(scale, 8..9), 0.0f64..1.0).prop_map(|(scales, sigma)| {
+            Fit::Scaled(scales.try_into().expect("eight scales"), sigma)
+        }),
+        1 => (0usize..8).prop_map(Fit::NegativeCoefficient),
+        1 => Just(Fit::NegativeSigma),
+    ]
+}
+
+/// Multiply flops of the live product nodes of `program`, each once, at
+/// the nodes' inferred densities: `2 · rows · inner · cols · density`.
+fn live_product_flops(program: &Program, inputs: &BTreeMap<String, InputDesc>) -> f64 {
+    let info = program.infer(inputs).unwrap();
+    program
+        .live_nodes()
+        .into_iter()
+        .filter_map(|id| match program.nodes[id] {
+            ExprNode::Mul(a, b) => {
+                let (l, r) = (&info[a], &info[b]);
+                let cells = l.meta.rows as f64 * l.meta.cols as f64 * r.meta.cols as f64;
+                Some(2.0 * cells * (l.density * r.density).clamp(0.0, 1.0))
+            }
+            _ => None,
+        })
+        .sum()
 }
 
 /// Random deployment grids: one to three neighbouring catalog types, node
@@ -393,15 +461,17 @@ proptest! {
     /// ranks first — cheapest then fastest under a deadline, fastest then
     /// cheapest under a budget, the earlier row on a full tie — with the
     /// estimate's bits intact, and is infeasible exactly when no row
-    /// qualifies; and the floor that lets it skip candidates never exceeds
-    /// what any candidate is billed.
+    /// qualifies; and the floors that let it skip candidates never exceed
+    /// any candidate's makespan or bill. The makespan floor is the live
+    /// products' flops on every slot at the fit's compute rate, or
+    /// `MIN_TASK_S` under a fit with a negative term.
     #[test]
     fn search_returns_the_sweep_argmin_and_its_floor_is_admissible(
         step_list in steps(),
         n_tiles in prop_oneof![Just(2usize), Just(12), Just(30), Just(60)],
         space in search_spaces(),
-        repeat in 1usize..=4,
-        by_deadline in any::<bool>(),
+        (fit, density) in (fits(), prop_oneof![Just(1.0), 0.001f64..1.0]),
+        (repeat, by_deadline) in (1usize..=4, any::<bool>()),
         (pivot, slack) in (
             any::<usize>(),
             prop_oneof![Just(0.5), Just(1.0), Just(1.25), Just(4.0)],
@@ -410,10 +480,15 @@ proptest! {
         let billing = space.billing;
         let mut model = CostModel::default();
         for i in &space.instances {
-            model.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
+            model.insert(i.name, fit.coeffs(i));
         }
         let (program, _) = build(&step_list);
-        let inputs = square_inputs(n_tiles * 1000, 1000);
+        let mut inputs = square_inputs(n_tiles * 1000, 1000);
+        if density < 1.0 {
+            for desc in inputs.values_mut() {
+                *desc = InputDesc::sparse(desc.meta, density);
+            }
+        }
         let search = DeploymentSearch::new(&model, space);
 
         // Every grid point as the search prices it: `repeat` executions
@@ -428,9 +503,28 @@ proptest! {
                 (row, makespan, cost)
             })
             .collect();
-        for (row, _, cost) in &rows {
-            let floor = search.cost_floor(&program, &row.view(), repeat);
-            prop_assert!(floor <= *cost, "floor {floor} above {cost} of {}", row.summary());
+        let flops = live_product_flops(&program, &inputs);
+        let shortest = MIN_TASK_S * repeat as f64;
+        for (row, makespan, cost) in &rows {
+            let view = row.view();
+            let floor = search.makespan_floor(&program, &inputs, &view, repeat).unwrap();
+            let expect = if fit.non_negative() {
+                let coeffs = model.for_instance(row.instance.name).unwrap();
+                let compute = TaskFeatures { flops, ..Default::default() };
+                let work = coeffs.c[1] * featurize(&row.instance, row.slots, &compute)[1];
+                (work / view.total_slots() as f64).max(MIN_TASK_S) * repeat as f64
+            } else {
+                shortest
+            };
+            prop_assert!(
+                (floor - expect).abs() <= 1e-9 * expect,
+                "floor {floor} is not the work bound {expect} on {}", row.summary()
+            );
+            prop_assert!(floor <= *makespan, "floor {floor} above {makespan} of {}", row.summary());
+            for floor in [floor, shortest] {
+                let bill = search.cost_floor(&view, floor);
+                prop_assert!(bill <= *cost, "floor {bill} above {cost} of {}", row.summary());
+            }
         }
 
         // A constraint some rows meet and some miss: a multiple of one

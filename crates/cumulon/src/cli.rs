@@ -703,22 +703,23 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                 max_nodes: *max_nodes,
                 ..Default::default()
             };
+            let optimizer = Optimizer::new(crate::idealized_cost_model());
             if *spot {
                 let Constraint::Deadline(deadline_s) = *constraint else {
                     return Err(CoreError::Invariant(
                         "--spot needs a deadline to price rework against".into(),
                     ));
                 };
-                let model = crate::idealized_cost_model();
-                let search = DeploymentSearch::new(&model, space);
+                // The same rewritten program `plan` searches without --spot.
+                let program = optimizer.rewrite(&compiled.program, &descs)?;
+                let search = DeploymentSearch::new(optimizer.model(), space);
                 let sspace = SpotSearchSpace {
                     bid_fractions: bid
                         .map(|b| vec![b])
                         .unwrap_or_else(|| SpotSearchSpace::default().bid_fractions),
                     ..Default::default()
                 };
-                let (plan, choice) =
-                    search.optimize_spot(&compiled.program, &descs, deadline_s, &sspace)?;
+                let (plan, choice) = search.optimize_spot(&program, &descs, deadline_s, &sspace)?;
                 let curve = search.spot_curve(&plan, &sspace);
                 writeln!(out, "inputs : {:?}", compiled.inputs).map_err(w)?;
                 writeln!(out, "outputs: {:?}", compiled.outputs()).map_err(w)?;
@@ -734,7 +735,6 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                 .map_err(w)?;
                 return Ok(());
             }
-            let optimizer = Optimizer::new(crate::idealized_cost_model());
             let plan = optimizer.optimize(&compiled.program, &descs, space, *constraint)?;
             writeln!(out, "inputs : {:?}", compiled.inputs).map_err(w)?;
             writeln!(out, "outputs: {:?}", compiled.outputs()).map_err(w)?;
@@ -1697,6 +1697,42 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("procure:"), "{text}");
         assert!(text.contains("on-demand reference:"), "{text}");
+        std::fs::remove_file(path).ok();
+    }
+
+    /// `plan --spot` searches the program `plan` does: rewritten, so a
+    /// chain the DP re-associates (`A * (B * x)` instead of the written
+    /// `(A * B) * x`, a matrix product's worth of flops less) picks the
+    /// same hardware either way.
+    #[test]
+    fn spot_plan_searches_the_rewritten_program() {
+        let path = write_script("D = A * B * x;");
+        let script = path.to_str().unwrap().to_string();
+        let chosen = |spot: bool| {
+            let mut out = Vec::new();
+            execute(
+                &Command::Plan {
+                    script: script.clone(),
+                    inputs: vec![
+                        InputSpec::parse("A=20000x20000").unwrap(),
+                        InputSpec::parse("B=20000x20000").unwrap(),
+                        InputSpec::parse("x=20000x1").unwrap(),
+                    ],
+                    constraint: Constraint::Deadline(3_600.0),
+                    max_nodes: 16,
+                    spot,
+                    bid: None,
+                },
+                &mut out,
+            )
+            .unwrap();
+            let text = String::from_utf8(out).unwrap();
+            text.lines()
+                .find(|l| l.starts_with("chosen :"))
+                .unwrap_or_else(|| panic!("no chosen line in {text}"))
+                .to_string()
+        };
+        assert_eq!(chosen(true), chosen(false));
         std::fs::remove_file(path).ok();
     }
 
