@@ -1,25 +1,21 @@
 //! Datanode block storage.
 //!
-//! Blocks live in one of three forms:
+//! A block holds one payload, the tile, in one of two residencies:
 //!
-//! * the **byte plane** ([`BlockPayload::Bytes`]) — a materialized encoded
-//!   buffer, as a real DFS would store. Only files that crossed a real
-//!   serialization boundary take this form: checkpoints, and anything
-//!   written through [`crate::Dfs::write_file`];
-//! * the **handle plane** ([`BlockPayload::Tile`]) — a shared `Arc<Tile>`
-//!   plus the exact wire length the encoded block *would* occupy. All
-//!   byte-accounting counters use that wire length, so the two planes are
-//!   indistinguishable to receipts, placement, and storage statistics;
-//! * the **disk tier** ([`BlockPayload::Spilled`]) — a handle-plane block
-//!   whose decoded tile was demoted to the content-addressed blob store by
-//!   the memory-budgeted spill plane. It carries the same wire length the
+//! * **resident** ([`BlockPayload::Tile`]) — a shared `Arc<Tile>` plus the
+//!   exact wire length the encoded block would occupy. Every
+//!   byte-accounting counter uses that wire length, so receipts,
+//!   placement and storage statistics price a block as the bytes a real
+//!   DFS would store, without the bytes existing;
+//! * **spilled** ([`BlockPayload::Spilled`]) — a resident block whose
+//!   decoded tile was demoted to the content-addressed blob store by the
+//!   memory-budgeted spill plane. It carries the same wire length the
 //!   handle carried, so every counter stays bitwise-identical; the next
-//!   read re-admits the tile through `Dfs::read_payload`.
+//!   read re-admits the tile through `Dfs::read_tile_file`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use cumulon_matrix::Tile;
 
 use crate::blob::BlobKey;
@@ -31,9 +27,6 @@ pub struct BlockId(pub u64);
 /// The stored form of one block replica.
 #[derive(Debug, Clone)]
 pub enum BlockPayload {
-    /// Materialized encoded bytes: checkpointed tiles and raw
-    /// [`crate::Dfs::write_file`] payloads.
-    Bytes(Bytes),
     /// Zero-copy tile handle. `len` is the wire length this block would have
     /// if encoded — for single-block tile files that is the full encoding;
     /// large tiles split into multiple handle blocks that each carry a slice
@@ -44,7 +37,7 @@ pub enum BlockPayload {
         /// Wire length in bytes charged for this block.
         len: u64,
     },
-    /// Handle-plane block demoted to the blob store by the spill plane.
+    /// Resident block demoted to the blob store by the spill plane.
     /// `len` is the wire length the resident handle carried — preserved
     /// exactly so residency is invisible to all byte accounting.
     Spilled {
@@ -59,7 +52,6 @@ impl BlockPayload {
     /// The length used for every byte-accounting purpose.
     pub fn len(&self) -> u64 {
         match self {
-            BlockPayload::Bytes(b) => b.len() as u64,
             BlockPayload::Tile { len, .. } => *len,
             BlockPayload::Spilled { len, .. } => *len,
         }
@@ -89,8 +81,7 @@ impl DataNode {
     }
 
     /// Stores a block replica.
-    pub fn put(&mut self, id: BlockId, data: impl Into<BlockPayload>) {
-        let data = data.into();
+    pub fn put(&mut self, id: BlockId, data: BlockPayload) {
         let len = data.len();
         if let Some(old) = self.blocks.insert(id, data) {
             self.bytes_stored -= old.len();
@@ -177,26 +168,39 @@ impl DataNode {
     }
 }
 
-impl From<Bytes> for BlockPayload {
-    fn from(b: Bytes) -> Self {
-        BlockPayload::Bytes(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A resident block of a 1×1 tile charged at `len` wire bytes.
+    fn block(len: u64) -> BlockPayload {
+        BlockPayload::Tile {
+            tile: Arc::new(Tile::zeros(1, 1)),
+            len,
+        }
+    }
+
     #[test]
     fn put_get_evict() {
         let mut n = DataNode::new();
-        n.put(BlockId(1), Bytes::from_static(b"hello"));
+        let tile = Arc::new(Tile::zeros(1, 1));
+        let len = 5;
+        n.put(
+            BlockId(1),
+            BlockPayload::Tile {
+                tile: Arc::clone(&tile),
+                len,
+            },
+        );
         assert_eq!(n.bytes_stored(), 5);
         assert_eq!(n.block_count(), 1);
         assert!(n.contains(BlockId(1)));
         match n.get(BlockId(1)).unwrap() {
-            BlockPayload::Bytes(b) => assert_eq!(b, Bytes::from_static(b"hello")),
-            other => panic!("expected bytes, got {other:?}"),
+            BlockPayload::Tile { tile: t, len } => {
+                assert!(Arc::ptr_eq(&t, &tile));
+                assert_eq!(len, 5);
+            }
+            other => panic!("expected a tile handle, got {other:?}"),
         }
         assert_eq!(n.bytes_read_total(), 5);
         assert_eq!(n.evict(BlockId(1)), 5);
@@ -207,8 +211,8 @@ mod tests {
     #[test]
     fn put_overwrite_adjusts_usage() {
         let mut n = DataNode::new();
-        n.put(BlockId(1), Bytes::from_static(b"aaaa"));
-        n.put(BlockId(1), Bytes::from_static(b"bb"));
+        n.put(BlockId(1), block(4));
+        n.put(BlockId(1), block(2));
         assert_eq!(n.bytes_stored(), 2);
         assert_eq!(n.bytes_written_total(), 6);
     }
@@ -223,8 +227,8 @@ mod tests {
     #[test]
     fn block_ids_lists_all() {
         let mut n = DataNode::new();
-        n.put(BlockId(1), Bytes::from_static(b"a"));
-        n.put(BlockId(2), Bytes::from_static(b"b"));
+        n.put(BlockId(1), block(1));
+        n.put(BlockId(2), block(1));
         let mut ids = n.block_ids();
         ids.sort();
         assert_eq!(ids, vec![BlockId(1), BlockId(2)]);

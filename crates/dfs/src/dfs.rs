@@ -1,13 +1,11 @@
 //! The DFS façade: files of blocks with replica placement and I/O receipts.
 //!
-//! Files live on one of two planes (see [`crate::datanode::BlockPayload`]):
-//! the byte plane ([`Dfs::write_file`]) and the zero-copy handle plane
-//! ([`Dfs::write_tile_file`]). Both planes share the same placement policy,
-//! block-splitting rule, replica bookkeeping, and receipt accounting — a
-//! handle file charges exactly the wire bytes its encoding would occupy, so
-//! receipts are bit-identical across planes. Encoding happens only when a
-//! handle file is read *as bytes* ([`Dfs::read_file`]), which is the
-//! serialization boundary checkpoints and recovery verification go through.
+//! A file holds one tile ([`Dfs::write_tile_file`]): every block replica
+//! shares the tile's `Arc` and is charged the slice of its wire length
+//! the block would carry (see [`crate::datanode::BlockPayload`]), so
+//! placement, block splitting, replica bookkeeping and receipts price the
+//! encoding a real DFS would store without the encoding being made. The
+//! only bytes that exist are the spill plane's, on disk.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -91,16 +89,6 @@ impl IoReceipt {
             remote_bytes: self.remote_bytes + other.remote_bytes,
         }
     }
-}
-
-/// What a whole-file read yields: assembled bytes (byte plane) or the shared
-/// tile handle (handle plane — the caller skips decoding entirely).
-#[derive(Debug, Clone)]
-pub enum FilePayload {
-    /// Byte-plane file: the assembled encoded payload.
-    Bytes(Bytes),
-    /// Handle-plane file: the tile itself, shared, never encoded.
-    Tile(Arc<Tile>),
 }
 
 struct DfsState {
@@ -217,43 +205,16 @@ impl Dfs {
         Ok(chosen)
     }
 
-    /// Writes a new file with the given payload, splitting into blocks.
-    /// `writer` is the node performing the write (None = external client).
-    pub fn write_file(&self, path: &str, data: Bytes, writer: Option<NodeId>) -> Result<IoReceipt> {
-        self.write_file_with(path, data, writer, self.config.replication)
-    }
-
-    /// Like [`Dfs::write_file`] but with an explicit replication factor,
-    /// overriding the configured default. Checkpoints use this to persist
-    /// iterates more durably than intermediate data.
-    pub fn write_file_with(
-        &self,
-        path: &str,
-        data: Bytes,
-        writer: Option<NodeId>,
-        replication: usize,
-    ) -> Result<IoReceipt> {
-        let total = data.len() as u64;
-        let mut st = self.state.lock();
-        Self::write_blocks(
-            &mut st,
-            &self.config,
-            path,
-            total,
-            writer,
-            replication,
-            |offset, len| BlockPayload::Bytes(data.slice(offset as usize..(offset + len) as usize)),
-        )
-    }
-
-    /// Writes a tile onto the handle plane: blocks store the shared
-    /// `Arc<Tile>` instead of encoded bytes. `wire_len` must be the exact
-    /// encoded length (see `cumulon_matrix::serialize::encoded_len`) — the
-    /// file splits into blocks of that logical size, so placement, replica
-    /// counts, and receipts match a byte-plane write of the encoding
-    /// bit-for-bit, without paying for the encoding. A file already at
-    /// `path` is deleted first, as [`Dfs::delete_file`] would (a
-    /// re-executed task overwrites its earlier output).
+    /// Writes a tile file: namespace entry, block splitting, placement and
+    /// replica stores. Blocks store the shared `Arc<Tile>`; `wire_len` must
+    /// be the exact encoded length (see
+    /// `cumulon_matrix::serialize::encoded_len`) — the file splits into
+    /// blocks of that logical size, and receipts and storage counters
+    /// charge it, so they match a write of the encoding bit-for-bit
+    /// without paying for it. `writer` is the node performing the write
+    /// (`None` = external client). A file already at `path` is deleted
+    /// first, as [`Dfs::delete_file`] would (a re-executed task overwrites
+    /// its earlier output; a checkpoint re-replicates in place).
     pub fn write_tile_file(
         &self,
         path: &str,
@@ -262,25 +223,49 @@ impl Dfs {
         writer: Option<NodeId>,
         replication: usize,
     ) -> Result<IoReceipt> {
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         if st.namenode.exists(path) {
-            Self::delete_locked(&mut st, path)?;
+            Self::delete_locked(st, path)?;
         }
-        let receipt = Self::write_blocks(
-            &mut st,
-            &self.config,
-            path,
-            wire_len,
-            writer,
-            replication,
-            |_offset, len| BlockPayload::Tile {
-                tile: Arc::clone(&tile),
-                len,
-            },
-        )?;
-        // Out-of-core plane: the new handle file becomes the hottest
-        // resident entry; demote colder files until the budget holds.
-        // Phantom tiles pin no data and are never tracked.
+        let shared = st.namenode.create_file(path)?;
+        let mut receipt = IoReceipt::default();
+        let mut offset = 0u64;
+        loop {
+            let len = (wire_len - offset).min(self.config.block_size);
+            let replicas = match Self::place_replicas(st, &self.config, writer, replication) {
+                Ok(r) => r,
+                Err(e) => {
+                    // Roll back the namespace entry so a failed write does
+                    // not leave a ghost file behind.
+                    let _ = st.namenode.delete_file(&shared);
+                    return Err(e);
+                }
+            };
+            let id = st.namenode.allocate_block();
+            for &node in &replicas {
+                let payload = BlockPayload::Tile {
+                    tile: Arc::clone(&tile),
+                    len,
+                };
+                st.datanodes[node.0 as usize].put(id, payload);
+                if writer == Some(node) {
+                    receipt.local_bytes += len;
+                } else {
+                    receipt.remote_bytes += len;
+                }
+            }
+            receipt.bytes += len;
+            st.namenode
+                .append_block(&shared, BlockMeta { id, len, replicas })?;
+            offset += len;
+            if offset >= wire_len {
+                break;
+            }
+        }
+        // Out-of-core plane: the new file becomes the hottest resident
+        // entry; demote colder files until the budget holds. Phantom
+        // tiles pin no data and are never tracked.
         if !tile.is_phantom() && st.spill.is_some() {
             drop(tile); // release this fn's pin before enforcement
             if let Some(plane) = st.spill.as_mut() {
@@ -291,66 +276,17 @@ impl Dfs {
                     plane.blob_mut().release(stale.key)?;
                 }
             }
-            Self::enforce_budget(&mut st)?;
+            Self::enforce_budget(st)?;
         }
         Ok(receipt)
     }
 
-    /// Shared write path: namespace entry, block splitting, placement,
-    /// replica stores, receipt accounting. `payload_for(offset, len)`
-    /// supplies each block's stored form; both planes use the identical
-    /// splitting rule so the placement RNG sees the same draw sequence.
-    fn write_blocks(
-        st: &mut DfsState,
-        config: &DfsConfig,
-        path: &str,
-        total: u64,
-        writer: Option<NodeId>,
-        replication: usize,
-        payload_for: impl Fn(u64, u64) -> BlockPayload,
-    ) -> Result<IoReceipt> {
-        let path = st.namenode.create_file(path)?;
-        let mut receipt = IoReceipt::default();
-        let mut offset = 0u64;
-        loop {
-            let len = (total - offset).min(config.block_size);
-            let payload = payload_for(offset, len);
-            let replicas = match Self::place_replicas(st, config, writer, replication) {
-                Ok(r) => r,
-                Err(e) => {
-                    // Roll back the namespace entry so a failed write does
-                    // not leave a ghost file behind.
-                    let _ = st.namenode.delete_file(&path);
-                    return Err(e);
-                }
-            };
-            let id = st.namenode.allocate_block();
-            for &node in &replicas {
-                st.datanodes[node.0 as usize].put(id, payload.clone());
-                if writer == Some(node) {
-                    receipt.local_bytes += len;
-                } else {
-                    receipt.remote_bytes += len;
-                }
-            }
-            receipt.bytes += len;
-            st.namenode
-                .append_block(&path, BlockMeta { id, len, replicas })?;
-            offset += len;
-            if offset >= total {
-                break;
-            }
-        }
-        Ok(receipt)
-    }
-
-    /// Per-block replica selection shared by [`Dfs::read_file`] and
-    /// [`Dfs::read_receipt`]: replicas are tried in locality order
-    /// (reader-local, same-rack, then the rest, each tier in replica-list
-    /// order) and the first datanode actually holding the payload serves.
-    /// `DataNode::get` is called on the serving node, so its read counter
-    /// advances the same way for both entry points. Returns `None` when no
-    /// replica can serve.
+    /// Per-block replica selection for [`Dfs::read_tile_file`]: replicas
+    /// are tried in locality order (reader-local, same-rack, then the
+    /// rest, each tier in replica-list order) and the first datanode
+    /// actually holding the payload serves. `DataNode::get` is called on
+    /// the serving node, so its read counter advances. Returns `None` when
+    /// no replica can serve.
     fn serve_block(
         datanodes: &mut [DataNode],
         config: &DfsConfig,
@@ -378,38 +314,24 @@ impl Dfs {
             .find_map(|n| datanodes[n.0 as usize].get(block.id).map(|data| (n, data)))
     }
 
-    /// Reads a whole file. Per block, replicas are tried in locality order —
-    /// reader-local first, then same-rack, then the rest — and the read fails
-    /// over to the next replica when one does not actually hold the payload.
-    /// [`DfsError::BlockLost`] surfaces only when *no* replica can serve the
-    /// block. The receipt says how many bytes were local vs remote.
-    pub fn read_file(&self, path: &str, reader: Option<NodeId>) -> Result<(Bytes, IoReceipt)> {
-        let (payload, receipt) = self.read_payload(path, reader)?;
-        let bytes = match payload {
-            FilePayload::Bytes(b) => b,
-            // Serialization boundary: a handle-plane file read as bytes is
-            // encoded here, on demand.
-            FilePayload::Tile(tile) => encode_tile(&tile),
-        };
-        Ok((bytes, receipt))
-    }
-
-    /// Reads a whole file in its native plane: byte-plane files yield their
-    /// assembled bytes, handle-plane files yield the shared `Arc<Tile>`
-    /// without any encoding. Replica selection, failover, datanode read
-    /// counters, and the receipt are identical to [`Dfs::read_file`].
-    pub fn read_payload(
+    /// Reads a whole file's tile, shared — never copied or decoded unless
+    /// the spill plane demoted it, in which case it is re-admitted first.
+    /// Per block, replicas are tried in locality order — reader-local
+    /// first, then same-rack, then the rest — and the read fails over to
+    /// the next replica when one does not actually hold the payload.
+    /// [`DfsError::BlockLost`] surfaces only when *no* replica can serve
+    /// the block. The receipt says how many bytes were local vs remote.
+    pub fn read_tile_file(
         &self,
         path: &str,
         reader: Option<NodeId>,
-    ) -> Result<(FilePayload, IoReceipt)> {
+    ) -> Result<(Arc<Tile>, IoReceipt)> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let blocks = &st.namenode.stat(path)?.blocks;
         if let Some(plane) = st.spill.as_mut() {
             plane.touch(path);
         }
-        let mut out = bytes::BytesMut::new();
         let mut handle: Option<Arc<Tile>> = None;
         let mut receipt = IoReceipt::default();
         let mut lost = None;
@@ -427,12 +349,11 @@ impl Dfs {
                 receipt.remote_bytes += block.len;
             }
             match data {
-                BlockPayload::Bytes(b) => out.extend_from_slice(&b),
-                // A handle file carries one tile; every block shares the
-                // same Arc, so the first one is the whole payload.
+                // Every block shares the file's Arc, so the first one
+                // is the whole payload.
                 BlockPayload::Tile { tile, .. } => handle = Some(tile),
-                // Demoted handle file: re-admit it from the blob store.
-                // The serving datanode already counted this read at the
+                // Demoted file: re-admit it from the blob store. The
+                // serving datanode already counted this read at the
                 // identical wire length, so receipts and counters cannot
                 // tell a disk-resident tile from a RAM-resident one.
                 BlockPayload::Spilled { key, .. } => {
@@ -460,43 +381,9 @@ impl Dfs {
                 block,
             });
         }
-        match handle {
-            Some(tile) => Ok((FilePayload::Tile(tile), receipt)),
-            None => Ok((FilePayload::Bytes(out.freeze()), receipt)),
-        }
-    }
-
-    /// Replays [`Dfs::read_file`]'s replica selection, failover, datanode
-    /// read counters, and receipt accounting without assembling the payload.
-    /// The tile cache uses this so a cache hit remains observationally
-    /// identical to a real read — including [`DfsError::BlockLost`] when the
-    /// underlying replicas have since been destroyed.
-    pub fn read_receipt(&self, path: &str, reader: Option<NodeId>) -> Result<IoReceipt> {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let blocks = &st.namenode.stat(path)?.blocks;
-        // A receipt replay is a cache hit on the decoded tile: the file's
-        // data was just accessed, so refresh its LRU recency. A spilled
-        // file stays spilled — the cached Arc serves the data, and the
-        // datanode counters below advance exactly as a real read would.
-        if let Some(plane) = st.spill.as_mut() {
-            plane.touch(path);
-        }
-        let mut receipt = IoReceipt::default();
-        for (idx, block) in blocks.iter().enumerate() {
-            let (source, _data) = Self::serve_block(&mut st.datanodes, &self.config, reader, block)
-                .ok_or_else(|| DfsError::BlockLost {
-                    path: path.to_string(),
-                    block: idx,
-                })?;
-            receipt.bytes += block.len;
-            if reader == Some(source) {
-                receipt.local_bytes += block.len;
-            } else {
-                receipt.remote_bytes += block.len;
-            }
-        }
-        Ok(receipt)
+        // A write whose first placement fails removes the namespace entry
+        // it created, so every file has a block.
+        Ok((handle.expect("every file has a block"), receipt))
     }
 
     /// True if the path exists.
@@ -602,8 +489,8 @@ impl Dfs {
                 .copied()
                 .find(|&n| n != holder && !st.datanodes[n.0 as usize].contains(id));
             let Some(target) = target else { continue };
-            // Re-replication clones the payload — for handle-plane blocks
-            // that is an Arc clone, still charged at wire length.
+            // Re-replication clones the payload — an Arc clone (or a
+            // spilled reference), still charged at wire length.
             let data = st.datanodes[holder.0 as usize]
                 .get(id)
                 .expect("holder was just checked to contain the block");
@@ -749,7 +636,7 @@ impl Dfs {
     /// no data is stranded in the segment files the plane deletes on drop
     /// (every file is then resident, and the backings the re-admissions
     /// left go with the old plane's blob store). Installing with a nonzero
-    /// budget adopts files already resident on the handle plane (path
+    /// budget adopts the files that hold a resident, non-phantom tile (path
     /// order) and enforces the budget immediately. Replacing an existing
     /// plane first re-admits through the old one for the same reason.
     pub fn set_spill_config(&self, config: &SpillConfig) -> Result<()> {
@@ -918,8 +805,8 @@ impl Dfs {
     /// more than the swap. Any other is encoded through the ordinary wire
     /// codec, optionally compressed, and appended to the blob store (keyed
     /// by a digest of the *encoded* tile, so identical content dedupes).
-    /// Files that are no longer on the handle plane (e.g. every replica
-    /// lost with its node) are skipped, and give their backing up.
+    /// Files that no longer hold a resident tile (e.g. every replica lost
+    /// with its node) are skipped, and give their backing up.
     fn demote_path(st: &mut DfsState, path: &str, backing: Option<SpilledFile>) -> Result<()> {
         let handle = st.namenode.stat(path).ok().and_then(|meta| {
             let replicas = meta
@@ -981,7 +868,7 @@ impl Dfs {
 
     /// Re-admits one demoted file: reads the blob entry back, decompresses
     /// and decodes it into a fresh `Arc<Tile>`, and swaps every replica
-    /// back onto the handle plane. The blob reference is kept: it backs
+    /// back to a resident handle. The blob reference is kept: it backs
     /// the resident file until the file is written, deleted or demoted
     /// again (see [`crate::spill`]). The returned Arc is *new* —
     /// bitwise-equal to the one that was demoted, but not
@@ -1030,7 +917,7 @@ impl Dfs {
 /// snapshot: what the namenode's block metadata says the datanodes hold,
 /// and what their own counters report. [`StorageAccounting::is_conserved`]
 /// is the invariant `cumulon check` enforces after every lattice run, and
-/// the DFS property tests across checkpoints to the byte plane.
+/// the DFS property tests across writes, kills, spills and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageAccounting {
     /// Σ file lengths (logical, not × replication).
@@ -1060,6 +947,7 @@ impl StorageAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cumulon_matrix::DenseTile;
 
     fn dfs(nodes: u32, replication: usize) -> Dfs {
         Dfs::new(
@@ -1073,19 +961,35 @@ mod tests {
         )
     }
 
+    /// A 1×1 tile holding `v`, so a read can tell which file it got.
+    pub(super) fn tile(v: f64) -> Arc<Tile> {
+        Arc::new(Tile::dense(DenseTile::from_vec(1, 1, vec![v])))
+    }
+
+    /// Writes `tile` as a file of `len` wire bytes at the configured
+    /// replication: the explicit length is what blocks split on and what
+    /// every counter charges.
+    pub(super) fn write(
+        d: &Dfs,
+        path: &str,
+        tile: &Arc<Tile>,
+        len: u64,
+        writer: Option<NodeId>,
+    ) -> Result<IoReceipt> {
+        d.write_tile_file(path, Arc::clone(tile), len, writer, d.config.replication)
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let d = dfs(4, 3);
-        let payload = Bytes::from(vec![7u8; 100]);
-        let w = d
-            .write_file("/f", payload.clone(), Some(NodeId(1)))
-            .unwrap();
+        let t = tile(7.0);
+        let w = write(&d, "/f", &t, 100, Some(NodeId(1))).unwrap();
         assert_eq!(w.bytes, 100);
         // Writer-local replica + 2 remote replicas per block.
         assert_eq!(w.local_bytes, 100);
         assert_eq!(w.remote_bytes, 200);
-        let (data, r) = d.read_file("/f", Some(NodeId(1))).unwrap();
-        assert_eq!(data, payload);
+        let (got, r) = d.read_tile_file("/f", Some(NodeId(1))).unwrap();
+        assert!(Arc::ptr_eq(&got, &t));
         assert_eq!(r.local_bytes, 100);
         assert_eq!(r.remote_bytes, 0);
     }
@@ -1093,9 +997,8 @@ mod tests {
     #[test]
     fn remote_read_counts_remote() {
         let d = dfs(5, 1);
-        d.write_file("/f", Bytes::from(vec![1u8; 10]), Some(NodeId(0)))
-            .unwrap();
-        let (_, r) = d.read_file("/f", Some(NodeId(4))).unwrap();
+        write(&d, "/f", &tile(1.0), 10, Some(NodeId(0))).unwrap();
+        let (_, r) = d.read_tile_file("/f", Some(NodeId(4))).unwrap();
         assert_eq!(r.remote_bytes, 10);
         assert_eq!(r.local_bytes, 0);
     }
@@ -1103,8 +1006,7 @@ mod tests {
     #[test]
     fn blocks_split_at_block_size() {
         let d = dfs(3, 2);
-        d.write_file("/big", Bytes::from(vec![0u8; 200]), None)
-            .unwrap();
+        write(&d, "/big", &tile(0.0), 200, None).unwrap();
         let st = d.state.lock();
         let meta = st.namenode.stat("/big").unwrap();
         assert_eq!(meta.blocks.len(), 4); // 200 bytes / 64-byte blocks
@@ -1114,8 +1016,7 @@ mod tests {
     #[test]
     fn replication_physical_bytes() {
         let d = dfs(4, 3);
-        d.write_file("/f", Bytes::from(vec![2u8; 50]), None)
-            .unwrap();
+        write(&d, "/f", &tile(2.0), 50, None).unwrap();
         let (logical, physical) = d.storage_stats();
         assert_eq!(logical, 50);
         assert_eq!(physical, 150);
@@ -1124,38 +1025,34 @@ mod tests {
     #[test]
     fn drain_moves_sole_replica_blocks_to_survivors() {
         let d = dfs(4, 1);
-        d.write_file("/a", Bytes::from(vec![1u8; 64]), Some(NodeId(0)))
-            .unwrap();
-        d.write_file("/b", Bytes::from(vec![2u8; 64]), Some(NodeId(0)))
-            .unwrap();
+        let (a, b) = (tile(1.0), tile(2.0));
+        write(&d, "/a", &a, 64, Some(NodeId(0))).unwrap();
+        write(&d, "/b", &b, 64, Some(NodeId(0))).unwrap();
         let receipt = d.drain_nodes(&[NodeId(0)], u64::MAX).unwrap();
         assert_eq!(receipt.bytes, 128);
         assert!(d.storage_accounting().is_conserved());
         // The victim is still live after draining; the kill then loses
         // nothing because every block now has a survivor replica.
         d.kill_nodes(&[NodeId(0)]).unwrap();
-        let (data, _) = d.read_file("/a", None).unwrap();
-        assert_eq!(data, Bytes::from(vec![1u8; 64]));
-        let (data, _) = d.read_file("/b", None).unwrap();
-        assert_eq!(data, Bytes::from(vec![2u8; 64]));
+        assert!(Arc::ptr_eq(&d.read_tile_file("/a", None).unwrap().0, &a));
+        assert!(Arc::ptr_eq(&d.read_tile_file("/b", None).unwrap().0, &b));
     }
 
     #[test]
     fn drain_respects_byte_budget_in_namespace_order() {
         let d = dfs(4, 1);
-        for (path, fill) in [("/a", 1u8), ("/b", 2), ("/c", 3)] {
-            d.write_file(path, Bytes::from(vec![fill; 64]), Some(NodeId(0)))
-                .unwrap();
+        for (path, v) in [("/a", 1.0), ("/b", 2.0), ("/c", 3.0)] {
+            write(&d, path, &tile(v), 64, Some(NodeId(0))).unwrap();
         }
         // Budget covers exactly two blocks; namespace order says /a and /b
         // are saved, /c stays at risk.
         let receipt = d.drain_nodes(&[NodeId(0)], 128).unwrap();
         assert_eq!(receipt.bytes, 128);
         d.kill_nodes(&[NodeId(0)]).unwrap();
-        assert!(d.read_file("/a", None).is_ok());
-        assert!(d.read_file("/b", None).is_ok());
+        assert!(d.read_tile_file("/a", None).is_ok());
+        assert!(d.read_tile_file("/b", None).is_ok());
         assert!(matches!(
-            d.read_file("/c", None),
+            d.read_tile_file("/c", None),
             Err(DfsError::BlockLost { .. })
         ));
     }
@@ -1169,8 +1066,7 @@ mod tests {
         let d = dfs(4, 1);
         let created: Vec<String> = (0..12).map(|i| format!("/m/{:02}", i * 5 % 12)).collect();
         for path in &created {
-            d.write_file(path, Bytes::from(vec![1u8; 64]), Some(NodeId(0)))
-                .unwrap();
+            write(&d, path, &tile(1.0), 64, Some(NodeId(0))).unwrap();
         }
         let mut sorted = created.clone();
         sorted.sort();
@@ -1210,8 +1106,7 @@ mod tests {
     #[test]
     fn drain_skips_blocks_with_surviving_replicas() {
         let d = dfs(4, 2);
-        d.write_file("/f", Bytes::from(vec![1u8; 64]), Some(NodeId(0)))
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 64, Some(NodeId(0))).unwrap();
         // Replication 2: the second replica lives off-victim already, so
         // there is nothing to drain.
         let receipt = d.drain_nodes(&[NodeId(0)], u64::MAX).unwrap();
@@ -1221,8 +1116,7 @@ mod tests {
     #[test]
     fn bulk_kill_of_every_replica_surfaces_block_lost() {
         let d = dfs(4, 2);
-        d.write_file("/f", Bytes::from(vec![1u8; 64]), None)
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 64, None).unwrap();
         let victims: Vec<NodeId> = {
             let st = d.state.lock();
             st.namenode.stat("/f").unwrap().blocks[0].replicas.clone()
@@ -1232,7 +1126,7 @@ mod tests {
         // no source. The read must fail structurally, not panic.
         d.kill_nodes(&victims).unwrap();
         assert!(matches!(
-            d.read_file("/f", None),
+            d.read_tile_file("/f", None),
             Err(DfsError::BlockLost { .. })
         ));
         assert!(d.storage_accounting().is_conserved());
@@ -1241,59 +1135,60 @@ mod tests {
     #[test]
     fn kill_and_drain_ignore_out_of_range_nodes() {
         let d = dfs(2, 1);
-        d.write_file("/f", Bytes::from(vec![1u8; 8]), Some(NodeId(0)))
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 8, Some(NodeId(0))).unwrap();
         // Node 99 does not exist; neither call may panic.
         d.kill_nodes(&[NodeId(99)]).unwrap();
         let receipt = d.drain_nodes(&[NodeId(99)], u64::MAX).unwrap();
         assert_eq!(receipt.bytes, 0);
-        assert!(d.read_file("/f", None).is_ok());
+        assert!(d.read_tile_file("/f", None).is_ok());
     }
 
     #[test]
     fn graceful_under_replication() {
         let d = dfs(2, 3); // want 3 replicas, only 2 nodes
-        d.write_file("/f", Bytes::from(vec![1u8; 10]), None)
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 10, None).unwrap();
         let (_, physical) = d.storage_stats();
         assert_eq!(physical, 20);
     }
 
+    /// A write to a taken path replaces the file, as a re-executed task's
+    /// output must: the old replicas are freed and reads see the new tile.
     #[test]
-    fn duplicate_write_rejected() {
+    fn rewrite_replaces_the_file() {
         let d = dfs(2, 1);
-        d.write_file("/f", Bytes::from(vec![1u8; 4]), None).unwrap();
-        assert!(matches!(
-            d.write_file("/f", Bytes::from(vec![1u8; 4]), None),
-            Err(DfsError::AlreadyExists(_))
-        ));
+        write(&d, "/f", &tile(1.0), 4, None).unwrap();
+        let new = tile(2.0);
+        write(&d, "/f", &new, 6, None).unwrap();
+        assert_eq!(d.storage_stats(), (6, 6));
+        assert!(d.storage_accounting().is_conserved());
+        assert!(Arc::ptr_eq(&d.read_tile_file("/f", None).unwrap().0, &new));
     }
 
     #[test]
     fn delete_frees_replicas() {
         let d = dfs(3, 3);
-        d.write_file("/f", Bytes::from(vec![1u8; 30]), None)
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 30, None).unwrap();
         d.delete_file("/f").unwrap();
         let (logical, physical) = d.storage_stats();
         assert_eq!((logical, physical), (0, 0));
         assert!(!d.exists("/f"));
-        assert!(d.read_file("/f", None).is_err());
+        assert!(d.read_tile_file("/f", None).is_err());
     }
 
     #[test]
     fn kill_node_rereplicates() {
         let d = dfs(4, 2);
-        d.write_file("/f", Bytes::from(vec![3u8; 40]), Some(NodeId(0)))
-            .unwrap();
+        let t = tile(3.0);
+        write(&d, "/f", &t, 40, Some(NodeId(0))).unwrap();
         let receipt = d.kill_node(NodeId(0)).unwrap();
         assert!(
             receipt.bytes > 0,
             "under-replicated blocks should be copied"
         );
         // Data still fully readable.
-        let (data, _) = d.read_file("/f", None).unwrap();
-        assert_eq!(data.len(), 40);
+        let (got, r) = d.read_tile_file("/f", None).unwrap();
+        assert!(Arc::ptr_eq(&got, &t));
+        assert_eq!(r.bytes, 40);
         // Replication restored to 2 live replicas per block.
         let (logical, physical) = d.storage_stats();
         assert_eq!(logical, 40);
@@ -1307,10 +1202,8 @@ mod tests {
         assert!(acc.is_conserved());
         assert_eq!(acc.datanode_bytes, 0);
 
-        d.write_file("/f", Bytes::from(vec![2u8; 150]), Some(NodeId(1)))
-            .unwrap();
-        d.write_file("/g", Bytes::from(vec![5u8; 30]), None)
-            .unwrap();
+        write(&d, "/f", &tile(2.0), 150, Some(NodeId(1))).unwrap();
+        write(&d, "/g", &tile(5.0), 30, None).unwrap();
         let acc = d.storage_accounting();
         assert!(acc.is_conserved(), "after writes: {acc:?}");
         assert_eq!(acc.logical_bytes, 180);
@@ -1333,11 +1226,10 @@ mod tests {
     fn kill_sole_replica_loses_block() {
         let d = dfs(2, 1);
         // Force placement on node 0 by writing from node 0 with replication 1.
-        d.write_file("/f", Bytes::from(vec![1u8; 8]), Some(NodeId(0)))
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 8, Some(NodeId(0))).unwrap();
         d.kill_node(NodeId(0)).unwrap();
         assert!(matches!(
-            d.read_file("/f", None),
+            d.read_tile_file("/f", None),
             Err(DfsError::BlockLost { .. })
         ));
     }
@@ -1346,7 +1238,7 @@ mod tests {
     fn failed_write_rolls_back_namespace() {
         let d = dfs(1, 1);
         d.kill_node(NodeId(0)).unwrap();
-        assert!(d.write_file("/f", Bytes::from(vec![1u8; 8]), None).is_err());
+        assert!(write(&d, "/f", &tile(1.0), 8, None).is_err());
         assert!(!d.exists("/f"), "ghost file left after failed write");
     }
 
@@ -1355,7 +1247,7 @@ mod tests {
         let d = dfs(1, 2);
         let n = d.add_node();
         assert_eq!(n, NodeId(1));
-        d.write_file("/f", Bytes::from(vec![1u8; 8]), None).unwrap();
+        write(&d, "/f", &tile(1.0), 8, None).unwrap();
         let per_node = d.per_node_bytes();
         assert_eq!(per_node, vec![8, 8]);
     }
@@ -1368,15 +1260,13 @@ mod tests {
             home
         };
         let d = dfs(3, 1);
-        d.write_file("/f", Bytes::from(vec![1u8; 8]), Some(NodeId(2)))
-            .unwrap();
+        write(&d, "/f", &tile(1.0), 8, Some(NodeId(2))).unwrap();
         assert_eq!(home(&d, "/f"), [NodeId(2)]);
         assert_eq!(home(&d, "/missing"), []);
         // Three 64-byte blocks at replication 2: a node holding only some
         // of them is not home.
         let d = dfs(4, 2);
-        d.write_file("/g", Bytes::from(vec![1u8; 150]), Some(NodeId(0)))
-            .unwrap();
+        write(&d, "/g", &tile(1.0), 150, Some(NodeId(0))).unwrap();
         let (first, rest): (Vec<NodeId>, Vec<Vec<NodeId>>) = {
             let st = d.state.lock();
             let blocks = &st.namenode.stat("/g").unwrap().blocks;
@@ -1398,8 +1288,7 @@ mod tests {
         );
         // Replication 1, every holder dead: the file has no home at all.
         let d = dfs(2, 1);
-        d.write_file("/h", Bytes::from(vec![1u8; 8]), Some(NodeId(1)))
-            .unwrap();
+        write(&d, "/h", &tile(1.0), 8, Some(NodeId(1))).unwrap();
         d.kill_node(NodeId(1)).unwrap();
         assert_eq!(home(&d, "/h"), []);
     }
@@ -1407,18 +1296,19 @@ mod tests {
     #[test]
     fn list_files() {
         let d = dfs(2, 1);
-        d.write_file("/m/a", Bytes::from(vec![1u8]), None).unwrap();
-        d.write_file("/m/b", Bytes::from(vec![1u8]), None).unwrap();
+        write(&d, "/m/a", &tile(1.0), 1, None).unwrap();
+        write(&d, "/m/b", &tile(1.0), 1, None).unwrap();
         assert_eq!(d.list("/m/"), vec!["/m/a", "/m/b"]);
     }
 
     #[test]
     fn empty_file() {
         let d = dfs(2, 2);
-        let w = d.write_file("/e", Bytes::new(), None).unwrap();
+        let t = Arc::new(Tile::zeros(0, 0));
+        let w = write(&d, "/e", &t, 0, None).unwrap();
         assert_eq!(w.bytes, 0);
-        let (data, r) = d.read_file("/e", None).unwrap();
-        assert!(data.is_empty());
+        let (got, r) = d.read_tile_file("/e", None).unwrap();
+        assert!(Arc::ptr_eq(&got, &t));
         assert_eq!(r.bytes, 0);
     }
 
@@ -1430,8 +1320,8 @@ mod tests {
         // evicting the payload from the first replica without touching the
         // namenode, and check the read fails over instead of surfacing loss.
         let d = dfs(4, 2);
-        d.write_file("/f", Bytes::from(vec![5u8; 40]), Some(NodeId(1)))
-            .unwrap();
+        let t = tile(5.0);
+        write(&d, "/f", &t, 40, Some(NodeId(1))).unwrap();
         {
             let mut st = d.state.lock();
             let blocks = st.namenode.stat("/f").unwrap().blocks.clone();
@@ -1440,16 +1330,15 @@ mod tests {
                 st.datanodes[first.0 as usize].evict(b.id);
             }
         }
-        let (data, r) = d.read_file("/f", None).unwrap();
-        assert_eq!(data.len(), 40);
+        let (got, r) = d.read_tile_file("/f", None).unwrap();
+        assert!(Arc::ptr_eq(&got, &t));
         assert_eq!(r.bytes, 40);
     }
 
     #[test]
     fn block_lost_only_when_no_replica_serves() {
         let d = dfs(3, 2);
-        d.write_file("/f", Bytes::from(vec![5u8; 16]), Some(NodeId(0)))
-            .unwrap();
+        write(&d, "/f", &tile(5.0), 16, Some(NodeId(0))).unwrap();
         {
             let mut st = d.state.lock();
             let blocks = st.namenode.stat("/f").unwrap().blocks.clone();
@@ -1460,7 +1349,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            d.read_file("/f", None),
+            d.read_tile_file("/f", None),
             Err(DfsError::BlockLost { .. })
         ));
     }
@@ -1476,10 +1365,9 @@ mod tests {
     }
 
     #[test]
-    fn write_file_with_overrides_replication() {
+    fn write_tile_file_overrides_replication() {
         let d = dfs(4, 1);
-        d.write_file_with("/ckpt", Bytes::from(vec![1u8; 30]), None, 3)
-            .unwrap();
+        d.write_tile_file("/ckpt", tile(1.0), 30, None, 3).unwrap();
         let (logical, physical) = d.storage_stats();
         assert_eq!(logical, 30);
         assert_eq!(physical, 90);
@@ -1488,8 +1376,9 @@ mod tests {
 
 #[cfg(test)]
 mod handle_plane_tests {
+    use super::tests::write;
     use super::*;
-    use cumulon_matrix::serialize::{decode_tile, encoded_len};
+    use cumulon_matrix::serialize::encoded_len;
 
     fn dfs(nodes: u32, replication: usize, seed: u64) -> Dfs {
         Dfs::new(
@@ -1509,70 +1398,41 @@ mod handle_plane_tests {
         )))
     }
 
+    /// Block layout, placement, receipts and counters are a function of
+    /// the wire length alone: a real tile and a 1×1 stand-in written at
+    /// the same length into two same-seed instances are indistinguishable
+    /// to every counter.
     #[test]
-    fn handle_write_matches_byte_write_receipts_and_placement() {
-        // Two DFS instances with the same seed: one takes the encoding, one
-        // takes the handle. Receipts, block layout, and storage stats must
-        // be identical.
+    fn placement_and_receipts_depend_on_wire_length_only() {
         let t = tile();
-        let enc = encode_tile(&t);
+        let wire = encoded_len(&t);
         let a = dfs(4, 2, 99);
         let b = dfs(4, 2, 99);
-        let ra = a.write_file("/t", enc.clone(), Some(NodeId(1))).unwrap();
-        let rb = b
-            .write_tile_file("/t", Arc::clone(&t), encoded_len(&t), Some(NodeId(1)), 2)
-            .unwrap();
+        let ra = write(&a, "/t", &t, wire, Some(NodeId(1))).unwrap();
+        let rb = write(&b, "/t", &super::tests::tile(0.0), wire, Some(NodeId(1))).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.storage_stats(), b.storage_stats());
-        let (ba, meta_a) = {
-            let st = a.state.lock();
+        let layout = |d: &Dfs| {
+            let st = d.state.lock();
             let m = st.namenode.stat("/t").unwrap();
-            (
-                m.len(),
-                m.blocks
-                    .iter()
-                    .map(|x| x.replicas.clone())
-                    .collect::<Vec<_>>(),
-            )
+            let replicas: Vec<_> = m.blocks.iter().map(|x| x.replicas.clone()).collect();
+            (m.len(), replicas)
         };
-        let (bb, meta_b) = {
-            let st = b.state.lock();
-            let m = st.namenode.stat("/t").unwrap();
-            (
-                m.len(),
-                m.blocks
-                    .iter()
-                    .map(|x| x.replicas.clone())
-                    .collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(ba, bb);
-        assert_eq!(meta_a, meta_b);
-        // Read receipts also agree, and the byte read of the handle file
-        // reproduces the encoding exactly.
-        let (bytes_a, rr_a) = a.read_file("/t", Some(NodeId(0))).unwrap();
-        let (bytes_b, rr_b) = b.read_file("/t", Some(NodeId(0))).unwrap();
+        assert_eq!(layout(&a), layout(&b));
+        let (_, rr_a) = a.read_tile_file("/t", Some(NodeId(0))).unwrap();
+        let (_, rr_b) = b.read_tile_file("/t", Some(NodeId(0))).unwrap();
         assert_eq!(rr_a, rr_b);
-        assert_eq!(bytes_a, bytes_b);
-        assert_eq!(bytes_b, enc);
+        assert_eq!(a.storage_accounting(), b.storage_accounting());
     }
 
     #[test]
-    fn read_payload_returns_shared_handle() {
+    fn read_tile_file_returns_shared_handle() {
         let d = dfs(3, 2, 5);
         let t = tile();
         d.write_tile_file("/t", Arc::clone(&t), encoded_len(&t), Some(NodeId(0)), 2)
             .unwrap();
-        let (payload, _) = d.read_payload("/t", Some(NodeId(0))).unwrap();
-        match payload {
-            FilePayload::Tile(got) => assert!(Arc::ptr_eq(&got, &t), "no copy on read"),
-            FilePayload::Bytes(_) => panic!("handle file came back as bytes"),
-        }
-        // Byte-plane files still come back as bytes.
-        d.write_file("/b", Bytes::from(vec![1u8; 10]), None)
-            .unwrap();
-        let (payload, _) = d.read_payload("/b", None).unwrap();
-        assert!(matches!(payload, FilePayload::Bytes(_)));
+        let (got, _) = d.read_tile_file("/t", Some(NodeId(0))).unwrap();
+        assert!(Arc::ptr_eq(&got, &t), "no copy on read");
     }
 
     #[test]
@@ -1582,17 +1442,14 @@ mod handle_plane_tests {
         d.write_tile_file("/t", Arc::clone(&t), encoded_len(&t), Some(NodeId(0)), 2)
             .unwrap();
         d.kill_node(NodeId(0)).unwrap();
-        let (payload, _) = d.read_payload("/t", None).unwrap();
-        match payload {
-            FilePayload::Tile(got) => assert!(Arc::ptr_eq(&got, &t)),
-            FilePayload::Bytes(_) => panic!("handle file came back as bytes"),
-        }
+        let (got, _) = d.read_tile_file("/t", None).unwrap();
+        assert!(Arc::ptr_eq(&got, &t));
     }
 
     #[test]
     fn multi_block_handle_file_roundtrips() {
-        // block_size 64 forces the ~180-byte encoding into multiple handle
-        // blocks; the byte read must still reassemble the exact encoding.
+        // block_size 64 splits the ~180-byte encoding into several
+        // blocks that all share the one Arc; the read charges every one.
         let d = dfs(4, 2, 3);
         let t = tile();
         let wire = encoded_len(&t);
@@ -1603,14 +1460,15 @@ mod handle_plane_tests {
             let st = d.state.lock();
             assert!(st.namenode.stat("/t").unwrap().blocks.len() > 1);
         }
-        let (bytes, r) = d.read_file("/t", None).unwrap();
+        let (got, r) = d.read_tile_file("/t", None).unwrap();
         assert_eq!(r.bytes, wire);
-        assert_eq!(decode_tile(bytes).unwrap(), *t);
+        assert!(Arc::ptr_eq(&got, &t));
     }
 }
 
 #[cfg(test)]
 mod rack_tests {
+    use super::tests::{tile, write};
     use super::*;
 
     fn rack_dfs(nodes: u32, racks: u32, replication: usize, seed: u64) -> Dfs {
@@ -1632,8 +1490,7 @@ mod rack_tests {
         let d = rack_dfs(6, 2, 2, 11);
         for i in 0..20 {
             let path = format!("/f{i}");
-            d.write_file(&path, Bytes::from(vec![1u8; 64]), Some(NodeId(i % 6)))
-                .unwrap();
+            write(&d, &path, &tile(1.0), 64, Some(NodeId(i % 6))).unwrap();
             let st = d.state.lock();
             let meta = st.namenode.stat(&path).unwrap();
             for block in &meta.blocks {
@@ -1655,19 +1512,15 @@ mod rack_tests {
     #[test]
     fn rack_failure_loses_nothing_with_rack_aware_placement() {
         let d = rack_dfs(8, 2, 2, 5);
-        for i in 0..10 {
-            d.write_file(
-                &format!("/f{i}"),
-                Bytes::from(vec![i as u8; 200]),
-                Some(NodeId(i % 8)),
-            )
-            .unwrap();
+        let tiles: Vec<Arc<Tile>> = (0..10).map(|i| tile(i as f64)).collect();
+        for (i, t) in tiles.iter().enumerate() {
+            write(&d, &format!("/f{i}"), t, 200, Some(NodeId(i as u32 % 8))).unwrap();
         }
         let receipt = d.kill_rack(0).unwrap();
         assert!(receipt.bytes > 0, "survivors must re-replicate");
-        for i in 0..10u8 {
-            let (data, _) = d.read_file(&format!("/f{i}"), None).unwrap();
-            assert_eq!(data.as_ref(), vec![i; 200].as_slice());
+        for (i, t) in tiles.iter().enumerate() {
+            let (got, _) = d.read_tile_file(&format!("/f{i}"), None).unwrap();
+            assert!(Arc::ptr_eq(&got, t));
         }
     }
 
@@ -1681,9 +1534,11 @@ mod rack_tests {
         for seed in 0..20 {
             let d = rack_dfs(8, 1, 2, seed);
             for i in 0..10 {
-                d.write_file(
+                write(
+                    &d,
                     &format!("/f{i}"),
-                    Bytes::from(vec![i as u8; 200]),
+                    &tile(i as f64),
+                    200,
                     Some(NodeId(i % 8)),
                 )
                 .unwrap();
@@ -1691,7 +1546,7 @@ mod rack_tests {
             // Simultaneous correlated failure of the even half.
             d.kill_nodes(&[NodeId(0), NodeId(2), NodeId(4), NodeId(6)])
                 .unwrap();
-            let any_lost = (0..10).any(|i| d.read_file(&format!("/f{i}"), None).is_err());
+            let any_lost = (0..10).any(|i| d.read_tile_file(&format!("/f{i}"), None).is_err());
             if any_lost {
                 lost_somewhere = true;
                 break;
@@ -1709,18 +1564,19 @@ mod rack_tests {
         // rack-aware layout survives can destroy data under flat layout.
         let aware = rack_dfs(8, 2, 2, 13);
         for i in 0..16 {
-            aware
-                .write_file(
-                    &format!("/f{i}"),
-                    Bytes::from(vec![7u8; 100]),
-                    Some(NodeId(i % 8)),
-                )
-                .unwrap();
+            write(
+                &aware,
+                &format!("/f{i}"),
+                &tile(7.0),
+                100,
+                Some(NodeId(i % 8)),
+            )
+            .unwrap();
         }
         aware.kill_rack(0).unwrap();
         for i in 0..16 {
             assert!(
-                aware.read_file(&format!("/f{i}"), None).is_ok(),
+                aware.read_tile_file(&format!("/f{i}"), None).is_ok(),
                 "rack-aware lost /f{i}"
             );
         }
@@ -1747,8 +1603,7 @@ mod rack_tests {
         let d = rack_dfs(6, 2, 2, 17);
         for i in 0..10 {
             let path = format!("/f{i}");
-            d.write_file(&path, Bytes::from(vec![1u8; 64]), Some(NodeId(i % 6)))
-                .unwrap();
+            write(&d, &path, &tile(1.0), 64, Some(NodeId(i % 6))).unwrap();
             let (replicas, before): (Vec<NodeId>, Vec<u64>) = {
                 let st = d.state.lock();
                 let reps = st.namenode.stat(&path).unwrap().blocks[0].replicas.clone();
@@ -1763,7 +1618,7 @@ mod rack_tests {
                 .map(NodeId)
                 .find(|n| d.config.rack_of(*n) == 0 && !replicas.contains(n))
                 .unwrap();
-            d.read_file(&path, Some(reader)).unwrap();
+            d.read_tile_file(&path, Some(reader)).unwrap();
             let st = d.state.lock();
             for (j, &rep) in replicas.iter().enumerate() {
                 let after = st.datanodes[rep.0 as usize].bytes_read_total();
@@ -1783,9 +1638,10 @@ mod rack_tests {
         let d = rack_dfs(4, 2, 2, 3);
         d.kill_node(NodeId(1)).unwrap();
         d.kill_node(NodeId(3)).unwrap();
-        d.write_file("/f", Bytes::from(vec![9u8; 32]), Some(NodeId(0)))
-            .unwrap();
-        let (data, _) = d.read_file("/f", None).unwrap();
-        assert_eq!(data.len(), 32);
+        let t = tile(9.0);
+        write(&d, "/f", &t, 32, Some(NodeId(0))).unwrap();
+        let (got, r) = d.read_tile_file("/f", None).unwrap();
+        assert!(Arc::ptr_eq(&got, &t));
+        assert_eq!(r.bytes, 32);
     }
 }

@@ -15,8 +15,8 @@
 //!   like HDFS) and **I/O receipts** — every operation reports how many
 //!   bytes moved and whether the read was node-local, so the cluster
 //!   simulator can charge time to the right resources;
-//! * a [`TileStore`] that names matrices, maps tile coordinates to DFS
-//!   files, and (de)serializes tiles via `cumulon-matrix`.
+//! * a [`TileStore`] that names matrices and maps tile coordinates to DFS
+//!   files, each holding one shared tile charged at its encoded size.
 //!
 //! Nothing here keeps wall-clock time; the DFS reports *what happened* and
 //! the discrete-event simulator in `cumulon-cluster` decides *how long it

@@ -13,9 +13,9 @@ use crate::error::{DfsError, Result};
 pub struct BlockMeta {
     /// Block identifier.
     pub id: BlockId,
-    /// Payload size in bytes. Always the *wire* (encoded) length, even for
-    /// handle-plane blocks that store an `Arc<Tile>` instead of bytes — so
-    /// placement, stats, and receipts are plane-independent.
+    /// Payload size in bytes: the *wire* (encoded) length, although the
+    /// block stores an `Arc<Tile>` rather than bytes — so placement,
+    /// stats, and receipts price the encoding.
     pub len: u64,
     /// Datanodes currently holding a replica.
     pub replicas: Vec<NodeId>,

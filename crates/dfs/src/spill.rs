@@ -1,17 +1,18 @@
 //! The memory-budgeted spill plane: LRU residency tracking for
-//! handle-plane tile files, backed by the content-addressed
+//! the DFS's tile files, backed by the content-addressed
 //! [`crate::blob::BlobStore`].
 //!
-//! The DFS keeps tile payloads resident as shared `Arc<Tile>` handles
-//! (the *handle plane*). With a spill plane installed, the total decoded
-//! bytes those resident handles pin is bounded by a configurable budget:
+//! The DFS keeps tile payloads resident as shared `Arc<Tile>` handles.
+//! With a spill plane installed, the total decoded bytes those resident
+//! handles pin is bounded by a configurable budget:
 //! when a write or read-back admission pushes the plane over budget, the
 //! **least-recently-used** resident files are *demoted* — encoded through
 //! the ordinary [`cumulon_matrix::serialize::encode_tile`] wire codec,
 //! optionally compressed, appended to a blob segment — and their in-RAM
 //! payloads replaced by a [`crate::datanode::BlockPayload::Spilled`]
 //! reference. The next read of a demoted file re-admits it through
-//! [`crate::Dfs::read_payload`], transparently.
+//! [`crate::Dfs::read_tile_file`], transparently. Every non-phantom tile
+//! file is tracked, a checkpoint's rewrite included.
 //!
 //! **A demotion pays only for bytes that have to move.** Re-admission
 //! does not give the blob entry up: the file's [`SpilledFile`] moves from
@@ -21,10 +22,10 @@
 //! the entry moves straight back and the replicas are swapped to
 //! `Spilled` references: no encode, no compression, no digest, no write.
 //! The backing is released exactly where the bytes stop being the
-//! file's: an overwrite ([`SpillPlane::note_resident`]), a delete or a
-//! checkpoint truncation ([`SpillPlane::forget`]), a demotion that finds
-//! the file gone or off the handle plane, and the plane's own drop.
-//! Backed files are resident files, so the extra live disk bytes are
+//! file's: an overwrite ([`SpillPlane::note_resident`]), a delete — also
+//! the one a checkpoint's rewrite makes — ([`SpillPlane::forget`]), a
+//! demotion that finds the file gone or without a resident replica, and
+//! the plane's own drop. Backed files are resident files, so the extra live disk bytes are
 //! bounded by the budget. Which file is evicted when, and every logical
 //! counter (`evictions`, `readmissions`, `spilled_bytes_total`), is the
 //! same as if each demotion had written its bytes.

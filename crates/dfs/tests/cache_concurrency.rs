@@ -1,4 +1,4 @@
-//! Concurrency and eviction properties of the decoded-tile cache, through
+//! Concurrency and eviction properties of the generated-tile cache, through
 //! the public `TileStore` API only:
 //!
 //! * cache hits hand every concurrent reader the *same* `Arc<Tile>` —
@@ -30,10 +30,14 @@ fn store_with_capacity(seed: u64, cache_bytes: u64) -> TileStore {
     TileStore::with_cache_capacity(dfs, cache_bytes)
 }
 
-/// Writes a `tiles x 1` grid of distinct dense tiles into matrix `m`.
+/// Writes a `tiles x 1` grid of distinct dense tiles into matrix `m`, and
+/// registers a generated matrix `g` of the same shape — its tiles are the
+/// ones the cache holds.
 fn fill_matrix(store: &TileStore, tiles: usize) {
+    let meta = MatrixMeta::new(tiles * TILE, TILE, TILE);
+    store.register("m", meta).unwrap();
     store
-        .register("m", MatrixMeta::new(tiles * TILE, TILE, TILE))
+        .register_generated("g", meta, Generator::DenseGaussian { seed: 5 })
         .unwrap();
     for t in 0..tiles {
         let tile = Tile::zeros(TILE, TILE).map(move |_| t as f64 + 0.25);
@@ -107,13 +111,15 @@ proptest! {
         for &(t, reader) in &reads {
             let t = t % tiles;
             let r = Some(NodeId(reader));
-            let (tile_a, io_a) = roomy.read_tile("m", t, 0, r, false).unwrap();
-            let (tile_b, io_b) = tight.read_tile("m", t, 0, r, false).unwrap();
-            let (tile_c, io_c) = none.read_tile("m", t, 0, r, false).unwrap();
-            prop_assert_eq!(&*tile_a, &*tile_b);
-            prop_assert_eq!(&*tile_a, &*tile_c);
-            prop_assert_eq!(io_a, io_b);
-            prop_assert_eq!(io_a, io_c);
+            for name in ["m", "g"] {
+                let (tile_a, io_a) = roomy.read_tile(name, t, 0, r, false).unwrap();
+                let (tile_b, io_b) = tight.read_tile(name, t, 0, r, false).unwrap();
+                let (tile_c, io_c) = none.read_tile(name, t, 0, r, false).unwrap();
+                prop_assert_eq!(&*tile_a, &*tile_b);
+                prop_assert_eq!(&*tile_a, &*tile_c);
+                prop_assert_eq!(io_a, io_b);
+                prop_assert_eq!(io_a, io_c);
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! listener. All protocol logic lives in [`Service::handle`]; this module
 //! only frames lines and manages connection threads.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -10,7 +10,15 @@ use std::sync::{Arc, Mutex};
 use cumulon_core::error::CoreError;
 use cumulon_core::Result;
 
+use crate::protocol::{ErrorCode, Reply};
 use crate::service::{Service, ServiceConfig};
+
+/// Longest request line a connection buffers, in bytes, newline excluded.
+/// A request is one line of JSON, so without a bound a client that never
+/// sends a newline makes its handler thread buffer without end. The
+/// largest legitimate requests (a script and its input list) are a few
+/// KiB; 1 MiB leaves them ample room.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
 
 /// Accepted connections: a dup of each stream (so `stop` can half-close
 /// the socket from outside) plus its handler thread.
@@ -142,19 +150,118 @@ fn serve_connection(stream: TcpStream, service: &ServiceHolder) {
         return;
     };
     let mut writer = std::io::BufWriter::new(peer_write);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // At most one byte past the limit: enough to tell an oversize
+        // line from one that fits exactly.
+        match (&mut reader)
+            .take(MAX_REQUEST_LINE + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let request = match line.strip_suffix(b"\n") {
+            Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
+            None => &line[..],
+        };
+        if request.len() as u64 > MAX_REQUEST_LINE {
+            // The rest of the line is never read, so the stream cannot be
+            // resynchronized: answer once, then close the connection. Shut
+            // it down explicitly: `stop`'s duplicate keeps the socket open
+            // past this handler.
+            let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let reply = Reply::err("", "", ErrorCode::BadRequest, &message, None);
+            let _ = writer
+                .write_all(reply.as_bytes())
+                .and_then(|()| writer.flush());
+            let _ = reader.get_ref().shutdown(Shutdown::Both);
+            break;
+        }
+        let Ok(request) = std::str::from_utf8(request) else {
+            break;
+        };
+        if request.trim().is_empty() {
             continue;
         }
         // A `None` here means the server is mid-stop; drop the
         // connection rather than answer from a dead service.
-        let Some(response) = service.handle(&line) else {
+        let Some(response) = service.handle(request) else {
             break;
         };
         if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use cumulon_trace::json::parse;
+    use std::io::ErrorKind;
+    use std::time::Duration;
+
+    /// A client that streams a line past the limit, and never ends it,
+    /// gets one `bad-request` naming the limit and a closed connection;
+    /// other connections are still answered.
+    #[test]
+    fn an_oversize_request_line_is_refused_and_the_server_keeps_serving() {
+        let server = Server::start("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        // A server that buffers the line waits for its newline forever;
+        // the timeout turns that into a failure here.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut upload = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            let chunk = vec![b'x'; 64 << 10];
+            // 2 MiB, no newline. Writing fails once the server has
+            // closed the connection, which it may do before the end.
+            for _ in 0..32 {
+                if upload.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut reader = BufReader::new(&stream);
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("a reply to the oversize line");
+        let v = parse(&reply).unwrap();
+        assert_eq!(
+            v.get("ok").and_then(|x| x.as_bool()),
+            Some(false),
+            "{reply}"
+        );
+        assert_eq!(v.get("error").and_then(|x| x.as_str()), Some("bad-request"));
+        let message = v.get("message").and_then(|x| x.as_str()).unwrap();
+        assert!(message.contains(&MAX_REQUEST_LINE.to_string()), "{message}");
+        // Then the connection is closed, not left waiting for more.
+        let mut rest = String::new();
+        match reader.read_line(&mut rest) {
+            Ok(0) => {}
+            Err(e) => assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "connection left open"
+            ),
+            Ok(_) => panic!("a second reply: {rest}"),
+        }
+        sender.join().unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let plan = client
+            .request(
+                "{\"schema\":\"cumulon-serve-v1\",\"id\":\"p\",\"tenant\":\"t\",\
+                 \"action\":\"plan\",\"script\":\"G = A' * A;\",\"inputs\":[\"A=96x48:16\"],\
+                 \"instance\":\"m1.large\",\"nodes\":2,\"slots\":2}",
+            )
+            .unwrap();
+        assert_eq!(plan.get("ok").and_then(|x| x.as_bool()), Some(true));
+        server.stop();
     }
 }

@@ -51,7 +51,10 @@ pub struct CheckpointedRun {
     pub reports: Vec<RunReport>,
     /// How many times the driver rewound to a checkpoint.
     pub rewinds: usize,
-    /// Total payload bytes moved by checkpoint writes.
+    /// Bytes the checkpoints moved, summed from each
+    /// [`cumulon_dfs::TileStore::checkpoint_matrix`] receipt: every
+    /// checkpointed tile's encoded length twice, once read and once
+    /// rewritten (one replica's worth; replication traffic is not in it).
     pub checkpoint_bytes: u64,
     /// Simulated seconds spent on iterations later discarded by rewinds.
     pub wasted_makespan_s: f64,

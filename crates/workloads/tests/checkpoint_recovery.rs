@@ -8,6 +8,8 @@ use cumulon_cluster::{Cluster, ClusterSpec, ExecMode, FailurePlan, SchedulerConf
 use cumulon_core::calibrate::{CostModel, OpCoefficients};
 use cumulon_core::{Optimizer, RecoveryConfig};
 use cumulon_dfs::DfsConfig;
+use cumulon_matrix::serialize::encoded_len;
+use cumulon_matrix::Tile;
 use cumulon_workloads::gnmf::Gnmf;
 use cumulon_workloads::{run_checkpointed, CheckpointPolicy, Workload};
 
@@ -73,7 +75,10 @@ fn gnmf_rewinds_to_checkpoint_after_iterate_loss() {
     .unwrap();
     assert_eq!(clean.reports.len(), iters);
     assert_eq!(clean.rewinds, 0);
-    assert!(clean.checkpoint_bytes > 0, "interval-2 run must checkpoint");
+    // One checkpoint, after iteration 2, of W_2 (4 tiles of 6×4) and H_2
+    // (3 tiles of 4×6): every tile's encoding read once, rewritten once.
+    let tile_wire = encoded_len(&Tile::zeros(6, 4));
+    assert_eq!(clean.checkpoint_bytes, 2 * (4 + 3) * tile_wire);
     let w_clean = baseline.store().get_local(&Gnmf::w_name(iters)).unwrap();
     let h_clean = baseline.store().get_local(&Gnmf::h_name(iters)).unwrap();
 
