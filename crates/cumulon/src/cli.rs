@@ -92,7 +92,7 @@ pub enum Command {
         /// a run has fewer concurrent tasks than cores.
         kernel_threads: usize,
         /// Host-memory budget in bytes for resident tile payloads
-        /// (0 = unbounded). Cold tiles spill to a content-addressed blob
+        /// (0 = unbounded). Cold tiles spill to an append-only blob
         /// store on disk and are re-admitted transparently on read;
         /// results are bitwise-identical at any budget.
         memory_budget: u64,

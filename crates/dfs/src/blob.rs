@@ -1,17 +1,20 @@
-//! Content-addressed on-disk blob store: the third (disk) tier of the
-//! storage hierarchy.
+//! On-disk blob store: the third (disk) tier of the storage hierarchy.
 //!
 //! Spilled tile payloads land here as entries in **append-only segment
-//! files** (`seg-NNNNNN.blob` under the store's directory). Each entry is
-//! keyed by a deterministic 128-bit digest of its *uncompressed* bytes,
-//! so identical tile encodings written twice dedupe to one stored copy.
-//! Re-spilling a tile that round-tripped through RAM unchanged costs no
-//! new disk bytes either, and by a cheaper mechanism than `put`'s dedupe:
+//! files** (`seg-NNNNNN.blob` under the store's directory), each under a
+//! 128-bit [`BlobKey`] its caller picks. The DFS keys entries by
+//! *owner*: every dirty demotion writes under a key the spill plane mints
+//! for the one file it spills ([`crate::spill::SpillPlane::mint_key`]),
+//! so no byte is hashed on the way to disk. [`BlobKey::digest`] remains
+//! for callers that want content keys: `put` under a key that is already
+//! live takes a reference instead of writing, so identical bytes stored
+//! under their digest dedupe to one copy. Re-spilling a tile that
+//! round-tripped through RAM unchanged costs no new disk bytes either:
 //! the spill plane keeps a readmitted file's reference as its on-disk
 //! *backing* ([`crate::spill`]), so the entry is still live when the file
-//! goes cold again and the demotion never encodes, digests or calls `put`
-//! at all. Entries carry a reference count (one per DFS file spilled to
-//! or backed by them); releasing the last reference marks the entry's
+//! goes cold again and the demotion never encodes or calls `put` at all.
+//! Entries carry a reference count (one per DFS file spilled to or
+//! backed by them); releasing the last reference marks the entry's
 //! bytes dead in its segment, and a **compaction pass** rewrites the live
 //! remainder of garbage-heavy segments into the current segment and
 //! deletes the old file. Compaction triggers automatically once a
@@ -44,12 +47,15 @@ use cumulon_matrix::compress::Codec;
 
 use crate::error::{DfsError, Result};
 
-/// Deterministic 128-bit content digest (two independent FNV-1a streams).
+/// A 128-bit entry key. The spill plane mints one per spilled file
+/// (a counter in the first word); [`BlobKey::digest`] derives one from
+/// content, for callers that want identical bytes to share an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlobKey(pub [u64; 2]);
 
 impl BlobKey {
-    /// Digest of a byte buffer. Not cryptographic — collision resistance
+    /// Content key of a byte buffer: two independent FNV-1a streams, one
+    /// byte at a time. Not cryptographic — collision resistance
     /// here only has to beat the handful of distinct tiles one simulation
     /// produces, and determinism (same bytes → same key on every run and
     /// platform) is the property the equivalence tests lean on.
@@ -134,7 +140,7 @@ impl BlobStats {
     }
 }
 
-/// Append-only, content-addressed segment store. Single-threaded by
+/// Append-only segment store of keyed entries. Single-threaded by
 /// construction — the owner (the spill plane) serializes access.
 #[derive(Debug)]
 pub struct BlobStore {
@@ -234,9 +240,10 @@ impl BlobStore {
     }
 
     /// Stores `data` (already encoded under `codec`, `raw_len` bytes
-    /// before the codec) and takes one reference on it. Content-addressed:
-    /// if an entry with the same `key` is live, its refcount is bumped and
-    /// nothing is written.
+    /// before the codec) and takes one reference on it. If an entry with
+    /// the same `key` is live, its refcount is bumped and nothing is
+    /// written: content dedupe, for callers that key by
+    /// [`BlobKey::digest`].
     pub fn put(&mut self, key: BlobKey, codec: Codec, data: &[u8], raw_len: u32) -> Result<()> {
         if let Some(e) = self.entries.get_mut(&key) {
             e.refs += 1;

@@ -8,7 +8,7 @@
 //!   placement and storage statistics price a block as the bytes a real
 //!   DFS would store, without the bytes existing;
 //! * **spilled** ([`BlockPayload::Spilled`]) — a resident block whose
-//!   decoded tile was demoted to the content-addressed blob store by the
+//!   decoded tile was demoted to the on-disk blob store by the
 //!   memory-budgeted spill plane. It carries the same wire length the
 //!   handle carried, so every counter stays bitwise-identical; the next
 //!   read re-admits the tile through `Dfs::read_tile_file`.
@@ -41,7 +41,7 @@ pub enum BlockPayload {
     /// `len` is the wire length the resident handle carried — preserved
     /// exactly so residency is invisible to all byte accounting.
     Spilled {
-        /// Content digest addressing the blob entry for the owning file.
+        /// Key of the blob entry the owning file holds.
         key: BlobKey,
         /// Wire length in bytes charged for this block.
         len: u64,

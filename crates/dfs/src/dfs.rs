@@ -803,8 +803,9 @@ impl Dfs {
     /// Counter-neutral by construction. A file with a `backing` — still
     /// on disk from its last spill and not written since — pays nothing
     /// more than the swap. Any other is encoded through the ordinary wire
-    /// codec, optionally compressed, and appended to the blob store (keyed
-    /// by a digest of the *encoded* tile, so identical content dedupes).
+    /// codec, optionally compressed, and appended to the blob store under
+    /// a key the plane mints for it ([`SpillPlane::mint_key`]): the entry
+    /// is this file's alone, and the bytes are never hashed.
     /// Files that no longer hold a resident tile (e.g. every replica lost
     /// with its node) are skipped, and give their backing up.
     fn demote_path(st: &mut DfsState, path: &str, backing: Option<SpilledFile>) -> Result<()> {
@@ -844,7 +845,7 @@ impl Dfs {
                 } else {
                     (Codec::Raw, Cow::Borrowed(&wire[..]))
                 };
-                let key = BlobKey::digest(&wire);
+                let key = plane.mint_key();
                 plane
                     .blob_mut()
                     .put(key, codec, &payload, wire.len() as u32)?;
@@ -1444,6 +1445,43 @@ mod handle_plane_tests {
         d.kill_node(NodeId(0)).unwrap();
         let (got, _) = d.read_tile_file("/t", None).unwrap();
         assert!(Arc::ptr_eq(&got, &t));
+    }
+
+    /// A dirty demotion writes under a key of its own: files holding one
+    /// and the same tile get one entry each, and a file rewritten and
+    /// demoted again gets a key no earlier entry had.
+    #[test]
+    fn dirty_demotions_write_under_keys_of_their_own() {
+        let d = dfs(4, 2, 11);
+        let t = tile();
+        let wire = encoded_len(&t);
+        // One resident file fits; a second write demotes the colder one.
+        d.set_spill_config(&SpillConfig::budgeted(wire)).unwrap();
+        let key_of = |path: &str| {
+            let st = d.state.lock();
+            st.spill.as_ref().unwrap().spilled(path).unwrap().key
+        };
+        let mut keys = Vec::new();
+        for (path, next) in [("/a", "/b"), ("/b", "/c"), ("/c", "/a"), ("/a", "/d")] {
+            if keys.is_empty() {
+                write(&d, path, &t, wire, None).unwrap();
+            }
+            // Rewriting the spilled `/a` gives its entry up.
+            write(&d, next, &t, wire, None).unwrap();
+            keys.push(key_of(path));
+            assert!(d.spill_conserved());
+        }
+        let mut distinct = keys.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "{keys:?}");
+        let st = d.spill_stats().unwrap();
+        assert_eq!((st.evictions, st.clean_evictions), (4, 0));
+        assert_eq!(st.blob.dedup_hits, 0);
+        assert_eq!(st.blob.live_entries, 3, "/a's first entry was released");
+        assert_eq!(st.blob.raw_bytes_written, 4 * wire);
+        let (got, _) = d.read_tile_file("/b", None).unwrap();
+        assert_eq!(*got, *t);
     }
 
     #[test]

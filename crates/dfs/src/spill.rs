@@ -1,5 +1,5 @@
 //! The memory-budgeted spill plane: LRU residency tracking for
-//! the DFS's tile files, backed by the content-addressed
+//! the DFS's tile files, backed by the on-disk
 //! [`crate::blob::BlobStore`].
 //!
 //! The DFS keeps tile payloads resident as shared `Arc<Tile>` handles.
@@ -20,7 +20,10 @@
 //! an on-disk *backing* for as long as the resident tile still has those
 //! bytes. When a backed file goes cold again — a *clean* re-eviction —
 //! the entry moves straight back and the replicas are swapped to
-//! `Spilled` references: no encode, no compression, no digest, no write.
+//! `Spilled` references: no encode, no compression, no write. A *dirty*
+//! demotion writes the encoding under a key the plane mints for it
+//! ([`SpillPlane::mint_key`]), so each entry is owned by exactly one file
+//! and nothing is hashed.
 //! The backing is released exactly where the bytes stop being the
 //! file's: an overwrite ([`SpillPlane::note_resident`]), a delete — also
 //! the one a checkpoint's rewrite makes — ([`SpillPlane::forget`]), a
@@ -121,7 +124,8 @@ pub struct SpillStats {
 /// demoted to it or resident and backed by it.
 #[derive(Debug, Clone, Copy)]
 pub struct SpilledFile {
-    /// Content digest addressing the blob entry.
+    /// Key of the blob entry, minted for this file when it was spilled
+    /// ([`SpillPlane::mint_key`]).
     pub key: BlobKey,
     /// Wire length of the encoded tile (pre-compression) — equals the sum
     /// of the file's block lengths, which is what conservation checks.
@@ -166,6 +170,8 @@ pub struct SpillPlane {
     /// time. A marker is dropped without credit when the path is evicted
     /// or forgotten before any read arrives.
     prefetched: HashMap<String, u64>,
+    /// The next blob key [`SpillPlane::mint_key`] hands out.
+    next_key: u64,
     evictions: u64,
     readmissions: u64,
     spilled_bytes_total: u64,
@@ -191,6 +197,7 @@ impl SpillPlane {
             spilled: HashMap::new(),
             backed: HashMap::new(),
             prefetched: HashMap::new(),
+            next_key: 0,
             evictions: 0,
             readmissions: 0,
             spilled_bytes_total: 0,
@@ -219,6 +226,17 @@ impl SpillPlane {
     /// Mutable handle to the blob store (demotion/re-admission I/O).
     pub fn blob_mut(&mut self) -> &mut BlobStore {
         &mut self.blob
+    }
+
+    /// A blob key no entry of this plane's store has had: each dirty
+    /// demotion writes its bytes under a key of its own, owned by the
+    /// one file it spills. Keys count up from `[0, 0]` and are never
+    /// reused, so finding a new entry costs a counter bump, not a pass
+    /// over the bytes.
+    pub fn mint_key(&mut self) -> BlobKey {
+        let key = BlobKey([self.next_key, 0]);
+        self.next_key += 1;
+        key
     }
 
     /// Records `path` as resident under new contents, pinning `bytes` of

@@ -250,7 +250,7 @@ impl TileStore {
     /// Installs (or removes) a memory budget over the whole tile plane:
     /// the generated-tile cache is resized to the budget, and the DFS handle
     /// plane gains the LRU spill plane ([`crate::spill`]) that demotes
-    /// cold tiles to content-addressed blob segments on local disk. A
+    /// cold tiles to append-only blob segments on local disk. A
     /// budget of zero restores the unbounded seed behaviour (default
     /// cache size, no spilling). Shared through the store's `Arc`s, so
     /// every clone — including the ones task contexts hold — sees the
@@ -1278,9 +1278,9 @@ mod spill_plane_tests {
         }
     }
 
-    /// The dedupe the blob store documents: re-evicting a tile that came
-    /// back from disk and was not written since appends nothing — the
-    /// entry it was read from is still live and still the file's.
+    /// Re-evicting a tile that came back from disk and was not written
+    /// since appends nothing: the entry it was read from is still live
+    /// and still the file's.
     #[test]
     fn clean_reevictions_move_no_bytes() {
         let (s, m) = one_tile_budget(6, 2);

@@ -164,29 +164,40 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses a [`lz_compress`] stream. Errors on any framing
-/// inconsistency (truncation, out-of-range distances, length drift).
+/// inconsistency (truncation, out-of-range distances, length drift), and
+/// on a header claiming more bytes than the stream could carry — before
+/// anything is allocated for them.
 pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>> {
     if input.len() < 4 {
         return Err(MatrixError::Corrupt("lz stream shorter than header".into()));
     }
     let raw_len = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
-    let mut out = Vec::with_capacity(raw_len);
+    // No token yields more than MAX_MATCH bytes per stream byte it takes.
+    if raw_len > (input.len() - 4).saturating_mul(MAX_MATCH) {
+        return Err(MatrixError::Corrupt(format!(
+            "lz header claims {raw_len} raw bytes, more than a {}-byte stream can encode",
+            input.len()
+        )));
+    }
+    let mut out = vec![0u8; raw_len];
+    // Bytes of `out` decoded so far.
+    let mut n = 0usize;
     let mut pos = 4usize;
-    while out.len() < raw_len {
+    while n < raw_len {
         if pos >= input.len() {
             return Err(MatrixError::Corrupt("lz stream truncated at flags".into()));
         }
         let flags = input[pos];
         pos += 1;
         for bit in 0..8 {
-            if out.len() == raw_len {
+            if n == raw_len {
                 break;
             }
             if flags & (1 << bit) == 0 {
-                let b = *input
+                out[n] = *input
                     .get(pos)
                     .ok_or_else(|| MatrixError::Corrupt("lz literal truncated".into()))?;
-                out.push(b);
+                n += 1;
                 pos += 1;
             } else {
                 if pos + 3 > input.len() {
@@ -195,27 +206,29 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>> {
                 let dist = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
                 let len = input[pos + 2] as usize + MIN_MATCH;
                 pos += 3;
-                if dist == 0 || dist > out.len() {
+                if dist == 0 || dist > n {
                     return Err(MatrixError::Corrupt(format!(
-                        "lz match distance {dist} exceeds {} decoded bytes",
-                        out.len()
+                        "lz match distance {dist} exceeds {n} decoded bytes"
                     )));
                 }
-                if out.len() + len > raw_len {
+                if n + len > raw_len {
                     return Err(MatrixError::Corrupt("lz match overruns raw length".into()));
                 }
-                let start = out.len() - dist;
-                if dist >= len {
-                    // The source ends before the bytes being appended.
-                    out.extend_from_within(start..start + len);
-                } else {
-                    // Overlapping matches are the RLE case and must
-                    // self-reference: byte-at-a-time copy.
-                    for i in 0..len {
-                        let b = out[start + i];
-                        out.push(b);
-                    }
+                let start = n - dist;
+                // An overlapping match (dist < len) repeats the last
+                // `dist` bytes. Copy it in chunks that double: after
+                // `copied` bytes, `start..n + copied` already holds the
+                // pattern, and while `copied` is a multiple of `dist` the
+                // next chunk can take up to `dist + copied` bytes of it
+                // without reaching the bytes it writes. A match that does
+                // not overlap is one chunk.
+                let mut copied = 0;
+                while copied < len {
+                    let c = (len - copied).min(dist + copied);
+                    out.copy_within(start..start + c, n + copied);
+                    copied += c;
                 }
+                n += len;
             }
         }
     }
@@ -321,6 +334,100 @@ mod tests {
                 (x >> 24) as u8
             })
             .collect()
+    }
+
+    /// The byte-at-a-time decoder `lz_decompress` replaced, kept as the
+    /// oracle for the chunked one. It has no header bound, so its
+    /// reservation is capped here rather than trusted.
+    fn reference_lz_decompress(input: &[u8]) -> Result<Vec<u8>> {
+        if input.len() < 4 {
+            return Err(MatrixError::Corrupt("lz stream shorter than header".into()));
+        }
+        let raw_len = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
+        let mut out = Vec::with_capacity(raw_len.min(input.len() * MAX_MATCH));
+        let mut pos = 4usize;
+        while out.len() < raw_len {
+            if pos >= input.len() {
+                return Err(MatrixError::Corrupt("lz stream truncated at flags".into()));
+            }
+            let flags = input[pos];
+            pos += 1;
+            for bit in 0..8 {
+                if out.len() == raw_len {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    let b = *input
+                        .get(pos)
+                        .ok_or_else(|| MatrixError::Corrupt("lz literal truncated".into()))?;
+                    out.push(b);
+                    pos += 1;
+                } else {
+                    if pos + 3 > input.len() {
+                        return Err(MatrixError::Corrupt("lz match token truncated".into()));
+                    }
+                    let dist = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
+                    let len = input[pos + 2] as usize + MIN_MATCH;
+                    pos += 3;
+                    if dist == 0 || dist > out.len() {
+                        return Err(MatrixError::Corrupt(format!(
+                            "lz match distance {dist} exceeds {} decoded bytes",
+                            out.len()
+                        )));
+                    }
+                    if out.len() + len > raw_len {
+                        return Err(MatrixError::Corrupt("lz match overruns raw length".into()));
+                    }
+                    let start = out.len() - dist;
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Both decoders on one stream: the same bytes, or both an error.
+    fn decoders_agree(stream: &[u8]) -> std::result::Result<(), TestCaseError> {
+        match (lz_decompress(stream), reference_lz_decompress(stream)) {
+            (Ok(fast), Ok(slow)) => prop_assert_eq!(fast, slow),
+            (fast, slow) => prop_assert_eq!(
+                fast.is_err(),
+                slow.is_err(),
+                "chunked {:?} vs reference {:?}",
+                fast,
+                slow
+            ),
+        }
+        Ok(())
+    }
+
+    /// The `(dist, len)` of every match token in a well-formed stream.
+    fn match_tokens(stream: &[u8]) -> Vec<(usize, usize)> {
+        let raw_len = u32::from_le_bytes([stream[0], stream[1], stream[2], stream[3]]) as usize;
+        let (mut pos, mut n, mut tokens) = (4, 0, Vec::new());
+        while n < raw_len {
+            let flags = stream[pos];
+            pos += 1;
+            for bit in 0..8 {
+                if n == raw_len {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    n += 1;
+                    pos += 1;
+                } else {
+                    let dist = u16::from_le_bytes([stream[pos], stream[pos + 1]]) as usize;
+                    let len = stream[pos + 2] as usize + MIN_MATCH;
+                    tokens.push((dist, len));
+                    n += len;
+                    pos += 3;
+                }
+            }
+        }
+        tokens
     }
 
     #[test]
@@ -438,6 +545,59 @@ mod tests {
     }
 
     #[test]
+    fn a_header_that_outruns_the_stream_is_corrupt() {
+        // Claims 4 GiB from two stream bytes: refused before allocating.
+        let err = lz_decompress(&[0xff, 0xff, 0xff, 0xff, 0x00, 0x41]).unwrap_err();
+        let MatrixError::Corrupt(message) = err else {
+            panic!("{err:?}")
+        };
+        assert_eq!(
+            message,
+            "lz header claims 4294967295 raw bytes, more than a 6-byte stream can encode"
+        );
+        // The bound is MAX_MATCH bytes per stream byte, so the longest
+        // run two stream bytes could ever claim still gets to the tokens.
+        let at_bound = (2 * MAX_MATCH as u32).to_le_bytes();
+        let err = lz_decompress(&[at_bound[0], at_bound[1], 0, 0, 0x00, 0x41]).unwrap_err();
+        assert!(matches!(err, MatrixError::Corrupt(m) if m == "lz literal truncated"));
+    }
+
+    #[test]
+    fn every_overlapping_match_shape_decodes() {
+        // `dist` literals, then one match of every length that overlaps
+        // them, then a literal: the match repeats the literals' pattern.
+        for dist in 1..=40usize {
+            for len in (dist + 1).max(MIN_MATCH)..=MAX_MATCH {
+                let literals: Vec<u8> =
+                    (0..dist as u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+                let raw_len = dist + len + 1;
+                let mut stream = (raw_len as u32).to_le_bytes().to_vec();
+                let mut tokens: Vec<Vec<u8>> = literals.iter().map(|&b| vec![b]).collect();
+                let mut flags = vec![false; dist];
+                let d = (dist as u16).to_le_bytes();
+                tokens.push(vec![d[0], d[1], (len - MIN_MATCH) as u8]);
+                flags.push(true);
+                tokens.push(vec![0xee]);
+                flags.push(false);
+                for (group, fl) in tokens.chunks(8).zip(flags.chunks(8)) {
+                    let control = fl
+                        .iter()
+                        .enumerate()
+                        .fold(0u8, |c, (i, &m)| c | (u8::from(m) << i));
+                    stream.push(control);
+                    stream.extend(group.iter().flatten());
+                }
+                let mut expected = literals.clone();
+                expected.extend((0..len).map(|i| literals[i % dist]));
+                expected.push(0xee);
+                let decoded = lz_decompress(&stream).unwrap();
+                assert_eq!(decoded, expected, "dist {dist} len {len}");
+                assert_eq!(reference_lz_decompress(&stream).unwrap(), expected);
+            }
+        }
+    }
+
+    #[test]
     fn overlapping_match_is_rle() {
         // 1 literal then a long self-overlapping match (dist 1).
         let input = vec![42u8; 300];
@@ -460,6 +620,47 @@ mod tests {
         ) {
             // Noisy periodic data — the spill path's realistic middle ground.
             roundtrip(&noisy_periodic(seed, period, 3, len));
+        }
+
+        #[test]
+        fn prop_decoder_never_panics_and_agrees_with_reference(
+            arbitrary in proptest::collection::vec(any::<u8>(), 0..64),
+            claimed in 0u32..2048,
+            body in proptest::collection::vec(any::<u8>(), 0..512),
+            seed in any::<u64>(),
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            // Any bytes at all; a plausible header over any token bytes;
+            // a real stream with a few bytes overwritten.
+            decoders_agree(&arbitrary)?;
+            let mut framed = claimed.to_le_bytes().to_vec();
+            framed.extend_from_slice(&body);
+            decoders_agree(&framed)?;
+            let mut mangled = lz_compress(&noisy_periodic(seed, 7, 4, 1024));
+            for (at, byte) in flips {
+                let at = at % mangled.len();
+                mangled[at] = byte;
+            }
+            decoders_agree(&mangled)?;
+        }
+
+        #[test]
+        fn prop_periodic_streams_decode_through_overlapping_matches(
+            seed in any::<u64>(),
+            period in 1usize..=16,
+            noise_bits in 5u32..10,
+            len in 0usize..=8192,
+        ) {
+            let input = noisy_periodic(seed, period, noise_bits, len);
+            let stream = lz_compress(&input);
+            prop_assert_eq!(&lz_decompress(&stream).unwrap(), &input);
+            prop_assert_eq!(&reference_lz_decompress(&stream).unwrap(), &input);
+            if len >= 1024 {
+                prop_assert!(
+                    match_tokens(&stream).iter().any(|&(dist, len)| dist < len),
+                    "no overlapping match to exercise"
+                );
+            }
         }
 
         #[test]

@@ -20,8 +20,9 @@ use crate::service::{Service, ServiceConfig};
 /// KiB; 1 MiB leaves them ample room.
 const MAX_REQUEST_LINE: u64 = 1 << 20;
 
-/// Accepted connections: a dup of each stream (so `stop` can half-close
-/// the socket from outside) plus its handler thread.
+/// Open connections: a dup of each stream (so `stop` can half-close
+/// the socket from outside) plus its handler thread. The accept loop
+/// drops the entries whose handler has returned.
 type ConnList = Arc<Mutex<Vec<(TcpStream, std::thread::JoinHandle<()>)>>>;
 
 /// A listening `cumulon serve` daemon.
@@ -89,7 +90,12 @@ impl Server {
                 };
                 let service = Arc::clone(&accept_service);
                 let handler = std::thread::spawn(move || serve_connection(stream, &service));
-                accept_conns.lock().unwrap().push((dup, handler));
+                let mut conns = accept_conns.lock().unwrap();
+                // Closed connections give their duplicate fd back here,
+                // not at `stop`: otherwise every client ever served holds
+                // one until the daemon exits.
+                conns.retain(|(_, handler)| !handler.is_finished());
+                conns.push((dup, handler));
             }
         });
         Ok(Server {
@@ -262,6 +268,50 @@ mod tests {
             )
             .unwrap();
         assert_eq!(plan.get("ok").and_then(|x| x.as_bool()), Some(true));
+        server.stop();
+    }
+
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").unwrap().count()
+    }
+
+    /// Clients that connect, make one request and close leave nothing
+    /// behind: neither an entry in the connection list nor an open fd.
+    #[test]
+    fn closed_connections_release_their_descriptors() {
+        let server = Server::start("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let before = open_fds();
+        let status = "{\"schema\":\"cumulon-serve-v1\",\"id\":\"s\",\"tenant\":\"t\",\
+                      \"action\":\"check-status\",\"job\":\"job-0\"}";
+        for _ in 0..64 {
+            let mut client = Client::connect(server.addr()).unwrap();
+            let reply = client.request(status).unwrap();
+            assert_eq!(reply.get("id").and_then(|x| x.as_str()), Some("s"));
+            drop(client);
+            // Wait for the handler to see the EOF, as a daemon's next
+            // client would find it.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while server
+                .conns
+                .lock()
+                .unwrap()
+                .iter()
+                .any(|(_, h)| !h.is_finished())
+            {
+                assert!(std::time::Instant::now() < deadline, "handler never exited");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let tracked = server.conns.lock().unwrap().len();
+        assert!(tracked <= 2, "{tracked} connections still tracked");
+        // Other tests in this process open and close sockets too; give
+        // their transient fds a moment to go.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while open_fds() > before + 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let grown = open_fds().saturating_sub(before);
+        assert!(grown <= 2, "{grown} fds still open");
         server.stop();
     }
 }
