@@ -398,10 +398,6 @@ impl Scheduler {
             self.spec.nodes as usize,
             self.spec.slots_per_node as usize,
         );
-        // The store counts tile-cache hits/misses into the current run's
-        // trace; reset to disabled afterwards so driver-side reads
-        // (result downloads, later untraced runs) stop counting.
-        self.store.set_trace(trace.clone());
         let mut exec = Exec::new(self, dag, mode, config, failures, threads, trace.clone());
         let mut queue: EventQueue<Event> = EventQueue::new();
         for &(t, node) in &failures.node_failures {
@@ -414,9 +410,7 @@ impl Scheduler {
             }
             queue.schedule(SimTime(rev.at_s.max(0.0)), Event::Revocation { idx });
         }
-        let outcome = exec.drive(&mut queue);
-        self.store.set_trace(Trace::disabled());
-        match outcome {
+        match exec.drive(&mut queue) {
             Ok(()) => Ok(exec.report()),
             Err(error) => Err(exec.into_failure(error)),
         }
@@ -611,8 +605,7 @@ impl<'a> Exec<'a> {
         // Phase attribution for prefetch wins: credit the run's delta of
         // readback bytes that were readmitted ahead of demand. Purely
         // observational (SpillStats and the trace are outside the
-        // fingerprint), and — like the tile-cache counters — host-timing
-        // sensitive at `threads > 1`.
+        // fingerprint), and host-timing sensitive at `threads > 1`.
         if self.trace.is_enabled() {
             let avoided = self
                 .sched

@@ -129,8 +129,8 @@ impl SpecPool {
     fn worker(state: Arc<(Mutex<SpecState>, Condvar)>) {
         // Lookahead executions run ahead of simulated time and may be
         // discarded; only the canonical DES-loop replay may record trace
-        // state (e.g. tile-cache counters), so suppress recording for
-        // this worker thread's entire lifetime.
+        // state (e.g. the prefetch readback counter), so suppress
+        // recording for this worker thread's entire lifetime.
         let _quiet = cumulon_trace::suppress();
         let (lock, cvar) = &*state;
         loop {

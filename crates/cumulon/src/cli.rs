@@ -175,38 +175,43 @@ pub enum Command {
         /// `cumulon-calibration-v1`) to this path.
         json: Option<String>,
     },
+    /// `--help` / `-h`: print the usage text.
+    Help,
 }
+
+/// The usage text: `cumulon --help` prints it, and a command line with
+/// no or an unknown command fails with it.
+const USAGE: &str =
+    "usage: cumulon <plan|run|trace|explain> <script> --input NAME=RxC[@D][:T] ...\n\
+    plan:    [--deadline MIN | --budget DOLLARS] [--max-nodes N]\n\
+    [--spot [--bid FRAC]]   (spot-vs-on-demand × checkpoint\n\
+    interval search under the deadline)\n\
+    run:     --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
+    [--kernel-threads K] [--trace FILE.json]\n\
+    [--memory-budget BYTES [--spill-dir PATH] [--prefetch-depth N]]\n\
+    [--spot [--bid FRAC]] [--elastic]\n\
+    trace:   --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
+    [--kernel-threads K] [--trace FILE.json]   (prints critical-\n\
+    path, utilization and estimate-diff reports)\n\
+    check:   cumulon check [--quick] [--report FILE.json]   (runs the\n\
+    cross-layer invariant suite; non-zero exit on violation)\n\
+    calibrate: cumulon calibrate [--instance TYPE] [--quick]\n\
+    [--kernel-threads K] [--json FILE.json]   (profiles the\n\
+    tile kernels on this host and re-fits the cost model's\n\
+    CPU coefficients from the measurements)\n\
+    serve:   cumulon serve [--addr HOST:PORT] [--queue-depth N]\n\
+    [--run-workers N] [--threads T]   (long-running multi-\n\
+    tenant service; newline-delimited JSON, schema\n\
+    cumulon-serve-v1 — see README \"cumulon serve\")";
 
 /// Parses CLI arguments (past the binary name).
 pub fn parse_args(args: &[String]) -> Result<Command> {
-    let usage = || {
-        CoreError::Invariant(
-            "usage: cumulon <plan|run|trace|explain> <script> --input NAME=RxC[@D][:T] ...\n\
-             plan:    [--deadline MIN | --budget DOLLARS] [--max-nodes N]\n\
-                      [--spot [--bid FRAC]]   (spot-vs-on-demand × checkpoint\n\
-                      interval search under the deadline)\n\
-             run:     --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
-                      [--kernel-threads K] [--trace FILE.json]\n\
-                      [--memory-budget BYTES [--spill-dir PATH] [--prefetch-depth N]]\n\
-                      [--spot [--bid FRAC]] [--elastic]\n\
-             trace:   --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
-                      [--kernel-threads K] [--trace FILE.json]   (prints critical-\n\
-                      path, utilization and estimate-diff reports)\n\
-             check:   cumulon check [--quick] [--report FILE.json]   (runs the\n\
-                      cross-layer invariant suite; non-zero exit on violation)\n\
-             calibrate: cumulon calibrate [--instance TYPE] [--quick]\n\
-                      [--kernel-threads K] [--json FILE.json]   (profiles the\n\
-                      tile kernels on this host and re-fits the cost model's\n\
-                      CPU coefficients from the measurements)\n\
-             serve:   cumulon serve [--addr HOST:PORT] [--queue-depth N]\n\
-                      [--run-workers N] [--threads T]   (long-running multi-\n\
-                      tenant service; newline-delimited JSON, schema\n\
-                      cumulon-serve-v1 — see README \"cumulon serve\")"
-                .to_string(),
-        )
-    };
+    let usage = || CoreError::Invariant(USAGE.to_string());
     let mut it = args.iter();
     let cmd = it.next().ok_or_else(usage)?.clone();
+    if cmd == "--help" || cmd == "-h" {
+        return Ok(Command::Help);
+    }
     // `check` takes no script or inputs — it has its own tiny flag set.
     if cmd == "check" {
         let mut quick = false;
@@ -1006,6 +1011,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             }
             Ok(())
         }
+        Command::Help => writeln!(out, "{USAGE}").map_err(w),
         Command::Check { quick, report } => {
             let checks = cumulon_check::run_checks(&cumulon_check::CheckOptions { quick: *quick })?;
             writeln!(out, "{}", checks.render()).map_err(w)?;
@@ -1350,6 +1356,25 @@ mod tests {
             }
         );
         assert!(parse_args(&args("trace s.cm --input A=1x1")).is_err());
+    }
+
+    #[test]
+    fn help_prints_usage_and_succeeds() {
+        for flag in ["--help", "-h"] {
+            let cmd = parse_args(&args(flag)).unwrap();
+            assert_eq!(cmd, Command::Help);
+            let mut out = Vec::new();
+            execute(&cmd, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(text, format!("{USAGE}\n"));
+            assert!(text.starts_with("usage: cumulon <plan|run|trace|explain>"));
+        }
+        // A bare or unknown command is still an error that quotes the
+        // usage text.
+        for line in ["", "bogus s.cm --input A=2x2"] {
+            let err = parse_args(&args(line)).unwrap_err().to_string();
+            assert!(err.contains(USAGE), "{line:?}: {err}");
+        }
     }
 
     #[test]

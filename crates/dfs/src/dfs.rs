@@ -168,12 +168,6 @@ impl Dfs {
         } = state;
         live.clear();
         live.extend_from_slice(namenode.live_nodes());
-        if live.is_empty() {
-            return Err(DfsError::InsufficientNodes {
-                wanted: want,
-                alive: 0,
-            });
-        }
         let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
         if let Some(w) = writer {
             if namenode.is_live(w) {
@@ -194,6 +188,7 @@ impl Dfs {
             };
             chosen.push(live.remove(pick));
         }
+        // No live node (an empty shuffle draws nothing), or none wanted.
         if chosen.is_empty() {
             return Err(DfsError::InsufficientNodes {
                 wanted: want,

@@ -83,9 +83,9 @@ impl SpillConfig {
 }
 
 /// Counters of the spill plane. Monotonic totals plus current occupancy;
-/// like the tile-cache counters, these are observability aids and may
-/// vary with worker-thread count (speculative readers warm tiles early) —
-/// they are deliberately excluded from run fingerprints.
+/// these are observability aids and may vary with worker-thread count
+/// (speculative readers warm tiles early) — they are deliberately
+/// excluded from run fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpillStats {
     /// Decoded bytes currently pinned by resident tracked files.

@@ -1,12 +1,9 @@
 //! The tile store: named matrices whose tiles live in the DFS.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use cumulon_matrix::gen::Generator;
 use cumulon_matrix::serialize::encoded_len;
@@ -82,117 +79,6 @@ struct StoreState {
     matrices: BTreeMap<String, Entry>,
 }
 
-/// Number of independent cache shards; keyed reads on different tiles do
-/// not contend on one lock.
-const CACHE_SHARDS: usize = 16;
-
-/// Default generated-tile cache budget.
-const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
-
-/// Bookkeeping size charged for phantom tiles, whose payload is metadata
-/// only (their `stored_bytes` is the *logical* size, which would evict the
-/// whole cache for no memory actually held).
-const PHANTOM_ENTRY_BYTES: u64 = 64;
-
-fn cache_entry_bytes(tile: &Tile) -> u64 {
-    if tile.is_phantom() {
-        PHANTOM_ENTRY_BYTES
-    } else {
-        tile.stored_bytes()
-    }
-}
-
-#[derive(Default)]
-struct CacheShard {
-    entries: HashMap<String, Arc<Tile>>,
-    /// FIFO eviction order of keys currently present.
-    order: VecDeque<String>,
-    bytes: u64,
-}
-
-impl CacheShard {
-    fn remove(&mut self, key: &str) {
-        if let Some(tile) = self.entries.remove(key) {
-            self.bytes = self.bytes.saturating_sub(cache_entry_bytes(&tile));
-            self.order.retain(|k| k != key);
-        }
-    }
-}
-
-/// A sharded, byte-budgeted, FIFO-evicting cache of generated tiles. Holding
-/// `Arc<Tile>` handles means a cache hit costs no payload copy, and readers
-/// on different shards never serialize on one lock.
-struct TileCache {
-    shards: Vec<Mutex<CacheShard>>,
-    /// Byte budget; atomically swappable so a memory budget installed
-    /// after construction (`TileStore::set_memory_budget`) resizes the
-    /// cache shared by every store clone.
-    capacity: AtomicU64,
-}
-
-impl TileCache {
-    fn new(capacity: u64) -> Self {
-        TileCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            capacity: AtomicU64::new(capacity),
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Resizes the cache, trimming each shard to the new per-shard budget.
-    fn set_capacity(&self, capacity: u64) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let budget = capacity / CACHE_SHARDS as u64;
-        for m in &self.shards {
-            let mut shard = m.lock();
-            while shard.bytes > budget {
-                let Some(victim) = shard.order.front().cloned() else {
-                    break;
-                };
-                shard.remove(&victim);
-            }
-        }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<CacheShard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<Tile>> {
-        self.shard(key).lock().entries.get(key).cloned()
-    }
-
-    fn insert(&self, key: &str, tile: Arc<Tile>) {
-        let capacity = self.capacity();
-        let size = cache_entry_bytes(&tile);
-        if size > capacity {
-            return;
-        }
-        let mut shard = self.shard(key).lock();
-        shard.remove(key);
-        shard.entries.insert(key.to_string(), tile);
-        shard.order.push_back(key.to_string());
-        shard.bytes += size;
-        // Per-shard budget so the aggregate stays near `capacity`.
-        let budget = (capacity / CACHE_SHARDS as u64).max(size);
-        while shard.bytes > budget {
-            let Some(victim) = shard.order.front().cloned() else {
-                break;
-            };
-            shard.remove(&victim);
-        }
-    }
-
-    fn invalidate(&self, key: &str) {
-        self.shard(key).lock().remove(key);
-    }
-}
-
 /// Rescales an I/O receipt from the `actual` on-the-wire byte count to the
 /// tile's `logical` stored size, preserving the local/remote split. Only
 /// changes anything for phantom tiles (dense/sparse tiles encode at their
@@ -217,28 +103,16 @@ fn scale_receipt(r: IoReceipt, actual: u64, logical: u64) -> IoReceipt {
 pub struct TileStore {
     dfs: Dfs,
     state: Arc<RwLock<StoreState>>,
-    cache: Arc<TileCache>,
-    /// Per-run trace handle for tile-cache hit/miss counters; swapped in
-    /// by the scheduler at run start (see `TileStore::set_trace`).
-    trace: Arc<RwLock<cumulon_trace::Trace>>,
 }
 
 impl TileStore {
     /// Creates a tile store over a DFS.
     pub fn new(dfs: Dfs) -> Self {
-        Self::with_cache_capacity(dfs, DEFAULT_CACHE_BYTES)
-    }
-
-    /// Creates a tile store with an explicit generated-tile cache budget in
-    /// bytes (`0` disables caching).
-    pub fn with_cache_capacity(dfs: Dfs, cache_bytes: u64) -> Self {
         TileStore {
             dfs,
             state: Arc::new(RwLock::new(StoreState {
                 matrices: BTreeMap::new(),
             })),
-            cache: Arc::new(TileCache::new(cache_bytes)),
-            trace: Arc::new(RwLock::new(cumulon_trace::Trace::disabled())),
         }
     }
 
@@ -248,41 +122,18 @@ impl TileStore {
     }
 
     /// Installs (or removes) a memory budget over the whole tile plane:
-    /// the generated-tile cache is resized to the budget, and the DFS handle
-    /// plane gains the LRU spill plane ([`crate::spill`]) that demotes
-    /// cold tiles to append-only blob segments on local disk. A
-    /// budget of zero restores the unbounded seed behaviour (default
-    /// cache size, no spilling). Shared through the store's `Arc`s, so
-    /// every clone — including the ones task contexts hold — sees the
-    /// budget. Spilling is observational: results, receipts, billing and
-    /// placement are bitwise-identical at any budget; only wall-clock time
-    /// and host memory footprint change.
+    /// the DFS handle plane gains the LRU spill plane ([`crate::spill`])
+    /// that demotes cold tiles to append-only blob segments on local disk.
+    /// The store holds nothing else: a generated tile is regenerated on
+    /// every read and never retained, so the budget bounds every tile the
+    /// store keeps. A budget of zero restores the unbounded seed behaviour
+    /// (no spilling). Shared through the store's `Arc`s, so every clone —
+    /// including the ones task contexts hold — sees the budget. Spilling
+    /// is observational: results, receipts, billing and placement are
+    /// bitwise-identical at any budget; only wall-clock time and host
+    /// memory footprint change.
     pub fn set_memory_budget(&self, config: &SpillConfig) -> Result<()> {
-        if config.budget_bytes == 0 {
-            self.cache.set_capacity(DEFAULT_CACHE_BYTES);
-        } else {
-            self.cache.set_capacity(config.budget_bytes);
-        }
         self.dfs.set_spill_config(config)
-    }
-
-    /// Installs the trace handle that tile-cache hits and misses count
-    /// into. The scheduler sets this at run start (and resets it to a
-    /// disabled handle at run end); counters are advisory only — they
-    /// never influence reads, receipts or placement, and speculative
-    /// worker threads are suppressed (see `cumulon_trace::suppress`), so
-    /// tracing cannot perturb results.
-    pub fn set_trace(&self, trace: cumulon_trace::Trace) {
-        *self.trace.write() = trace;
-    }
-
-    fn trace_cache(&self, hit: bool) {
-        let trace = self.trace.read();
-        if hit {
-            trace.cache_hit();
-        } else {
-            trace.cache_miss();
-        }
     }
 
     fn tile_path(name: &str, ti: usize, tj: usize) -> String {
@@ -309,7 +160,8 @@ impl TileStore {
     }
 
     /// Registers a generated matrix: no tiles are written; readers invoke
-    /// the generator on demand.
+    /// the generator on demand. A generated tile is regenerated on every
+    /// read and never retained.
     pub fn register_generated(
         &self,
         name: &str,
@@ -412,10 +264,11 @@ impl TileStore {
     }
 
     /// Reads one tile as a shared handle; generated matrices synthesize the
-    /// tile locally (no I/O receipt — generation is CPU, charged by the
-    /// caller via [`cumulon_matrix::ops`]) and cache it. A stored tile is
-    /// the `Arc` its DFS file holds, so a read copies and decodes nothing
-    /// (unless the spill plane demoted the file, see [`crate::spill`]).
+    /// tile locally on every read (no I/O receipt — generation is CPU,
+    /// charged by the caller via [`cumulon_matrix::ops`]) and never retain
+    /// it. A stored tile is the `Arc` its DFS file holds, so a read copies
+    /// and decodes nothing (unless the spill plane demoted the file, see
+    /// [`crate::spill`]).
     ///
     /// `phantom` requests metadata-only tiles for simulated-scale runs.
     pub fn read_tile(
@@ -433,7 +286,9 @@ impl TileStore {
     /// [`TileStore::read_tile`], saying from the same registry lookup
     /// whether the tile was read or generated: the receipt is `None` when
     /// the matrix's generator synthesized the tile (no I/O — the caller
-    /// charges the generation CPU instead).
+    /// charges the generation CPU instead). A Real read of a generated
+    /// tile regenerates it and hands back the only reference; a phantom
+    /// read shares the entry's phantom of the tile's shape.
     pub fn read_or_generate_tile(
         &self,
         name: &str,
@@ -464,34 +319,20 @@ impl TileStore {
             (entry.handle.meta, entry.handle.generator)
         };
         if let Some(generator) = generator {
-            return Self::with_tile_path(name, ti, tj, |path| {
-                if let Some(tile) = self.cache.get(path) {
-                    self.trace_cache(true);
-                    return Ok((tile, None));
-                }
-                self.trace_cache(false);
-                let tile = Arc::new(generator.generate(&meta, ti, tj));
-                self.cache.insert(path, tile.clone());
-                Ok((tile, None))
-            });
+            return Ok((Arc::new(generator.generate(&meta, ti, tj)), None));
         }
-        match Self::with_tile_path(name, ti, tj, |path| self.read_stored(path, reader)) {
-            Ok((tile, receipt)) => Ok((tile, Some(receipt))),
+        // A stored tile's receipt is rescaled to its logical size.
+        match Self::with_tile_path(name, ti, tj, |path| self.dfs.read_tile_file(path, reader)) {
+            Ok((tile, r)) => {
+                let receipt = scale_receipt(r, r.bytes, tile.stored_bytes());
+                Ok((tile, Some(receipt)))
+            }
             Err(DfsError::FileNotFound(_)) => Err(DfsError::TileNotFound {
                 matrix: name.to_string(),
                 tile: (ti, tj),
             }),
             Err(e) => Err(e),
         }
-    }
-
-    /// The DFS half of [`TileStore::read_or_generate_tile`]: the tile
-    /// stored at `path`, with its receipt rescaled to the tile's logical
-    /// size. Not a cache lookup: the DFS file holds the shared handle.
-    fn read_stored(&self, path: &str, reader: Option<NodeId>) -> Result<(Arc<Tile>, IoReceipt)> {
-        let (tile, receipt) = self.dfs.read_tile_file(path, reader)?;
-        let receipt = scale_receipt(receipt, receipt.bytes, tile.stored_bytes());
-        Ok((tile, receipt))
     }
 
     /// True when every tile of the matrix has been written (generated
@@ -535,9 +376,8 @@ impl TileStore {
 
     /// Re-admits tile `(ti, tj)` of `name` from the spill plane ahead of
     /// demand, returning the wire bytes readmitted (`0` when a read would
-    /// not have paid a readback anyway: the tile is not spilled). The
-    /// generated-tile cache is untouched, so cache hit/miss accounting is
-    /// identical with prefetching on or off.
+    /// not have paid a readback anyway: the tile is not spilled, or it
+    /// belongs to a generated matrix, which has no file).
     pub fn prefetch_tile(&self, name: &str, ti: usize, tj: usize) -> Result<u64> {
         Self::with_tile_path(name, ti, tj, |path| self.dfs.prefetch_path(path))
     }
@@ -592,19 +432,22 @@ impl TileStore {
         self.state.read().matrices.contains_key(name)
     }
 
-    /// Drops a matrix: namespace entry plus all tile files.
+    /// Drops a matrix: namespace entry plus all tile files. A generated
+    /// matrix has no files, so only its entry goes.
     pub fn drop_matrix(&self, name: &str) -> Result<()> {
-        let handle = {
-            let mut st = self.state.write();
-            st.matrices
-                .remove(name)
-                .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))?
-                .handle
-        };
+        let handle = self
+            .state
+            .write()
+            .matrices
+            .remove(name)
+            .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))?
+            .handle;
+        if handle.generator.is_some() {
+            return Ok(());
+        }
         for (ti, tj) in handle.meta.grid().iter() {
             let path = Self::tile_path(name, ti, tj);
-            self.cache.invalidate(&path);
-            if handle.generator.is_none() && self.dfs.exists(&path) {
+            if self.dfs.exists(&path) {
                 self.dfs.delete_file(&path)?;
             }
         }
@@ -900,20 +743,17 @@ mod data_plane_tests {
 
     #[test]
     fn handle_reads_share_identity_without_cache() {
-        // Stored-tile reads return the same Arc on every read even with a
-        // zero-capacity cache — the DFS holds the handle, not the cache.
-        let s = TileStore::with_cache_capacity(
-            Dfs::new(
-                2,
-                DfsConfig {
-                    replication: 2,
-                    block_size: 1 << 20,
-                    seed: 9,
-                    racks: 1,
-                },
-            ),
-            0,
-        );
+        // Stored-tile reads return the same Arc on every read — the DFS
+        // holds the handle.
+        let s = TileStore::new(Dfs::new(
+            2,
+            DfsConfig {
+                replication: 2,
+                block_size: 1 << 20,
+                seed: 9,
+                racks: 1,
+            },
+        ));
         s.register("A", MatrixMeta::new(4, 4, 4)).unwrap();
         s.write_tile("A", 0, 0, &Tile::zeros(4, 4), Some(NodeId(0)))
             .unwrap();
@@ -1073,18 +913,15 @@ mod spill_plane_tests {
     /// tile stays resident, identity is preserved as before.
     #[test]
     fn readmitted_tiles_are_equal_but_not_pointer_identical() {
-        let s = TileStore::with_cache_capacity(
-            Dfs::new(
-                2,
-                DfsConfig {
-                    replication: 2,
-                    block_size: 1 << 20,
-                    seed: 9,
-                    racks: 1,
-                },
-            ),
-            0, // no decoded-tile cache: reads always hit the DFS
-        );
+        let s = TileStore::new(Dfs::new(
+            2,
+            DfsConfig {
+                replication: 2,
+                block_size: 1 << 20,
+                seed: 9,
+                racks: 1,
+            },
+        ));
         let meta = MatrixMeta::new(8, 4, 4);
         let m = fill(&s, "A", meta, 11);
         let (before, _) = s.read_tile("A", 0, 0, None, false).unwrap();
@@ -1118,20 +955,17 @@ mod spill_plane_tests {
     /// least-recently-*used*, not the least-recently-written.
     #[test]
     fn eviction_follows_recency_not_write_order() {
-        // Zero-capacity decoded-tile cache: every read goes to the DFS,
-        // so recency is driven purely by the accesses below.
-        let s = TileStore::with_cache_capacity(
-            Dfs::new(
-                4,
-                DfsConfig {
-                    replication: 2,
-                    block_size: 1 << 20,
-                    seed: 21,
-                    racks: 1,
-                },
-            ),
-            0,
-        );
+        // Every read goes to the DFS, so recency is driven purely by the
+        // accesses below.
+        let s = TileStore::new(Dfs::new(
+            4,
+            DfsConfig {
+                replication: 2,
+                block_size: 1 << 20,
+                seed: 21,
+                racks: 1,
+            },
+        ));
         let meta = MatrixMeta::new(12, 4, 4); // 3 tiles, one block each
         fill(&s, "A", meta, 3);
         let one = encoded_len(&s.read_tile("A", 0, 0, None, false).unwrap().0);
@@ -1245,23 +1079,20 @@ mod spill_plane_tests {
         assert!(sc.blob.compression_ratio() >= 1.0);
     }
 
-    /// `tiles` one-tile files of `A` behind a one-tile budget and no
-    /// decoded-tile cache, so every read of a non-resident tile re-admits
-    /// it and demotes the tile read before. Tile `i` is written from, and
-    /// at `replication` 1 lives only on, node `i % 4`.
+    /// `tiles` one-tile files of `A` behind a one-tile budget, so every
+    /// read of a non-resident tile re-admits it and demotes the tile read
+    /// before. Tile `i` is written from, and at `replication` 1 lives only
+    /// on, node `i % 4`.
     fn one_tile_budget(tiles: usize, replication: usize) -> (TileStore, LocalMatrix) {
-        let s = TileStore::with_cache_capacity(
-            Dfs::new(
-                4,
-                DfsConfig {
-                    replication,
-                    block_size: 1 << 20,
-                    seed: 77,
-                    racks: 1,
-                },
-            ),
-            0,
-        );
+        let s = TileStore::new(Dfs::new(
+            4,
+            DfsConfig {
+                replication,
+                block_size: 1 << 20,
+                seed: 77,
+                racks: 1,
+            },
+        ));
         let meta = MatrixMeta::new(8 * tiles, 8, 8);
         let one = encoded_len(&Tile::zeros(8, 8));
         s.set_memory_budget(&SpillConfig::budgeted(one + 1))
@@ -1441,6 +1272,30 @@ mod spill_plane_tests {
         assert_eq!(st.spilled_files, 0);
         let (t, _) = s.read_tile("P", 1, 1, None, true).unwrap();
         assert!(t.is_phantom());
+    }
+
+    /// A budgeted store keeps no generated tile: a Real read hands back
+    /// the only reference to a freshly generated tile, and neither the
+    /// DFS nor the spill plane gains a byte.
+    #[test]
+    fn budgeted_store_keeps_no_generated_tile() {
+        let s = store_with(71);
+        s.set_memory_budget(&SpillConfig::budgeted(1 << 20))
+            .unwrap();
+        let meta = MatrixMeta::new(16, 16, 8);
+        let generator = Generator::DenseGaussian { seed: 3 };
+        s.register_generated("G", meta, generator).unwrap();
+        let (stats, spill) = (s.dfs().storage_stats(), s.dfs().spill_stats());
+        for _ in 0..2 {
+            let (tile, receipt) = s.read_or_generate_tile("G", 1, 0, None, false).unwrap();
+            assert_eq!(Arc::strong_count(&tile), 1, "the store kept a reference");
+            assert_eq!(*tile, generator.generate(&meta, 1, 0));
+            assert_eq!(receipt, None);
+        }
+        assert_eq!(s.dfs().storage_stats(), stats);
+        assert_eq!(s.dfs().spill_stats(), spill);
+        s.drop_matrix("G").unwrap();
+        assert_eq!(s.dfs().storage_stats(), stats);
     }
 }
 

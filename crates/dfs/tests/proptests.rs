@@ -364,11 +364,9 @@ proptest! {
         seed in 0u64..100,
         replication in 1usize..3,
         budget_tiles in 1u64..4,
-        cache_bytes in prop_oneof![Just(0u64), Just(4096u64)],
     ) {
-        let store = || TileStore::with_cache_capacity(
+        let store = || TileStore::new(
             Dfs::new(4, DfsConfig { replication, block_size: 256, seed, racks: 1 }),
-            cache_bytes,
         );
         let (twin, tight) = (store(), store());
         let meta = MatrixMeta::new(8 * TILES as usize, 8, 8);

@@ -47,7 +47,7 @@ impl TraceLog {
     ///
     /// * `schema_version` — integer version stamp;
     /// * `cumulon` — run metadata: `instance`, `nodes`, `slots`,
-    ///   `makespan_s`, `cache_hits`, `cache_misses`, an optional
+    ///   `makespan_s`, an optional
     ///   `request_id` (present only for `cumulon serve` runs, see
     ///   [`crate::Trace::set_request_id`]), an optional
     ///   `spill_readback_avoided_bytes` (present only when scheduler
@@ -65,14 +65,12 @@ impl TraceLog {
         let _ = write!(
             out,
             "{{\"schema_version\":{},\"cumulon\":{{\"instance\":\"{}\",\"nodes\":{},\
-             \"slots\":{},\"makespan_s\":{},\"cache_hits\":{},\"cache_misses\":{},",
+             \"slots\":{},\"makespan_s\":{},",
             self.schema_version,
             escape(&self.instance),
             self.nodes,
             self.slots,
             num(self.makespan_s),
-            self.cache_hits,
-            self.cache_misses,
         );
         // Emitted only when set so standalone (non-service) traces stay
         // byte-identical to pre-service golden files.
@@ -275,7 +273,6 @@ mod tests {
             round: 1,
             lost_blocks: 1,
         });
-        t.cache_hit();
         t.set_makespan(3.0);
         t.snapshot().unwrap()
     }

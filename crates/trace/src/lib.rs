@@ -15,11 +15,12 @@
 //! Recording never reads the clock, allocates task state, or otherwise
 //! feeds back into the simulation: enabling a trace leaves run results
 //! bitwise-identical at any worker thread count (property-tested in
-//! `cumulon-cluster`). Span *content* is deterministic for a fixed seed
-//! and thread count; the cache hit/miss counters are the one documented
-//! exception — speculative workers warm the tile cache ahead of simulated
-//! time, so those two counters may vary with thread count and host timing
-//! even though every receipt and result stays identical.
+//! `cumulon-cluster`). Span *content* is deterministic for a fixed seed,
+//! and so is the exported JSON at any thread count, with one documented
+//! exception: `spill_readback_avoided_bytes`, which speculative workers
+//! can move by readmitting spilled tiles ahead of simulated time. It is
+//! exported only when nonzero, so runs without a prefetching spill plane
+//! export byte-identical JSON at every thread count.
 //!
 //! # Schema
 //!
@@ -44,7 +45,8 @@ pub use report::{
 /// Version stamp written into every exported trace (`schema_version`).
 /// Bump on any breaking change to span fields or JSON layout.
 /// v2: task launch cost moved out of `overhead_s` into `startup_s`.
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+/// v3: the tile-cache hit and miss counters left the run metadata.
+pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 /// Simulated seconds attributed to each execution phase of a task (or a
 /// whole run). Produced by the hardware model's noise-free cost split and
@@ -269,15 +271,10 @@ pub struct TraceLog {
     /// direct CLI runs. Exported in the Chrome JSON only when set, so
     /// standalone traces are byte-identical with or without this field.
     pub request_id: Option<String>,
-    /// Tile-cache hits observed on the canonical execution path.
-    /// Parallelism-sensitive: see the crate-level determinism contract.
-    pub cache_hits: u64,
-    /// Tile-cache misses observed on the canonical execution path.
-    /// Parallelism-sensitive: see the crate-level determinism contract.
-    pub cache_misses: u64,
     /// Spill-plane wire bytes whose synchronous readback was avoided by
     /// scheduler prefetch (tiles readmitted ahead of demand and claimed
-    /// by a later read). Parallelism-sensitive, like the cache counters.
+    /// by a later read). Parallelism-sensitive: see the crate-level
+    /// determinism contract.
     pub spill_readback_avoided_bytes: u64,
 }
 
@@ -315,8 +312,6 @@ struct Buf {
 
 struct TraceInner {
     buf: Mutex<Buf>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     spill_readback_avoided_bytes: AtomicU64,
 }
 
@@ -327,7 +322,7 @@ thread_local! {
 /// RAII guard that suppresses all trace recording on the current thread
 /// while alive. Speculative worker threads hold one for the duration of a
 /// lookahead execution so only the canonical discrete-event replay books
-/// spans and cache counters.
+/// spans and counters.
 pub struct SuppressGuard {
     prev: bool,
 }
@@ -390,8 +385,6 @@ impl Trace {
                     events: Vec::new(),
                     request_id: None,
                 }),
-                cache_hits: AtomicU64::new(0),
-                cache_misses: AtomicU64::new(0),
                 spill_readback_avoided_bytes: AtomicU64::new(0),
             })),
         }
@@ -487,28 +480,9 @@ impl Trace {
         }
     }
 
-    /// Counts one tile-cache hit (no-op when disabled or suppressed).
-    pub fn cache_hit(&self) {
-        if let Some(inner) = &self.inner {
-            if !suppressed() {
-                inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Counts one tile-cache miss (no-op when disabled or suppressed).
-    pub fn cache_miss(&self) {
-        if let Some(inner) = &self.inner {
-            if !suppressed() {
-                inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Credits `bytes` of spill readback avoided by prefetch (no-op when
-    /// disabled or suppressed). Attributed run-wide, like the cache
-    /// counters: the saving shows up in the phase report's read lane, not
-    /// per span.
+    /// disabled or suppressed). Attributed run-wide: the saving shows up
+    /// in the phase report's read lane, not per span.
     pub fn spill_readback_avoided(&self, bytes: u64) {
         if let Some(inner) = &self.inner {
             if !suppressed() {
@@ -535,8 +509,6 @@ impl Trace {
             jobs: buf.jobs.clone(),
             events: buf.events.clone(),
             request_id: buf.request_id.clone(),
-            cache_hits: inner.cache_hits.load(Ordering::Relaxed),
-            cache_misses: inner.cache_misses.load(Ordering::Relaxed),
             spill_readback_avoided_bytes: inner
                 .spill_readback_avoided_bytes
                 .load(Ordering::Relaxed),
@@ -583,7 +555,7 @@ mod tests {
         let t = Trace::disabled();
         assert!(!t.is_enabled());
         t.record_task(sample_span(0, 0, 0.0, 1.0));
-        t.cache_hit();
+        t.spill_readback_avoided(64);
         assert!(t.snapshot().is_none());
     }
 
@@ -605,9 +577,6 @@ mod tests {
             job: 0,
             task: 1,
         });
-        t.cache_hit();
-        t.cache_miss();
-        t.cache_miss();
         t.set_makespan(2.0);
         let log = t.snapshot().unwrap();
         assert_eq!(log.schema_version, TRACE_SCHEMA_VERSION);
@@ -616,7 +585,6 @@ mod tests {
         assert_eq!(log.tasks.len(), 1);
         assert_eq!(log.jobs.len(), 1);
         assert_eq!(log.events.len(), 1);
-        assert_eq!((log.cache_hits, log.cache_misses), (1, 2));
         assert_eq!(log.job_name(0, 0), Some("mul C"));
         assert_eq!(log.job_name(0, 1), None);
     }
@@ -647,15 +615,14 @@ mod tests {
         {
             let _g = suppress();
             t.record_task(sample_span(0, 0, 0.0, 1.0));
-            t.cache_hit();
-            t.cache_miss();
+            t.spill_readback_avoided(64);
         }
         t.record_task(sample_span(0, 1, 0.0, 1.0));
-        t.cache_hit();
+        t.spill_readback_avoided(8);
         let log = t.snapshot().unwrap();
         assert_eq!(log.tasks.len(), 1);
         assert_eq!(log.tasks[0].task, 1);
-        assert_eq!((log.cache_hits, log.cache_misses), (1, 0));
+        assert_eq!(log.spill_readback_avoided_bytes, 8);
     }
 
     #[test]

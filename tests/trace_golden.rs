@@ -1,6 +1,6 @@
 //! Golden-file test for the exported trace JSON: a fixed traced run must
-//! emit *byte-identical* Chrome `trace_event` JSON (the run is fully
-//! deterministic at 1 worker thread, and `f64` formatting is the
+//! emit *byte-identical* Chrome `trace_event` JSON at any worker thread
+//! count (the run is fully deterministic, and `f64` formatting is the
 //! platform-independent shortest round-trip form), and the document must
 //! satisfy the schema contracted in `DESIGN.md` ("Observability") and
 //! [`cumulon::trace::TraceLog::to_chrome_json`].
@@ -24,10 +24,8 @@ use cumulon::trace::json::{parse, JsonValue};
 
 /// One fixed traced run: H = AᵀA + AᵀA (a fused gram job feeding an
 /// element-wise add, so the trace carries at least two job spans) on
-/// m1.large x2, Real mode, 1 worker thread (cache counters are the one
-/// scheduling-order sensitive field, so the golden pins the sequential
-/// schedule).
-fn traced_run_json() -> String {
+/// m1.large x2, Real mode, `threads` worker threads.
+fn traced_run_json(threads: usize) -> String {
     let meta = MatrixMeta::new(64, 32, 8);
     let cluster = Cluster::provision_with(
         ClusterSpec::named("m1.large", 2, 2).unwrap(),
@@ -68,7 +66,7 @@ fn traced_run_json() -> String {
             &inputs,
             "golden",
             ExecMode::Real,
-            SchedulerConfig::default().with_threads(1),
+            SchedulerConfig::default().with_threads(threads),
             &FailurePlan::default(),
             RecoveryConfig::default(),
             &trace,
@@ -83,9 +81,11 @@ fn f64_of(v: &JsonValue, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("missing number '{key}' in {v:?}"))
 }
 
+const GOLDEN: &str = include_str!("golden/trace_small.json");
+
 #[test]
 fn trace_json_matches_golden_and_schema() {
-    let json = traced_run_json();
+    let json = traced_run_json(1);
     if std::env::var_os("BLESS_TRACE_GOLDEN").is_some() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -93,9 +93,8 @@ fn trace_json_matches_golden_and_schema() {
         );
         std::fs::write(path, &json).expect("bless golden");
     }
-    let golden = include_str!("golden/trace_small.json");
     assert_eq!(
-        json, golden,
+        json, GOLDEN,
         "trace JSON diverged from the golden file; if the schema change is \
          intentional, bump TRACE_SCHEMA_VERSION, update DESIGN.md, and run \
          BLESS_TRACE_GOLDEN=1 cargo test -p cumulon --test trace_golden"
@@ -104,15 +103,13 @@ fn trace_json_matches_golden_and_schema() {
     // Schema validation, independent of the byte comparison: every field
     // documented in DESIGN.md must be present and well-typed.
     let doc = parse(&json).expect("exported trace is valid JSON");
-    assert_eq!(f64_of(&doc, "schema_version"), 2.0);
+    assert_eq!(f64_of(&doc, "schema_version"), 3.0);
     let meta = doc.get("cumulon").expect("cumulon metadata object");
     assert_eq!(meta.get("instance").unwrap().as_str(), Some("m1.large"));
     assert_eq!(f64_of(meta, "nodes"), 2.0);
     assert_eq!(f64_of(meta, "slots"), 2.0);
     let makespan_us = f64_of(meta, "makespan_s") * 1e6;
     assert!(makespan_us > 0.0);
-    assert!(f64_of(meta, "cache_hits") >= 0.0);
-    assert!(f64_of(meta, "cache_misses") >= 0.0);
     let phases = meta.get("phases").expect("aggregated phases object");
     for key in ["compute_s", "read_s", "write_s", "startup_s", "overhead_s"] {
         assert!(f64_of(phases, key) >= 0.0, "phase {key} must be >= 0");
@@ -172,4 +169,17 @@ fn trace_json_matches_golden_and_schema() {
     // The plan lowers to at least the fused gram job plus the add job.
     assert!(jobs >= 2, "expected >= 2 job spans, got {jobs}");
     assert!(tasks >= jobs, "expected >= 1 task span per job");
+}
+
+/// Speculative workers run tasks ahead of simulated time, but nothing they
+/// do reaches the export: the golden holds at every thread count.
+#[test]
+fn trace_json_is_identical_at_any_thread_count() {
+    for threads in [2, 4] {
+        assert_eq!(
+            traced_run_json(threads),
+            GOLDEN,
+            "trace JSON at {threads} threads diverged from the golden file"
+        );
+    }
 }
