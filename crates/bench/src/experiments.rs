@@ -154,7 +154,7 @@ fn provision_with_gen(
 
 /// E1 — job time vs. the multiply split choice is U-shaped; the cost-based
 /// chooser lands near the bottom.
-pub fn e1() -> Series {
+pub(crate) fn e1() -> Series {
     let mut s = Series::new(
         "E1",
         "multiply job time vs split (16k x 16k x 16k, c1.xlarge x10, 8 slots)",
@@ -236,7 +236,7 @@ pub fn e1() -> Series {
 
 /// E2 — Cumulon vs the SystemML-on-MapReduce-style baseline on square
 /// multiply, growing dimension.
-pub fn e2() -> Series {
+pub(crate) fn e2() -> Series {
     let mut s = Series::new(
         "E2",
         "dense multiply: Cumulon vs MapReduce baseline (c1.xlarge x8, 8 slots)",
@@ -326,7 +326,7 @@ fn mr_gnmf_h_update(engine: &MrEngine, suffix: &str) -> f64 {
 }
 
 /// E3 — GNMF per-iteration time vs cluster size, Cumulon vs baseline.
-pub fn e3() -> Series {
+pub(crate) fn e3() -> Series {
     let mut s = Series::new(
         "E3",
         "GNMF per-iteration time vs nodes (V: 100k x 100k @1%, rank 50, m1.xlarge)",
@@ -371,7 +371,7 @@ pub fn e3() -> Series {
 
 /// E4 — RSVD-1 end-to-end time vs cluster size (diminishing returns as the
 /// wave count bottoms out).
-pub fn e4() -> Series {
+pub(crate) fn e4() -> Series {
     let mut s = Series::new(
         "E4",
         "RSVD-1 (A: 400k x 200k, k=100) makespan vs nodes (c1.xlarge, 8 slots)",
@@ -410,7 +410,7 @@ pub fn e4() -> Series {
 // ---------------------------------------------------------------------------
 
 /// E5 — estimator vs simulator across workloads and deployments.
-pub fn e5() -> Series {
+pub(crate) fn e5() -> Series {
     let mut s = Series::new(
         "E5",
         "predicted vs simulated makespan",
@@ -514,7 +514,7 @@ pub fn e5() -> Series {
 // ---------------------------------------------------------------------------
 
 /// E6 — the configuration knob: slots per node has an interior optimum.
-pub fn e6() -> Series {
+pub(crate) fn e6() -> Series {
     let mut s = Series::new(
         "E6",
         "multiply time vs slots/node (12k^3, c1.medium x16: 2 cores, 1.7GB)",
@@ -555,7 +555,7 @@ pub fn e6() -> Series {
 // ---------------------------------------------------------------------------
 
 /// E7 — the minimal cost to meet each deadline, and which deployment wins.
-pub fn e7() -> Series {
+pub(crate) fn e7() -> Series {
     let mut s = Series::new(
         "E7",
         "min cost vs deadline (RSVD sketch, A: 400k x 200k, k=200)",
@@ -607,7 +607,7 @@ pub fn e7() -> Series {
 // ---------------------------------------------------------------------------
 
 /// E8 — the (time, cost) skyline over the deployment grid.
-pub fn e8() -> Series {
+pub(crate) fn e8() -> Series {
     let mut s = Series::new(
         "E8",
         "time/cost Pareto skyline (GNMF iteration, V: 200k x 200k @1%, rank 50)",
@@ -646,7 +646,7 @@ pub fn e8() -> Series {
 
 /// E9 — simulated time of a skewed 5-factor chain under three association
 /// orders: naive left-assoc, flops-DP, and worst-case right-assoc.
-pub fn e9() -> Series {
+pub(crate) fn e9() -> Series {
     let mut s = Series::new(
         "E9",
         "chain-order ablation (200 x 8k x 200 x 8k x 200 x 200 chain, m1.xlarge x8)",
@@ -719,7 +719,7 @@ pub fn e9() -> Series {
 
 /// E10 — fastest deployment within each budget; hourly billing makes
 /// marginal dollars buy whole steps of speed.
-pub fn e10() -> Series {
+pub(crate) fn e10() -> Series {
     let mut s = Series::new(
         "E10",
         "best time vs budget (multiply 20k^3)",
@@ -761,7 +761,7 @@ pub fn e10() -> Series {
 /// E11 — makespan under injected failures and with speculative execution
 /// (extension: the execution-model robustness the paper's substrate,
 /// Hadoop, provides and our engine reproduces).
-pub fn e11() -> Series {
+pub(crate) fn e11() -> Series {
     use cumulon::cluster::scheduler::{FailurePlan, SchedulerConfig};
 
     let mut s = Series::new(
@@ -862,7 +862,7 @@ pub fn e11() -> Series {
 /// E12 — the tile-size physical design knob: small tiles drown in per-task
 /// overhead and tiny kernels; huge tiles starve parallelism and blow the
 /// memory budget.
-pub fn e12() -> Series {
+pub(crate) fn e12() -> Series {
     let mut s = Series::new(
         "E12",
         "multiply time vs tile size (16k^3, c1.xlarge x8, 8 slots)",
@@ -897,7 +897,7 @@ pub fn e12() -> Series {
 /// E13 — hourly vs per-second billing changes what the optimizer buys:
 /// hour-quantization rewards "fill the hour" deployments; per-second
 /// pricing smooths the curve.
-pub fn e13() -> Series {
+pub(crate) fn e13() -> Series {
     let mut s = Series::new(
         "E13",
         "min cost vs deadline under hourly vs per-second billing (RSVD sketch)",
@@ -952,7 +952,7 @@ pub fn e13() -> Series {
 
 /// E14 — value of fusing element-wise chains into single jobs (one of the
 /// execution-model advantages over operator-at-a-time engines).
-pub fn e14() -> Series {
+pub(crate) fn e14() -> Series {
     use cumulon::core::lower::{build_plan_with, PlanOptions};
 
     let mut s = Series::new(
@@ -1008,7 +1008,7 @@ pub fn e14() -> Series {
 /// E15 — the paper's "simulation" technique: Monte-Carlo list-scheduling
 /// simulation vs the closed-form wave model, compared against the DES
 /// ground truth across straggler regimes.
-pub fn e15() -> Series {
+pub(crate) fn e15() -> Series {
     use cumulon::core::estimate::{job_time_mc, job_time_s};
     use cumulon::core::lower::UnitSplits;
 
@@ -1071,7 +1071,7 @@ pub fn e15() -> Series {
 
 /// E16 — HDFS replication: higher factors cost write bandwidth but buy
 /// read locality (and fault tolerance); the optimizer's view models both.
-pub fn e16() -> Series {
+pub(crate) fn e16() -> Series {
     let mut s = Series::new(
         "E16",
         "replication factor: multiply 12k^3 on m1.xlarge x8 (4 slots)",
@@ -1146,7 +1146,7 @@ pub fn e16() -> Series {
 /// intermediate tiles with it; lineage re-runs just the producing tasks of
 /// the lost tiles. Overhead over the failure-free run is the price paid,
 /// swept over when in the run the node dies.
-pub fn e17() -> Series {
+pub(crate) fn e17() -> Series {
     use cumulon::cluster::{FailurePlan, SchedulerConfig};
     use cumulon::core::RecoveryConfig;
 
@@ -1247,11 +1247,11 @@ pub fn e17() -> Series {
 /// E18 — where the time goes: critical-path phase attribution of the
 /// Gram-matrix program (G = AᵀA), from a span-level trace of the run,
 /// with the optimizer's analytic per-phase prediction alongside.
-pub fn e18() -> Series {
+pub(crate) fn e18() -> Series {
     e18_with_log().0
 }
 
-/// The traced run behind [`e18`], also returning the raw trace log so
+/// The traced run behind `e18`, also returning the raw trace log so
 /// `repro --trace FILE` can export the timeline JSON of the same run the
 /// table was computed from.
 pub fn e18_with_log() -> (Series, cumulon::cluster::TraceLog) {
@@ -1367,7 +1367,7 @@ pub fn e18_with_log() -> (Series, cumulon::cluster::TraceLog) {
 /// hazard. Cheap markets favour spot with checkpoints; as the market
 /// price approaches list the paid rate *and* the revocation hazard rise
 /// together, so the winner flips to on-demand exactly once.
-pub fn e19() -> Series {
+pub(crate) fn e19() -> Series {
     use cumulon::cluster::billing::BillingPolicy;
     use cumulon::core::{DeploymentSearch, SpotHazard, SpotSearchSpace};
 
@@ -1443,7 +1443,7 @@ pub fn e19() -> Series {
 /// simulated time by construction); the table reports the churn each
 /// budget causes. The working set is measured, not assumed: a probe run
 /// under an effectively unbounded plane reports its resident bytes.
-pub fn e20() -> Series {
+pub(crate) fn e20() -> Series {
     use cumulon::cluster::{FailurePlan, SchedulerConfig, Trace};
     use cumulon::core::RecoveryConfig;
     use cumulon::dfs::{SpillConfig, SpillStats};
@@ -1569,7 +1569,7 @@ pub fn e20() -> Series {
 /// sampled *before* the final result readback, so the table reports the
 /// traffic the scheduler can actually influence; the reduction column is
 /// the synchronous-readback cut the policy buys.
-pub fn e22() -> Series {
+pub(crate) fn e22() -> Series {
     use cumulon::cluster::{FailurePlan, SchedulerConfig, Trace};
     use cumulon::core::RecoveryConfig;
     use cumulon::dfs::{SpillConfig, SpillStats};
@@ -1694,7 +1694,7 @@ pub fn e22() -> Series {
 // ---------------------------------------------------------------------------
 
 /// T1 — the instance-type catalog.
-pub fn t1() -> Series {
+pub(crate) fn t1() -> Series {
     let mut s = Series::new(
         "T1",
         "instance-type catalog (EC2 2013-like)",
@@ -1723,7 +1723,7 @@ pub fn t1() -> Series {
 }
 
 /// T2 — benchmark-fitted cost-model coefficients.
-pub fn t2() -> Series {
+pub(crate) fn t2() -> Series {
     let mut s = Series::new(
         "T2",
         "calibrated task-time coefficients (fitted from probe benchmarks)",
@@ -1760,7 +1760,7 @@ pub fn t2() -> Series {
 }
 
 /// T3 — optimizer-chosen deployments per workload under a 1-hour deadline.
-pub fn t3() -> Series {
+pub(crate) fn t3() -> Series {
     let mut s = Series::new(
         "T3",
         "chosen deployments per workload (deadline 60 min)",
@@ -1849,7 +1849,7 @@ pub fn t3() -> Series {
 }
 
 /// T4 — prediction-error summary (mean/max of E5's relative errors).
-pub fn t4() -> Series {
+pub(crate) fn t4() -> Series {
     let e5 = e5();
     let mut s = Series::new(
         "T4",

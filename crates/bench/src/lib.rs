@@ -3,6 +3,8 @@
 //! The `repro` binary prints them; `benchmark/` is where performance is
 //! measured.
 
+#![warn(unreachable_pub)]
+
 pub mod experiments;
 
 pub use experiments::Series;

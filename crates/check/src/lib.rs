@@ -29,6 +29,8 @@
 //! the whole sweep is deterministic, so a reported violation reproduces
 //! on any host. See `DESIGN.md` § Validation for how to add an invariant.
 
+#![warn(unreachable_pub)]
+
 pub mod report;
 pub mod suite;
 

@@ -30,7 +30,7 @@ pub struct CheckReport {
 
 impl CheckReport {
     /// Records a check result.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         invariant: &'static str,
         config: impl Into<String>,

@@ -83,12 +83,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use cumulon_cluster::billing::{billed_hours, cluster_cost, BillingPolicy};
-use cumulon_cluster::instances::catalog;
 use cumulon_cluster::{
     Cluster, ClusterSpec, ExecMode, FailurePlan, Revocation, RunReport, SchedulerConfig, Trace,
     TraceLog,
 };
-use cumulon_core::calibrate::{CostModel, OpCoefficients};
+use cumulon_core::calibrate::idealized_cost_model;
 use cumulon_core::error::CoreError;
 use cumulon_core::estimate::{job_time_mc, job_time_s};
 use cumulon_core::expr::{InputDesc, ProgramBuilder};
@@ -161,15 +160,7 @@ fn spec() -> ClusterSpec {
 /// The idealized fitted model used by every execution (same construction
 /// as the bench harness).
 fn optimizer() -> Optimizer {
-    Optimizer::new(model())
-}
-
-fn model() -> CostModel {
-    let mut m = CostModel::default();
-    for i in catalog() {
-        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-    }
-    m
+    Optimizer::new(idealized_cost_model())
 }
 
 /// The N of the `threads ∈ {1, N}` axis: enough to exercise the parallel
@@ -1244,7 +1235,7 @@ fn check_serve_isolation(opts: &CheckOptions, report: &mut CheckReport) {
 /// Deployment search must generate exactly the instance × slots × nodes
 /// cross product — `max_nodes` included even when the stride skips it.
 fn check_search_grid(report: &mut CheckReport) {
-    let model = model();
+    let model = idealized_cost_model();
     let mut b = ProgramBuilder::new();
     let a = b.input("A");
     let x = b.input("X");

@@ -42,7 +42,7 @@ impl ClusterSpec {
     }
 
     /// Validates node and slot counts.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.nodes == 0 {
             return Err(ClusterError::InvalidSpec("nodes must be positive".into()));
         }
@@ -161,11 +161,6 @@ impl Cluster {
         &self.store
     }
 
-    /// The hardware timing model in effect.
-    pub fn hardware(&self) -> &HardwareModel {
-        &self.hw
-    }
-
     /// Overrides the billing policy (default: hourly).
     pub fn set_billing(&mut self, policy: BillingPolicy) {
         self.billing = policy;
@@ -257,6 +252,5 @@ mod tests {
         let c = Cluster::provision(ClusterSpec::named("c1.medium", 2, 2).unwrap()).unwrap();
         assert_eq!(c.spec().nodes, 2);
         assert_eq!(c.store().dfs().node_count(), 2);
-        assert!(c.hardware().task_startup_s > 0.0);
     }
 }

@@ -7,20 +7,20 @@ use std::collections::BinaryHeap;
 /// Simulated time in seconds. Wraps `f64` with a total order (times are
 /// never NaN by construction).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SimTime(pub f64);
+pub(crate) struct SimTime(pub f64);
 
 impl SimTime {
     /// Time zero.
-    pub const ZERO: SimTime = SimTime(0.0);
+    pub(crate) const ZERO: SimTime = SimTime(0.0);
 
     /// Advances by `secs`.
-    pub fn after(self, secs: f64) -> SimTime {
+    pub(crate) fn after(self, secs: f64) -> SimTime {
         debug_assert!(secs >= 0.0, "durations must be non-negative");
         SimTime(self.0 + secs)
     }
 
     /// Seconds since time zero.
-    pub fn secs(self) -> f64 {
+    pub(crate) fn secs(self) -> f64 {
         self.0
     }
 }
@@ -65,7 +65,7 @@ impl<E> Ord for QueueEntry<E> {
 }
 
 /// An event queue ordered by simulated time (FIFO among equal times).
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<QueueEntry<E>>,
     next_seq: u64,
     now: SimTime,
@@ -79,7 +79,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -88,7 +88,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulated time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -96,7 +96,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `at` precedes the current time (causality violation).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.heap.push(QueueEntry {
             at,
@@ -107,26 +107,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules an event `secs` from now.
-    pub fn schedule_in(&mut self, secs: f64, event: E) {
+    pub(crate) fn schedule_in(&mut self, secs: f64, event: E) {
         self.schedule(self.now.after(secs), event);
     }
 
     /// Pops the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| {
             self.now = e.at;
             (e.at, e.event)
         })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -172,17 +162,6 @@ mod tests {
         q.schedule(SimTime(5.0), ());
         q.pop();
         q.schedule(SimTime(1.0), ());
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(SimTime(1.0), ());
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl NoiseModel {
 
     /// Multiplicative factor for an attempt. Mean-one lognormal: the
     /// underlying normal is centred at `-sigma²/2`.
-    pub fn factor(&self, job: usize, task: usize, attempt: u32) -> f64 {
+    pub(crate) fn factor(&self, job: usize, task: usize, attempt: u32) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }
@@ -105,7 +105,7 @@ impl HardwareModel {
     /// `slots` is the configured concurrency per node — bandwidth shares
     /// and memory pressure are computed against the full slot complement,
     /// matching how Hadoop provisions per-slot resources statically.
-    pub fn task_seconds_base(
+    pub(crate) fn task_seconds_base(
         &self,
         instance: &InstanceType,
         slots: u32,
@@ -152,7 +152,7 @@ impl HardwareModel {
     /// trace consumers rescale them to an attempt's *actual* (noisy)
     /// duration via [`cumulon_trace::PhaseBreakdown::scaled_to`], so the
     /// per-phase attribution always reproduces observed span totals.
-    pub fn task_phases(
+    pub(crate) fn task_phases(
         &self,
         instance: &InstanceType,
         slots: u32,
@@ -186,7 +186,7 @@ impl HardwareModel {
     }
 
     /// Duration including straggler noise for a specific attempt.
-    pub fn task_seconds(
+    pub(crate) fn task_seconds(
         &self,
         instance: &InstanceType,
         slots: u32,

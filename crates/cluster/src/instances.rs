@@ -31,15 +31,10 @@ pub struct InstanceType {
 }
 
 impl InstanceType {
-    /// Effective whole-node GFLOP/s when `slots` tasks run concurrently:
-    /// scales with the busy cores, capped at the physical core count.
-    pub fn node_gflops(&self, slots: u32) -> f64 {
-        self.gflops_per_core * slots.min(self.cores) as f64
-    }
-
     /// Dollars per GFLOP/s-hour — a crude "value" metric used in tests to
     /// assert the catalog's structure (c1 cheapest compute, m2 priciest).
-    pub fn dollars_per_gflops(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dollars_per_gflops(&self) -> f64 {
         self.price_per_hour / (self.gflops_per_core * self.cores as f64)
     }
 }
@@ -174,14 +169,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), catalog().len());
-    }
-
-    #[test]
-    fn node_gflops_caps_at_cores() {
-        let t = by_name("c1.medium").unwrap();
-        assert_eq!(t.node_gflops(1), 2.8);
-        assert_eq!(t.node_gflops(2), 5.6);
-        assert_eq!(t.node_gflops(8), 5.6, "oversubscription adds no throughput");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct TaskReceipt {
 impl TaskReceipt {
     /// Component-wise sum (for job-level aggregation).
     #[allow(clippy::should_implement_trait)]
-    pub fn add(self, other: TaskReceipt) -> TaskReceipt {
+    pub(crate) fn add(self, other: TaskReceipt) -> TaskReceipt {
         TaskReceipt {
             work: self.work.add(other.work),
             read: self.read.add(other.read),
@@ -69,7 +69,7 @@ impl TaskReceipt {
 /// writes in canonical task order, so the DFS placement RNG draws follow
 /// assignment order however the wave's tasks were resolved.
 #[derive(Clone)]
-pub struct StagedWrite {
+pub(crate) struct StagedWrite {
     /// Destination matrix name.
     pub matrix: String,
     /// Tile row index.
@@ -90,7 +90,7 @@ pub struct StagedWrite {
 /// f64 accumulation order — the task would have produced had it run then,
 /// as long as every replayed read still returns the recorded tile.
 #[derive(Clone)]
-pub enum TaskOp {
+pub(crate) enum TaskOp {
     /// A successful tile read and the handle it returned.
     Read {
         /// Source matrix name.
@@ -149,7 +149,7 @@ impl TaskCtx {
     /// or on a worker thread — without perturbing the placement RNG. The
     /// scheduler commits the staged writes in canonical task order via
     /// [`TaskCtx::into_parts`].
-    pub fn new(store: TileStore, node: NodeId, mode: ExecMode) -> Self {
+    pub(crate) fn new(store: TileStore, node: NodeId, mode: ExecMode) -> Self {
         TaskCtx {
             store,
             node,
@@ -165,7 +165,7 @@ impl TaskCtx {
     /// recording runs before the scheduler knows where the task will land,
     /// and nothing node-dependent survives into the log (receipts are
     /// recomputed at replay against the real node).
-    pub fn new_recording(store: TileStore, mode: ExecMode) -> Self {
+    pub(crate) fn new_recording(store: TileStore, mode: ExecMode) -> Self {
         TaskCtx {
             ops: Some(Vec::new()),
             ..TaskCtx::new(store, NodeId(u32::MAX), mode)
@@ -173,7 +173,7 @@ impl TaskCtx {
     }
 
     /// Consumes a recording context, returning the op log.
-    pub fn into_ops(self) -> Vec<TaskOp> {
+    pub(crate) fn into_ops(self) -> Vec<TaskOp> {
         self.ops.unwrap_or_default()
     }
 
@@ -181,7 +181,7 @@ impl TaskCtx {
     /// the staged writes. The receipt's `write` field holds only raw
     /// [`TaskCtx::charge_write_io`] charges — the scheduler adds the tile
     /// commit receipts in staging order.
-    pub fn into_parts(self) -> (TaskReceipt, Vec<StagedWrite>) {
+    pub(crate) fn into_parts(self) -> (TaskReceipt, Vec<StagedWrite>) {
         (self.receipt, self.staged)
     }
 
@@ -343,13 +343,15 @@ impl TaskCtx {
     }
 
     /// The accumulated receipt.
-    pub fn receipt(&self) -> TaskReceipt {
+    #[cfg(test)]
+    pub(crate) fn receipt(&self) -> TaskReceipt {
         self.receipt
     }
 
     /// Access to the tile store for operations not covered by the helpers
     /// (e.g. registering an output matrix from the driver).
-    pub fn store(&self) -> &TileStore {
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &TileStore {
         &self.store
     }
 }
@@ -361,7 +363,7 @@ pub type TileRef = (Arc<str>, usize, usize);
 /// Task logic: a function of the context. Must be `Fn` (not `FnOnce`) so
 /// failed attempts can be retried, and `Send + Sync` so jobs can be
 /// executed from worker threads.
-pub type TaskFn = Arc<dyn Fn(&mut TaskCtx) -> Result<()> + Send + Sync>;
+pub(crate) type TaskFn = Arc<dyn Fn(&mut TaskCtx) -> Result<()> + Send + Sync>;
 
 /// One task of a map-only job.
 #[derive(Clone)]
@@ -453,7 +455,7 @@ impl JobDag {
 
     /// Validates the DAG: dependencies in range and acyclic (indices must
     /// point backwards, which `push` guarantees for well-formed builders).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (j, deps) in self.deps.iter().enumerate() {
             for &d in deps {
                 if d >= self.jobs.len() {

@@ -32,6 +32,8 @@
 //! * [`metrics`] — run reports consumed by the optimizer's calibrator and
 //!   the experiment harness.
 
+#![warn(unreachable_pub)]
+
 pub mod billing;
 pub mod cluster;
 pub mod des;

@@ -60,14 +60,6 @@ impl JobStats {
         self.tasks.iter().map(TaskStat::duration_s).sum::<f64>() / self.tasks.len() as f64
     }
 
-    /// Longest task duration.
-    pub fn max_task_s(&self) -> f64 {
-        self.tasks
-            .iter()
-            .map(TaskStat::duration_s)
-            .fold(0.0, f64::max)
-    }
-
     /// Fraction of tasks whose dominant input was node-local.
     pub fn locality_rate(&self) -> f64 {
         if self.tasks.is_empty() {
@@ -163,7 +155,7 @@ impl FaultStats {
 
     /// Re-executed task-seconds as a fraction of all task-seconds
     /// (0 when no work ran at all).
-    pub fn rework_ratio(&self) -> f64 {
+    pub(crate) fn rework_ratio(&self) -> f64 {
         if self.total_task_s <= 0.0 {
             return 0.0;
         }
@@ -344,7 +336,6 @@ mod tests {
         let s = stats();
         assert_eq!(s.duration_s(), 10.0);
         assert_eq!(s.mean_task_s(), 7.0);
-        assert_eq!(s.max_task_s(), 10.0);
         assert_eq!(s.locality_rate(), 0.5);
         assert_eq!(s.retries(), 1);
     }
@@ -360,7 +351,6 @@ mod tests {
             receipt: TaskReceipt::default(),
         };
         assert_eq!(s.mean_task_s(), 0.0);
-        assert_eq!(s.max_task_s(), 0.0);
         assert_eq!(s.locality_rate(), 1.0);
     }
 

@@ -20,7 +20,7 @@
 //! time on a persistent worker pool (`SpecPool`, created once per run).
 //! The moment a job's dependencies complete, all its tasks are enqueued;
 //! workers execute each one against a recording [`TaskCtx`] that logs every
-//! context interaction ([`crate::job::TaskOp`]) without touching the DFS.
+//! context interaction (`crate::job::TaskOp`) without touching the DFS.
 //! When the DES loop later assigns the task to a slot, the recorded log is
 //! *replayed* against a fresh context bound to the real node: replayed
 //! reads recompute canonical receipts and are validated against the
@@ -344,7 +344,7 @@ impl Scheduler {
     }
 
     /// Executes the DAG, returning the run report. Failures are collapsed
-    /// to their terminal [`ClusterError`]; use [`Scheduler::try_run`] when
+    /// to their terminal [`ClusterError`]; use `Scheduler::try_run` when
     /// the caller wants the structured failure for recovery.
     pub fn run(
         &self,
@@ -364,7 +364,7 @@ impl Scheduler {
     // The fat Err is the point: RunFailure carries the whole diagnostic
     // payload lineage recovery needs, and failures are rare.
     #[allow(clippy::result_large_err)]
-    pub fn try_run(
+    pub(crate) fn try_run(
         &self,
         dag: &JobDag,
         mode: ExecMode,
@@ -381,7 +381,7 @@ impl Scheduler {
     /// never reads results back into scheduling decisions — so a traced
     /// run is bitwise-identical to an untraced one.
     #[allow(clippy::result_large_err)]
-    pub fn try_run_traced(
+    pub(crate) fn try_run_traced(
         &self,
         dag: &JobDag,
         mode: ExecMode,

@@ -90,7 +90,7 @@ impl Drop for SpecLease {
 
 impl SpecPool {
     /// Creates a pool with `threads` worker threads.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let state = Arc::new((
             Mutex::new(SpecState {
                 queue: Vec::new(),
@@ -111,11 +111,6 @@ impl SpecPool {
             workers,
             next_lease: AtomicU64::new(0),
         }
-    }
-
-    /// Worker threads currently serving the pool.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
     }
 
     pub(super) fn lease(self: &Arc<Self>, priority: u8) -> SpecLease {

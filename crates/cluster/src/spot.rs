@@ -30,7 +30,8 @@ pub struct SpotMarket {
 
 impl SpotMarket {
     /// A market whose price never moves (never revokes while `bid >= price`).
-    pub fn flat(price: f64, bid: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn flat(price: f64, bid: f64) -> Self {
         SpotMarket {
             prices: vec![(0.0, price)],
             bid,
@@ -71,22 +72,9 @@ impl SpotMarket {
         self
     }
 
-    /// The market price at simulated time `t` (0 before the first segment).
-    pub fn price_at(&self, t: f64) -> f64 {
-        let mut price = self.prices.first().map(|&(_, p)| p).unwrap_or(0.0);
-        for &(start, p) in &self.prices {
-            if start <= t {
-                price = p;
-            } else {
-                break;
-            }
-        }
-        price
-    }
-
     /// Times at which the price crosses from at-or-below the bid to above
     /// it — the instants the market reclaims all spot capacity.
-    pub fn outbid_times(&self) -> Vec<f64> {
+    pub(crate) fn outbid_times(&self) -> Vec<f64> {
         let mut out = Vec::new();
         let mut above = false;
         for &(start, price) in &self.prices {
@@ -120,19 +108,6 @@ impl SpotMarket {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn price_lookup_is_piecewise_constant() {
-        let m = SpotMarket {
-            prices: vec![(0.0, 0.10), (100.0, 0.50), (200.0, 0.08)],
-            bid: 0.25,
-            warning_lead_s: 0.0,
-        };
-        assert_eq!(m.price_at(0.0), 0.10);
-        assert_eq!(m.price_at(99.9), 0.10);
-        assert_eq!(m.price_at(100.0), 0.50);
-        assert_eq!(m.price_at(250.0), 0.08);
-    }
 
     #[test]
     fn outbid_crossings_detected_once_per_excursion() {

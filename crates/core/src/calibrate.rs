@@ -39,13 +39,13 @@ use crate::error::{CoreError, Result};
 use crate::estimate::TaskFeatures;
 
 /// Framework memory floor per slot, MB (matches the deployed stack).
-pub const TASK_MEM_FLOOR_MB: f64 = 200.0;
+pub(crate) const TASK_MEM_FLOOR_MB: f64 = 200.0;
 /// Exponent of the memory-pressure penalty.
-pub const MEM_PENALTY_EXP: f64 = 2.0;
+pub(crate) const MEM_PENALTY_EXP: f64 = 2.0;
 
 /// Memory-pressure multiplier on I/O time for a task of `mem_mb` resident
 /// MB when `slots` run concurrently on `instance`.
-pub fn mem_penalty(instance: &InstanceType, slots: u32, mem_mb: f64) -> f64 {
+pub(crate) fn mem_penalty(instance: &InstanceType, slots: u32, mem_mb: f64) -> f64 {
     let demand = slots as f64 * (mem_mb + TASK_MEM_FLOOR_MB);
     let pressure = demand / instance.memory_mb as f64;
     if pressure > 1.0 {
@@ -129,7 +129,8 @@ pub struct CostModel {
 
 impl CostModel {
     /// Model with a single instance entry.
-    pub fn single(instance: &str, coeffs: OpCoefficients) -> Self {
+    #[cfg(test)]
+    pub(crate) fn single(instance: &str, coeffs: OpCoefficients) -> Self {
         let mut per_instance = BTreeMap::new();
         per_instance.insert(instance.to_string(), coeffs);
         CostModel { per_instance }
@@ -147,14 +148,9 @@ impl CostModel {
 
     /// Coefficients for an instance type, or the calibration error every
     /// estimator and planner reports when the type was never fitted.
-    pub fn require(&self, instance: &str) -> Result<&OpCoefficients> {
+    pub(crate) fn require(&self, instance: &str) -> Result<&OpCoefficients> {
         self.for_instance(instance)
             .ok_or_else(|| CoreError::Calibration(format!("no model for {instance}")))
-    }
-
-    /// Calibrated instance names.
-    pub fn instances(&self) -> Vec<&str> {
-        self.per_instance.keys().map(String::as_str).collect()
     }
 }
 
@@ -248,7 +244,7 @@ fn probe_battery() -> Vec<Probe> {
 
 /// Runs the probe battery on one instance type, returning fitted
 /// coefficients.
-pub fn calibrate_instance(
+pub(crate) fn calibrate_instance(
     instance: &InstanceType,
     config: &CalibrationConfig,
 ) -> Result<OpCoefficients> {
@@ -340,7 +336,7 @@ pub fn calibrate_instance(
 
 /// Fits [`OpCoefficients`] from pre-featurized samples: `xs` are
 /// [`featurize`] rows and `ys` the observed task durations in seconds.
-/// This is the regression core of [`calibrate_instance`], exposed so
+/// This is the regression core of `calibrate_instance`, exposed so
 /// profiles harvested from *traced runs* (task spans from a
 /// [`cumulon_trace::TraceLog`] paired with their plan's analytic
 /// features) can refine a model without re-running the synthetic probe
@@ -362,6 +358,18 @@ pub fn fit_samples(xs: &[[f64; 8]], ys: &[f64]) -> Result<OpCoefficients> {
     }
     let sigma = if n > 0.0 { (sq / n).sqrt() } else { 0.0 };
     Ok(OpCoefficients { c, sigma })
+}
+
+/// A cost model with closed-form (spec-sheet) coefficients for every
+/// catalog instance type — for examples, tests and the service's fast
+/// lane, which do not run the calibration pass. Production flows should
+/// prefer [`calibrate`].
+pub fn idealized_cost_model() -> CostModel {
+    let mut m = CostModel::default();
+    for i in cumulon_cluster::instances::catalog() {
+        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
+    }
+    m
 }
 
 /// Calibrates a set of instance types.
@@ -999,6 +1007,5 @@ mod tests {
         assert!(m.for_instance("m1.small").is_some());
         assert!(m.for_instance("nope").is_none());
         m.insert("x", OpCoefficients::idealized(&i, 1.0, 0.9));
-        assert_eq!(m.instances(), vec!["m1.small", "x"]);
     }
 }

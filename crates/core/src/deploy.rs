@@ -37,7 +37,7 @@ use crate::calibrate::{featurize, CostModel, OpCoefficients, MIN_TASK_S};
 use crate::error::{CoreError, Result};
 use crate::estimate::{
     add_partials_features, estimate_plan_coeffs, job_time_s, mul_features, mul_flops, mul_grid,
-    ClusterView, JobTimeModel, PlanEstimate, SpotHazard, TaskFeatures,
+    ClusterView, PlanEstimate, SpotHazard, TaskFeatures,
 };
 use crate::expr::{ExprNode, InputDesc, NodeInfo, Program};
 use crate::lower::{build_plan_inferred, PlanOptions, SplitChooser};
@@ -204,20 +204,9 @@ impl<'a> DeploymentSearch<'a> {
         DeploymentSearch { model, space }
     }
 
-    /// Plans + estimates the program on one deployment.
-    pub fn evaluate(
-        &self,
-        program: &Program,
-        inputs: &BTreeMap<String, InputDesc>,
-        view: ClusterView,
-    ) -> Result<(PhysPlan, PlanEstimate)> {
-        let info = program.infer(inputs)?;
-        let coeffs = self.model.require(view.instance.name)?;
-        self.evaluate_inferred(program, &info, coeffs, view)
-    }
-
-    /// [`DeploymentSearch::evaluate`] on what a grid walk resolves once:
-    /// the program's node information and the instance's coefficients.
+    /// Plans + estimates the program on one deployment, from what a grid
+    /// walk resolves once: the program's node information and the
+    /// instance's coefficients.
     fn evaluate_inferred(
         &self,
         program: &Program,
@@ -235,7 +224,6 @@ impl<'a> DeploymentSearch<'a> {
             &view,
             coeffs,
             self.space.billing,
-            JobTimeModel::WaveApprox,
             self.space.failure.as_ref(),
         );
         Ok((plan, estimate))
@@ -294,7 +282,7 @@ impl<'a> DeploymentSearch<'a> {
     ///   [`MIN_TASK_S`]. A program without outputs plans nothing and takes
     ///   no time.
     /// * Work conservation, `c₁ · cpu_adj · flops / (nodes · slots)`, where
-    ///   `flops` sums [`mul_flops`] over the multiplies reachable from the
+    ///   `flops` sums `mul_flops` over the multiplies reachable from the
     ///   outputs, each once: lowering emits exactly one multiply job per
     ///   such node, whose tasks are charged at least these flops under any
     ///   split. The wave model gives a level at least `Σ mean · n / slots`,
@@ -823,11 +811,7 @@ mod tests {
     use cumulon_matrix::MatrixMeta;
 
     fn model() -> CostModel {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        m
+        crate::calibrate::idealized_cost_model()
     }
 
     fn big_multiply() -> (Program, BTreeMap<String, InputDesc>) {
@@ -1156,6 +1140,8 @@ mod tests {
         let m = model();
         let (program, inputs) = big_multiply();
         let search = DeploymentSearch::new(&m, SearchSpace::quick());
+        let info = program.infer(&inputs).unwrap();
+        let coeffs = m.require("c1.xlarge").unwrap();
         let mut last = f64::INFINITY;
         for nodes in [2u32, 4, 8, 16] {
             let view = ClusterView {
@@ -1164,7 +1150,9 @@ mod tests {
                 slots: 8,
                 replication: 3,
             };
-            let (_, est) = search.evaluate(&program, &inputs, view).unwrap();
+            let (_, est) = search
+                .evaluate_inferred(&program, &info, coeffs, view)
+                .unwrap();
             assert!(
                 est.makespan_s <= last * 1.02,
                 "nodes {nodes}: {} > {last}",
@@ -1182,11 +1170,7 @@ mod spot_tests {
     use cumulon_matrix::MatrixMeta;
 
     fn model() -> CostModel {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        m
+        crate::calibrate::idealized_cost_model()
     }
 
     fn workload() -> (Program, BTreeMap<String, InputDesc>) {
@@ -1314,17 +1298,13 @@ mod spot_tests {
 #[cfg(test)]
 mod iterative_tests {
     use super::*;
-    use crate::calibrate::OpCoefficients;
+
     use crate::expr::ProgramBuilder;
-    use cumulon_cluster::instances::catalog;
+
     use cumulon_matrix::MatrixMeta;
 
     fn model() -> CostModel {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        m
+        crate::calibrate::idealized_cost_model()
     }
 
     fn iteration() -> (Program, BTreeMap<String, InputDesc>) {

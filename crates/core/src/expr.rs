@@ -38,15 +38,6 @@ impl UnaryOp {
             UnaryOp::Square => x * x,
         }
     }
-
-    /// Stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            UnaryOp::Abs => "abs",
-            UnaryOp::Sqrt => "sqrt",
-            UnaryOp::Square => "square",
-        }
-    }
 }
 
 /// One node of a matrix expression.
@@ -68,7 +59,7 @@ pub enum ExprNode {
 
 impl ExprNode {
     /// Child expression ids.
-    pub fn children(&self) -> Vec<ExprId> {
+    pub(crate) fn children(&self) -> Vec<ExprId> {
         match *self {
             ExprNode::Input(_) => vec![],
             ExprNode::Mul(a, b) | ExprNode::Elem(_, a, b) => vec![a, b],
@@ -142,7 +133,7 @@ pub struct Program {
 
 impl Program {
     /// Node accessor with bounds checking.
-    pub fn node(&self, id: ExprId) -> Result<&ExprNode> {
+    pub(crate) fn node(&self, id: ExprId) -> Result<&ExprNode> {
         self.nodes.get(id).ok_or(CoreError::BadExprId(id))
     }
 
@@ -279,7 +270,7 @@ impl Program {
     }
 
     /// Reference count of each node from live parents and outputs.
-    pub fn ref_counts(&self) -> Vec<usize> {
+    pub(crate) fn ref_counts(&self) -> Vec<usize> {
         let live = self.live_nodes();
         let mut counts = vec![0usize; self.nodes.len()];
         for &id in &live {
@@ -292,27 +283,12 @@ impl Program {
         }
         counts
     }
-
-    /// Names of all inputs referenced by live nodes.
-    pub fn input_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .live_nodes()
-            .into_iter()
-            .filter_map(|id| match &self.nodes[id] {
-                ExprNode::Input(n) => Some(n.clone()),
-                _ => None,
-            })
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
 }
 
 /// Estimated density of a product over a shared dimension of `l`
 /// elements (independence assumption; matches
 /// [`cumulon_matrix::Tile::mul`]'s phantom propagation).
-pub fn product_density(da: f64, db: f64, l: usize) -> f64 {
+pub(crate) fn product_density(da: f64, db: f64, l: usize) -> f64 {
     1.0 - (1.0 - da * db).powf(l.max(1) as f64)
 }
 
@@ -558,18 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn input_names_sorted_unique() {
-        let mut b = ProgramBuilder::new();
-        let a1 = b.input("B");
-        let a2 = b.input("A");
-        let a3 = b.input("B");
-        let s = b.add(a1, a3);
-        let c = b.mul(a2, s); // requires A: 100x50 × ... mismatch, but names don't need inference
-        b.output("C", c);
-        assert_eq!(b.build().input_names(), vec!["A", "B"]);
-    }
-
-    #[test]
     fn bad_expr_id() {
         let p = Program {
             nodes: vec![],
@@ -583,6 +547,5 @@ mod tests {
         assert_eq!(UnaryOp::Abs.apply(-2.0), 2.0);
         assert_eq!(UnaryOp::Sqrt.apply(9.0), 3.0);
         assert_eq!(UnaryOp::Square.apply(3.0), 9.0);
-        assert_eq!(UnaryOp::Square.name(), "square");
     }
 }

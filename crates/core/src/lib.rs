@@ -28,7 +28,8 @@
 //!
 //! The [`optimizer`] module ties it all together behind a small facade.
 
-pub mod aggregate;
+#![warn(unreachable_pub)]
+
 pub mod calibrate;
 pub mod deploy;
 pub mod error;

@@ -115,7 +115,7 @@ pub fn build_plan_with(
 /// [`build_plan_with`] on node information the caller already holds from
 /// [`Program::infer`]: inference depends on the program and its inputs
 /// only, so a deployment search infers once and plans once per candidate.
-pub fn build_plan_inferred(
+pub(crate) fn build_plan_inferred(
     program: &Program,
     info: &[NodeInfo],
     chooser: &dyn SplitChooser,

@@ -3,10 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use cumulon_cluster::instances::InstanceType;
 use cumulon_cluster::{Cluster, ClusterSpec, ExecMode, FailurePlan, RunReport, SchedulerConfig};
 
-use crate::calibrate::{calibrate, CalibrationConfig, CostModel};
+use crate::calibrate::CostModel;
 use crate::deploy::{Constraint, CostBasedChooser, DeploymentPlan, DeploymentSearch, SearchSpace};
 use crate::error::{CoreError, Result};
 use crate::estimate::{estimate_plan, ClusterView, PlanEstimate};
@@ -15,26 +14,19 @@ use crate::lower::{build_plan, instantiate};
 use crate::recovery::{run_with_recovery_traced, RecoveryConfig};
 use crate::rewrite;
 
+/// DFS replication every estimate assumes, whatever the search space or
+/// the cluster says.
+const DEFAULT_REPLICATION: u32 = 3;
+
 /// The Cumulon optimizer: a fitted cost model plus planning entry points.
 pub struct Optimizer {
     model: CostModel,
-    replication: u32,
 }
 
 impl Optimizer {
     /// Wraps an existing cost model.
     pub fn new(model: CostModel) -> Self {
-        Optimizer {
-            model,
-            replication: 3,
-        }
-    }
-
-    /// Benchmarks the given instance types and fits models (the paper's
-    /// offline calibration step).
-    pub fn calibrated(instances: &[InstanceType]) -> Result<Self> {
-        let model = calibrate(instances, &CalibrationConfig::default())?;
-        Ok(Optimizer::new(model))
+        Optimizer { model }
     }
 
     /// The fitted model.
@@ -49,12 +41,7 @@ impl Optimizer {
         &mut self.model
     }
 
-    /// Overrides the assumed replication factor.
-    pub fn set_replication(&mut self, replication: u32) {
-        self.replication = replication;
-    }
-
-    /// Runs the logical rewrite pipeline (pushdown → CSE → chain DP).
+    /// Runs the logical rewrite pipeline (CSE → chain DP).
     pub fn rewrite(
         &self,
         program: &Program,
@@ -71,30 +58,9 @@ impl Optimizer {
         mut space: SearchSpace,
         constraint: Constraint,
     ) -> Result<DeploymentPlan> {
-        space.replication = self.replication;
+        space.replication = DEFAULT_REPLICATION;
         let program = self.rewrite(program, inputs)?;
         DeploymentSearch::new(&self.model, space).optimize(&program, inputs, constraint)
-    }
-
-    /// Finds the best deployment for an iterative workload: `iterations`
-    /// back-to-back runs of the per-iteration program on one rented
-    /// cluster, with the constraint covering the whole loop.
-    pub fn optimize_iterative(
-        &self,
-        program: &Program,
-        inputs: &BTreeMap<String, InputDesc>,
-        iterations: usize,
-        mut space: SearchSpace,
-        constraint: Constraint,
-    ) -> Result<DeploymentPlan> {
-        space.replication = self.replication;
-        let program = self.rewrite(program, inputs)?;
-        DeploymentSearch::new(&self.model, space).optimize_repeated(
-            &program,
-            inputs,
-            constraint,
-            iterations.max(1),
-        )
     }
 
     /// The (time, cost) skyline for a program.
@@ -104,7 +70,7 @@ impl Optimizer {
         inputs: &BTreeMap<String, InputDesc>,
         mut space: SearchSpace,
     ) -> Result<Vec<DeploymentPlan>> {
-        space.replication = self.replication;
+        space.replication = DEFAULT_REPLICATION;
         let program = self.rewrite(program, inputs)?;
         DeploymentSearch::new(&self.model, space).pareto(&program, inputs)
     }
@@ -266,7 +232,7 @@ impl Optimizer {
             instance: spec.instance,
             nodes: spec.nodes,
             slots: spec.slots_per_node,
-            replication: self.replication,
+            replication: DEFAULT_REPLICATION,
         })
     }
 
@@ -278,18 +244,14 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibrate::OpCoefficients;
+
     use crate::expr::ProgramBuilder;
-    use cumulon_cluster::instances::{by_name, catalog};
+    use cumulon_cluster::instances::by_name;
     use cumulon_matrix::gen::Generator;
     use cumulon_matrix::{LocalMatrix, MatrixMeta};
 
     fn idealized_optimizer() -> Optimizer {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        Optimizer::new(m)
+        Optimizer::new(crate::calibrate::idealized_cost_model())
     }
 
     #[test]

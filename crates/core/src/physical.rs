@@ -43,14 +43,6 @@ impl MatRef {
             transposed: false,
         }
     }
-
-    /// Transposed reference.
-    pub fn t(name: impl Into<String>) -> Self {
-        MatRef {
-            name: name.into(),
-            transposed: true,
-        }
-    }
 }
 
 /// Split parameters of a multiply job, in tiles.
@@ -75,7 +67,7 @@ impl MulSplit {
     }
 
     /// Number of tasks for given tile-grid extents.
-    pub fn task_count(&self, mt: usize, kt: usize, nt: usize) -> usize {
+    pub(crate) fn task_count(&self, mt: usize, kt: usize, nt: usize) -> usize {
         mt.div_ceil(self.ri) * nt.div_ceil(self.rj) * kt.div_ceil(self.rk)
     }
 
@@ -121,17 +113,8 @@ pub enum FusedExpr {
 }
 
 impl FusedExpr {
-    /// Number of `Read` leaves (with multiplicity).
-    pub fn read_count(&self) -> usize {
-        match self {
-            FusedExpr::Read(_) => 1,
-            FusedExpr::Elem(_, a, b) => a.read_count() + b.read_count(),
-            FusedExpr::Scale(a, _) | FusedExpr::Unary(_, a) => a.read_count(),
-        }
-    }
-
     /// Number of operator applications (per-tile kernel invocations).
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         match self {
             FusedExpr::Read(_) => 0,
             FusedExpr::Elem(_, a, b) => 1 + a.op_count() + b.op_count(),
@@ -219,31 +202,12 @@ impl PhysJob {
         }
     }
 
-    /// Input matrix names this job reads (lineage edges).
-    pub fn input_names(&self) -> Vec<String> {
-        match self {
-            PhysJob::Mul { a, b, .. } => {
-                let mut v = vec![a.name.clone()];
-                if b.name != a.name {
-                    v.push(b.name.clone());
-                }
-                v
-            }
-            PhysJob::AddPartials { partials, .. } => partials.clone(),
-            PhysJob::Fused { inputs, .. } => {
-                let mut v: Vec<String> = inputs.iter().map(|(m, _)| m.name.clone()).collect();
-                v.dedup();
-                v
-            }
-        }
-    }
-
     /// Task indices (in [`instantiate`](crate::lower::instantiate) order)
     /// that write tile `(ti, tj)` of output matrix `matrix`. Empty when
     /// `matrix` is not one of this job's outputs. This is the lineage map a
     /// recovery driver uses to re-execute only the tasks whose output tiles
     /// were lost.
-    pub fn tasks_for_tile(&self, matrix: &str, ti: usize, tj: usize) -> Vec<usize> {
+    pub(crate) fn tasks_for_tile(&self, matrix: &str, ti: usize, tj: usize) -> Vec<usize> {
         match self {
             PhysJob::Mul {
                 a_stats,
@@ -345,7 +309,7 @@ pub struct PhysPlan {
 
 impl PhysPlan {
     /// Appends a job, returning its index.
-    pub fn push(&mut self, job: PhysJob, deps: Vec<usize>) -> usize {
+    pub(crate) fn push(&mut self, job: PhysJob, deps: Vec<usize>) -> usize {
         self.jobs.push(job);
         self.deps.push(deps);
         self.jobs.len() - 1
@@ -358,7 +322,7 @@ impl PhysPlan {
 
     /// Index of the job that materialises `matrix`, if any. Partial
     /// matrices (`{out}__p{k}`) resolve to their multiply job.
-    pub fn producer_of(&self, matrix: &str) -> Option<usize> {
+    pub(crate) fn producer_of(&self, matrix: &str) -> Option<usize> {
         self.jobs
             .iter()
             .position(|j| j.output_names().iter().any(|n| n == matrix))
@@ -367,7 +331,7 @@ impl PhysPlan {
     /// Topological levels: jobs grouped by the longest dependency chain
     /// below them. Jobs in the same level can run concurrently; the plan
     /// estimator sums level makespans.
-    pub fn levels(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn levels(&self) -> Vec<Vec<usize>> {
         let mut level_of = vec![0usize; self.jobs.len()];
         for (i, deps) in self.deps.iter().enumerate() {
             level_of[i] = deps.iter().map(|&d| level_of[d] + 1).max().unwrap_or(0);
@@ -474,7 +438,6 @@ mod tests {
                 2.0,
             )),
         );
-        assert_eq!(e.read_count(), 2);
         assert_eq!(e.op_count(), 3);
     }
 
@@ -544,8 +507,6 @@ mod tests {
 
     #[test]
     fn lineage_accessors() {
-        let job = mul_job(MulSplit::unit());
-        assert_eq!(job.input_names(), vec!["A", "B"]);
         let mut plan = PhysPlan::default();
         plan.push(
             mul_job(MulSplit {
@@ -567,7 +528,6 @@ mod tests {
     #[test]
     fn matref_builders() {
         assert!(!MatRef::plain("A").transposed);
-        assert!(MatRef::t("A").transposed);
         assert_eq!(partial_name("C", 2), "C__p2");
     }
 

@@ -2,12 +2,10 @@
 //!
 //! The physical plan *is* the lineage graph: every
 //! [`PhysJob`](crate::physical::PhysJob) records which matrices it reads
-//! and which it writes, and
-//! [`tasks_for_tile`](crate::physical::PhysJob::tasks_for_tile) maps a
-//! lost output tile back to the task
-//! that produced it. When a run fails — a node death took the only
-//! replica of some intermediate tiles, say — the driver here does not
-//! restart the program. It reads the scheduler's structured
+//! and which it writes, and `PhysJob::tasks_for_tile` maps a lost output
+//! tile back to the task that produced it. When a run fails — a node
+//! death took the only replica of some intermediate tiles, say — the
+//! driver here does not restart the program. It reads the scheduler's structured
 //! [`RunFailure`], resolves each lost tile to its producing job and task,
 //! and re-executes a minimal sub-DAG: the not-yet-completed jobs in full,
 //! plus just the affected tasks of completed producer jobs. Cascading

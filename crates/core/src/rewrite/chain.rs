@@ -14,7 +14,7 @@ use crate::expr::{product_density, ExprId, ExprNode, InputDesc, NodeInfo, Progra
 
 /// Cost of multiplying an `m×k` (density `da`) by a `k×n` (density `db`)
 /// matrix. Returns an abstract, additive cost.
-pub type MulCostFn = dyn Fn(u64, u64, u64, f64, f64) -> f64;
+pub(crate) type MulCostFn = dyn Fn(u64, u64, u64, f64, f64) -> f64;
 
 /// Default cost: estimated flops (density-scaled GEMM) plus the bytes of
 /// the materialised intermediate (weighted so I/O breaks flop ties).
@@ -24,7 +24,7 @@ pub fn flops_cost(m: u64, k: u64, n: u64, da: f64, db: f64) -> f64 {
 }
 
 /// Re-associates every maximal multiply chain cost-optimally.
-pub fn reorder(
+pub(crate) fn reorder(
     program: &Program,
     inputs: &BTreeMap<String, InputDesc>,
     cost: &MulCostFn,

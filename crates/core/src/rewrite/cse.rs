@@ -23,7 +23,7 @@ enum Key {
 }
 
 /// Deduplicates structurally identical subexpressions and drops dead nodes.
-pub fn eliminate(program: &Program) -> Program {
+pub(crate) fn eliminate(program: &Program) -> Program {
     let mut out = Program::default();
     let mut interned: HashMap<Key, ExprId> = HashMap::new();
     let mut remap: HashMap<ExprId, ExprId> = HashMap::new();

@@ -2,20 +2,18 @@
 //!
 //! The standard pipeline runs, in order:
 //!
-//! 1. [`cse::eliminate`] — hash-consing common subexpressions, so shared
+//! 1. `cse::eliminate` — hash-consing common subexpressions, so shared
 //!    intermediates (e.g. `WᵀW` appearing twice in a GNMF update) are
 //!    computed once;
-//! 2. [`chain::reorder`] — cost-based re-association of multiply chains.
+//! 2. `chain::reorder` — cost-based re-association of multiply chains.
 //!
-//! [`transpose::push_down`] (`(AB)ᵀ → BᵀAᵀ`, `(Aᵀ)ᵀ → A`) is available as
-//! an optional pass but is *not* in the standard pipeline: the physical
-//! planner satisfies `Transpose` of any materialised value with transposed
-//! tile reads, and pushing transposes through shared subtrees would
-//! duplicate their computation (e.g. GNMF uses both `H'` and `H'ᵀ`).
+//! There is no transpose pushdown: the physical planner satisfies
+//! `Transpose` of any materialised value with transposed tile reads, and
+//! pushing transposes through shared subtrees would duplicate their
+//! computation (e.g. GNMF uses both `H'` and `H'ᵀ`).
 
 pub mod chain;
 pub mod cse;
-pub mod transpose;
 
 use std::collections::BTreeMap;
 
@@ -43,8 +41,8 @@ mod tests {
         let a = b.input("A");
         let x = b.input("X");
         let y = b.input("Y");
-        // ((A X) Y)ᵀ with a skewed chain: pipeline must push the transpose
-        // and may re-associate the multiplies.
+        // ((A X) Y)ᵀ with a skewed chain: the pipeline may re-associate the
+        // multiplies under the transpose.
         let axy = b.mul_chain(&[a, x, y]);
         let out = b.transpose(axy);
         b.output("O", out);

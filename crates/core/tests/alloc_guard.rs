@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use cumulon_cluster::instances::{by_name, catalog};
+use cumulon_cluster::instances::by_name;
 use cumulon_core::deploy::CostBasedChooser;
 use cumulon_core::estimate::{job_features, job_time_s, ClusterView};
 use cumulon_core::expr::InputDesc;
@@ -20,8 +20,7 @@ use cumulon_core::lower::{build_plan, instantiate, FixedSplit, SplitChooser};
 use cumulon_core::physical::{partial_name, MatRef, MulSplit, OperandStats};
 use cumulon_core::rewrite::standard_pipeline;
 use cumulon_core::{
-    Constraint, CostModel, DeploymentSearch, OpCoefficients, PhysJob, Program, ProgramBuilder,
-    SearchSpace,
+    Constraint, CostModel, DeploymentSearch, PhysJob, Program, ProgramBuilder, SearchSpace,
 };
 use cumulon_dfs::{Dfs, DfsConfig, TileStore};
 use cumulon_matrix::MatrixMeta;
@@ -75,11 +74,7 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 fn model() -> CostModel {
-    let mut m = CostModel::default();
-    for i in catalog() {
-        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-    }
-    m
+    cumulon_core::calibrate::idealized_cost_model()
 }
 
 fn chooser(model: &CostModel, instance: &str, nodes: u32, slots: u32) -> CostBasedChooser {

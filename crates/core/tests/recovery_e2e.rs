@@ -4,9 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use cumulon_cluster::instances::catalog;
 use cumulon_cluster::{Cluster, ClusterSpec, ExecMode, FailurePlan, SchedulerConfig};
-use cumulon_core::calibrate::{CostModel, OpCoefficients};
 use cumulon_core::{InputDesc, Optimizer, Program, ProgramBuilder, RecoveryConfig};
 use cumulon_dfs::DfsConfig;
 use cumulon_matrix::gen::Generator;
@@ -19,11 +17,7 @@ const META: MatrixMeta = MatrixMeta {
 };
 
 fn optimizer() -> Optimizer {
-    let mut m = CostModel::default();
-    for i in catalog() {
-        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-    }
-    Optimizer::new(m)
+    Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
 }
 
 fn input_gen(seed: u64) -> Generator {

@@ -60,6 +60,8 @@
 //! assert!(got.max_abs_diff(&expect).unwrap() < 1e-9);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod cli;
 
 pub use cumulon_check as check;
@@ -73,20 +75,7 @@ pub use cumulon_serve as serve;
 pub use cumulon_trace as trace;
 pub use cumulon_workloads as workloads;
 
-/// A cost model with closed-form (spec-sheet) coefficients for every
-/// catalog instance type — handy for examples and tests that don't want to
-/// run the full calibration pass. Production flows should prefer
-/// [`cumulon_core::calibrate::calibrate`].
-pub fn idealized_cost_model() -> cumulon_core::CostModel {
-    let mut m = cumulon_core::CostModel::default();
-    for i in cumulon_cluster::instances::catalog() {
-        m.insert(
-            i.name,
-            cumulon_core::OpCoefficients::idealized(i, 2.0, 0.85),
-        );
-    }
-    m
-}
+pub use cumulon_core::calibrate::idealized_cost_model;
 
 /// Everything a typical user needs, in one import.
 pub mod prelude {

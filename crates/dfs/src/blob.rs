@@ -4,7 +4,7 @@
 //! files** (`seg-NNNNNN.blob` under the store's directory), each under a
 //! 128-bit [`BlobKey`] its caller picks. The DFS keys entries by
 //! *owner*: every dirty demotion writes under a key the spill plane mints
-//! for the one file it spills ([`crate::spill::SpillPlane::mint_key`]),
+//! for the one file it spills (`crate::spill::SpillPlane::mint_key`),
 //! so no byte is hashed on the way to disk. [`BlobKey::digest`] remains
 //! for callers that want content keys: `put` under a key that is already
 //! live takes a reference instead of writing, so identical bytes stored
@@ -23,8 +23,8 @@
 //! truncation leaves behind. Two **store-wide** triggers back the
 //! per-segment rule up for long iterative runs, whose churn can strand an
 //! unbounded tail of sealed segments each just under 50% dead: when total
-//! dead bytes exceed [`DEFAULT_DEAD_SWEEP_BYTES`] or the sealed-segment
-//! count exceeds [`DEFAULT_MAX_SEALED_SEGMENTS`], every sealed
+//! dead bytes exceed `DEFAULT_DEAD_SWEEP_BYTES` or the sealed-segment
+//! count exceeds `DEFAULT_MAX_SEALED_SEGMENTS`, every sealed
 //! garbage-bearing segment is swept.
 //!
 //! Segment entry framing (little-endian):
@@ -164,14 +164,14 @@ const FRAME_HEADER: u64 = 16 + 1 + 4 + 4;
 /// Default segment roll size: small enough that drop-heavy workloads
 /// produce several segments for compaction to reclaim, large enough that
 /// a segment amortizes its file handle.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 16 << 20;
+pub(crate) const DEFAULT_SEGMENT_BYTES: u64 = 16 << 20;
 /// Default store-wide dead-byte budget before a sweep fires (see
 /// [`BlobStore::set_compaction_thresholds`]): a few segments' worth of
 /// garbage, sized so long iterative runs reclaim space well before the
 /// per-segment 50% trigger would.
-pub const DEFAULT_DEAD_SWEEP_BYTES: u64 = 4 * DEFAULT_SEGMENT_BYTES;
+pub(crate) const DEFAULT_DEAD_SWEEP_BYTES: u64 = 4 * DEFAULT_SEGMENT_BYTES;
 /// Default sealed-segment count before a sweep fires.
-pub const DEFAULT_MAX_SEALED_SEGMENTS: u64 = 64;
+pub(crate) const DEFAULT_MAX_SEALED_SEGMENTS: u64 = 64;
 
 impl BlobStore {
     /// Opens (creates) a blob store rooted at `dir`. The directory is
@@ -195,7 +195,8 @@ impl BlobStore {
 
     /// Overrides the segment roll size (tests drive compaction with tiny
     /// segments).
-    pub fn set_segment_roll_bytes(&mut self, bytes: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_segment_roll_bytes(&mut self, bytes: u64) {
         self.segment_roll_bytes = bytes.max(1);
     }
 
@@ -206,13 +207,19 @@ impl BlobStore {
     /// 50% trigger alone lets long iterative runs accumulate an unbounded
     /// tail of sealed segments that each stay just under the threshold;
     /// the store-wide triggers bound that tail.
-    pub fn set_compaction_thresholds(&mut self, dead_sweep_bytes: u64, max_sealed_segments: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_compaction_thresholds(
+        &mut self,
+        dead_sweep_bytes: u64,
+        max_sealed_segments: u64,
+    ) {
         self.dead_sweep_bytes = dead_sweep_bytes;
         self.max_sealed_segments = max_sealed_segments;
     }
 
     /// The store's on-disk directory.
-    pub fn dir(&self) -> &PathBuf {
+    #[cfg(test)]
+    pub(crate) fn dir(&self) -> &PathBuf {
         &self.dir
     }
 
@@ -316,28 +323,19 @@ impl BlobStore {
     }
 
     /// True when `key` has a live entry.
-    pub fn contains(&self, key: BlobKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: BlobKey) -> bool {
         self.entries.contains_key(&key)
     }
 
     /// Live references on `key`; `None` when it has no entry.
-    pub fn refs(&self, key: BlobKey) -> Option<u32> {
+    pub(crate) fn refs(&self, key: BlobKey) -> Option<u32> {
         self.entries.get(&key).map(|e| e.refs)
-    }
-
-    /// Takes an additional reference on a live entry.
-    pub fn retain(&mut self, key: BlobKey) -> Result<()> {
-        let e = self
-            .entries
-            .get_mut(&key)
-            .ok_or_else(|| DfsError::Spill(format!("retain of dead blob {key:?}")))?;
-        e.refs += 1;
-        Ok(())
     }
 
     /// Drops one reference; the last release kills the entry and may
     /// trigger compaction of its segment.
-    pub fn release(&mut self, key: BlobKey) -> Result<()> {
+    pub(crate) fn release(&mut self, key: BlobKey) -> Result<()> {
         let e = self
             .entries
             .get_mut(&key)
@@ -427,35 +425,8 @@ impl BlobStore {
         Ok(())
     }
 
-    /// Forces a compaction sweep over every segment with any dead bytes
-    /// (the explicit maintenance entry point; automatic compaction fires
-    /// past the per-segment 50% garbage threshold or the store-wide
-    /// dead-byte / sealed-segment budgets). The current segment is
-    /// sealed first if it carries garbage, so a full sweep leaves zero
-    /// dead bytes behind.
-    pub fn compact(&mut self) -> Result<u64> {
-        if let Some((id, _)) = &self.current {
-            let seg = self.segments.get(id).expect("segment indexed");
-            if seg.dead_bytes > 0 {
-                self.current = None;
-            }
-        }
-        let current = self.current.as_ref().map(|(id, _)| *id);
-        let victims: Vec<u64> = self
-            .segments
-            .iter()
-            .filter(|(id, s)| Some(**id) != current && s.dead_bytes > 0)
-            .map(|(id, _)| *id)
-            .collect();
-        let before = self.stats.compactions;
-        for id in victims {
-            self.compact_segment(id)?;
-        }
-        Ok(self.stats.compactions - before)
-    }
-
     /// Current counters.
-    pub fn stats(&self) -> BlobStats {
+    pub(crate) fn stats(&self) -> BlobStats {
         let mut s = self.stats;
         s.segments = self.segments.len() as u64;
         s
@@ -564,16 +535,12 @@ mod tests {
                 assert_eq!(&data, raw, "entry {i} survived compaction");
             }
         }
-        // Explicit sweep clears the remaining garbage.
         for (i, (key, _)) in keys.iter().enumerate() {
             if i % 2 == 1 {
                 s.release(*key).unwrap();
             }
         }
-        s.compact().unwrap();
-        let st_end = s.stats();
-        assert_eq!(st_end.live_entries, 0);
-        assert_eq!(st_end.dead_bytes, 0, "{st_end:?}");
+        assert_eq!(s.stats().live_entries, 0);
     }
 
     /// Long-run churn regression: refcount churn across >16 MiB of

@@ -2,12 +2,12 @@
 //!
 //! A block holds one payload, the tile, in one of two residencies:
 //!
-//! * **resident** ([`BlockPayload::Tile`]) — a shared `Arc<Tile>` plus the
+//! * **resident** (`BlockPayload::Tile`) — a shared `Arc<Tile>` plus the
 //!   exact wire length the encoded block would occupy. Every
 //!   byte-accounting counter uses that wire length, so receipts,
 //!   placement and storage statistics price a block as the bytes a real
 //!   DFS would store, without the bytes existing;
-//! * **spilled** ([`BlockPayload::Spilled`]) — a resident block whose
+//! * **spilled** (`BlockPayload::Spilled`) — a resident block whose
 //!   decoded tile was demoted to the on-disk blob store by the
 //!   memory-budgeted spill plane. It carries the same wire length the
 //!   handle carried, so every counter stays bitwise-identical; the next
@@ -22,11 +22,11 @@ use crate::blob::BlobKey;
 
 /// Globally unique block identifier, allocated by the namenode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockId(pub u64);
+pub(crate) struct BlockId(pub u64);
 
 /// The stored form of one block replica.
 #[derive(Debug, Clone)]
-pub enum BlockPayload {
+pub(crate) enum BlockPayload {
     /// Zero-copy tile handle. `len` is the wire length this block would have
     /// if encoded — for single-block tile files that is the full encoding;
     /// large tiles split into multiple handle blocks that each carry a slice
@@ -50,49 +50,44 @@ pub enum BlockPayload {
 
 impl BlockPayload {
     /// The length used for every byte-accounting purpose.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         match self {
             BlockPayload::Tile { len, .. } => *len,
             BlockPayload::Spilled { len, .. } => *len,
         }
     }
-
-    /// True for zero-length blocks.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Storage of one simulated datanode: block payloads plus usage counters.
 #[derive(Debug, Default)]
-pub struct DataNode {
+pub(crate) struct DataNode {
     blocks: HashMap<BlockId, BlockPayload>,
     bytes_stored: u64,
-    /// Cumulative bytes ever written to this node (for balance statistics).
-    bytes_written_total: u64,
-    /// Cumulative bytes ever read from this node.
+    /// Cumulative bytes ever read from this node (tests check which
+    /// replica served a read).
+    #[cfg(test)]
     bytes_read_total: u64,
 }
 
 impl DataNode {
     /// Creates an empty datanode.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Stores a block replica.
-    pub fn put(&mut self, id: BlockId, data: BlockPayload) {
+    pub(crate) fn put(&mut self, id: BlockId, data: BlockPayload) {
         let len = data.len();
         if let Some(old) = self.blocks.insert(id, data) {
             self.bytes_stored -= old.len();
         }
         self.bytes_stored += len;
-        self.bytes_written_total += len;
     }
 
-    /// Fetches a block replica, counting the read.
-    pub fn get(&mut self, id: BlockId) -> Option<BlockPayload> {
+    /// Fetches a block replica (test builds count the read).
+    pub(crate) fn get(&mut self, id: BlockId) -> Option<BlockPayload> {
         let data = self.blocks.get(&id).cloned();
+        #[cfg(test)]
         if let Some(d) = &data {
             self.bytes_read_total += d.len();
         }
@@ -100,13 +95,13 @@ impl DataNode {
     }
 
     /// True if the node holds a replica of `id`.
-    pub fn contains(&self, id: BlockId) -> bool {
+    pub(crate) fn contains(&self, id: BlockId) -> bool {
         self.blocks.contains_key(&id)
     }
 
     /// Non-counting peek at a replica (spill-plane internals only — real
     /// reads go through [`DataNode::get`] so they are charged).
-    pub fn peek(&self, id: BlockId) -> Option<&BlockPayload> {
+    pub(crate) fn peek(&self, id: BlockId) -> Option<&BlockPayload> {
         self.blocks.get(&id)
     }
 
@@ -116,7 +111,7 @@ impl DataNode {
     /// both directions preserve the charged wire length, so storage
     /// accounting and receipts cannot observe residency. Returns `false`
     /// if the node holds no replica of `id`.
-    pub fn swap_payload(&mut self, id: BlockId, payload: BlockPayload) -> bool {
+    pub(crate) fn swap_payload(&mut self, id: BlockId, payload: BlockPayload) -> bool {
         match self.blocks.get_mut(&id) {
             Some(slot) => {
                 debug_assert_eq!(
@@ -132,7 +127,7 @@ impl DataNode {
     }
 
     /// Drops a replica if present, returning its size.
-    pub fn evict(&mut self, id: BlockId) -> u64 {
+    pub(crate) fn evict(&mut self, id: BlockId) -> u64 {
         match self.blocks.remove(&id) {
             Some(d) => {
                 self.bytes_stored -= d.len();
@@ -143,27 +138,23 @@ impl DataNode {
     }
 
     /// Bytes currently stored.
-    pub fn bytes_stored(&self) -> u64 {
+    pub(crate) fn bytes_stored(&self) -> u64 {
         self.bytes_stored
     }
 
     /// Number of block replicas stored.
-    pub fn block_count(&self) -> usize {
+    pub(crate) fn block_count(&self) -> usize {
         self.blocks.len()
     }
 
-    /// Lifetime write volume.
-    pub fn bytes_written_total(&self) -> u64 {
-        self.bytes_written_total
-    }
-
     /// Lifetime read volume.
-    pub fn bytes_read_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_read_total(&self) -> u64 {
         self.bytes_read_total
     }
 
     /// Ids of all blocks held (for re-replication after failures).
-    pub fn block_ids(&self) -> Vec<BlockId> {
+    pub(crate) fn block_ids(&self) -> Vec<BlockId> {
         self.blocks.keys().copied().collect()
     }
 }
@@ -214,7 +205,6 @@ mod tests {
         n.put(BlockId(1), block(4));
         n.put(BlockId(1), block(2));
         assert_eq!(n.bytes_stored(), 2);
-        assert_eq!(n.bytes_written_total(), 6);
     }
 
     #[test]
@@ -246,7 +236,6 @@ mod tests {
             },
         );
         assert_eq!(n.bytes_stored(), 152);
-        assert_eq!(n.bytes_written_total(), 152);
         match n.get(BlockId(7)).unwrap() {
             BlockPayload::Tile { tile: t, len } => {
                 assert!(Arc::ptr_eq(&t, &tile), "replica shares the Arc");
@@ -270,15 +259,10 @@ mod tests {
                 len: 152,
             },
         );
-        let (stored, written, read) = (
-            n.bytes_stored(),
-            n.bytes_written_total(),
-            n.bytes_read_total(),
-        );
+        let (stored, read) = (n.bytes_stored(), n.bytes_read_total());
         let key = BlobKey::digest(b"frame");
         assert!(n.swap_payload(BlockId(3), BlockPayload::Spilled { key, len: 152 }));
         assert_eq!(n.bytes_stored(), stored);
-        assert_eq!(n.bytes_written_total(), written);
         assert_eq!(n.bytes_read_total(), read);
         match n.peek(BlockId(3)).unwrap() {
             BlockPayload::Spilled { key: k, len } => {

@@ -2,7 +2,7 @@
 //!
 //! A file holds one tile ([`Dfs::write_tile_file`]): every block replica
 //! shares the tile's `Arc` and is charged the slice of its wire length
-//! the block would carry (see [`crate::datanode::BlockPayload`]), so
+//! the block would carry (see `crate::datanode::BlockPayload`), so
 //! placement, block splitting, replica bookkeeping and receipts price the
 //! encoding a real DFS would store without the encoding being made. The
 //! only bytes that exist are the spill plane's, on disk.
@@ -61,7 +61,7 @@ impl Default for DfsConfig {
 
 impl DfsConfig {
     /// Rack of a node under this configuration.
-    pub fn rack_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn rack_of(&self, node: NodeId) -> u32 {
         node.0 % self.racks.max(1)
     }
 }
@@ -146,7 +146,8 @@ impl Dfs {
     }
 
     /// Ids of all live datanodes, sorted.
-    pub fn live_nodes(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn live_nodes(&self) -> Vec<NodeId> {
         self.state.lock().namenode.live_nodes().to_vec()
     }
 
@@ -382,7 +383,7 @@ impl Dfs {
     }
 
     /// True if the path exists.
-    pub fn exists(&self, path: &str) -> bool {
+    pub(crate) fn exists(&self, path: &str) -> bool {
         self.state.lock().namenode.exists(path)
     }
 
@@ -419,7 +420,7 @@ impl Dfs {
     /// some block has lost every replica. `visit` runs under the DFS lock
     /// and must not call back into the DFS. The task scheduler's locality
     /// hint.
-    pub fn home_of(&self, path: &str, visit: impl FnMut(NodeId)) {
+    pub(crate) fn home_of(&self, path: &str, visit: impl FnMut(NodeId)) {
         let st = self.state.lock();
         // Every file has at least one block: a write whose first placement
         // fails removes the namespace entry it created.
@@ -458,12 +459,12 @@ impl Dfs {
             if (node.0 as usize) >= st.datanodes.len() {
                 continue;
             }
-            let report = st.namenode.decommission_node(node);
+            let under = st.namenode.decommission_node(node);
             // The node's disks are gone with it.
             for id in st.datanodes[node.0 as usize].block_ids() {
                 st.datanodes[node.0 as usize].evict(id);
             }
-            under_replicated.extend(report.under_replicated);
+            under_replicated.extend(under);
         }
         under_replicated.sort();
         under_replicated.dedup();
@@ -554,7 +555,8 @@ impl Dfs {
 
     /// Kills every live node in a rack simultaneously (datacenter
     /// fault-domain failure). Returns the re-replication traffic.
-    pub fn kill_rack(&self, rack: u32) -> Result<IoReceipt> {
+    #[cfg(test)]
+    pub(crate) fn kill_rack(&self, rack: u32) -> Result<IoReceipt> {
         let victims: Vec<NodeId> = {
             let st = self.state.lock();
             st.namenode
@@ -585,7 +587,8 @@ impl Dfs {
     }
 
     /// Per-node stored bytes, for balance inspection.
-    pub fn per_node_bytes(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn per_node_bytes(&self) -> Vec<u64> {
         self.state
             .lock()
             .datanodes
@@ -634,7 +637,7 @@ impl Dfs {
     /// budget adopts the files that hold a resident, non-phantom tile (path
     /// order) and enforces the budget immediately. Replacing an existing
     /// plane first re-admits through the old one for the same reason.
-    pub fn set_spill_config(&self, config: &SpillConfig) -> Result<()> {
+    pub(crate) fn set_spill_config(&self, config: &SpillConfig) -> Result<()> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         if let Some(plane) = st.spill.as_deref_mut() {
@@ -677,7 +680,7 @@ impl Dfs {
     }
 
     /// The installed spill plane's resident-byte budget, if any.
-    pub fn memory_budget(&self) -> Option<u64> {
+    pub(crate) fn memory_budget(&self) -> Option<u64> {
         self.state
             .lock()
             .spill
@@ -689,7 +692,7 @@ impl Dfs {
     /// store — reading it now would pay a synchronous decode-and-readback.
     /// Always `false` without a plane (everything is RAM-resident). The
     /// scheduler's residency oracle.
-    pub fn is_spilled(&self, path: &str) -> bool {
+    pub(crate) fn is_spilled(&self, path: &str) -> bool {
         self.state
             .lock()
             .spill
@@ -704,7 +707,7 @@ impl Dfs {
     /// installed). Transparent by construction: re-admission produces no
     /// receipt, draws no placement RNG, and advances no simulated time —
     /// only where the payload physically lives changes.
-    pub fn prefetch_path(&self, path: &str) -> Result<u64> {
+    pub(crate) fn prefetch_path(&self, path: &str) -> Result<u64> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let Some(plane) = st.spill.as_deref_mut() else {
@@ -721,21 +724,10 @@ impl Dfs {
         Ok(entry.wire_len)
     }
 
-    /// Compacts the blob store's sealed segments, returning the number of
-    /// compactions performed (0 without a plane). Checkpoint truncation
-    /// and `drop_matrix` release blob references via [`Dfs::delete_file`];
-    /// this reclaims the dead segment bytes they leave behind.
-    pub fn compact_spill(&self) -> Result<u64> {
-        match self.state.lock().spill.as_mut() {
-            Some(plane) => plane.blob_mut().compact(),
-            None => Ok(0),
-        }
-    }
-
     /// Conservation check for the spill plane (`true` without one): every
     /// demoted file's recorded wire length must equal the sum of its block
     /// lengths in the namenode, and every replica of every one of its
-    /// blocks must hold a [`BlockPayload::Spilled`] reference with the
+    /// blocks must hold a `BlockPayload::Spilled` reference with the
     /// file's blob key and the block's exact length; every backed file
     /// must likewise match its namenode length; and the blob store must
     /// hold exactly the entries those files point at, each with one
@@ -1078,8 +1070,9 @@ mod tests {
         for (i, path) in sorted.iter().enumerate() {
             assert_eq!(replicas(&st, path), if i < 5 { 2 } else { 1 }, "{path}");
         }
-        let report = st.namenode.decommission_node(NodeId(0));
-        let lost: Vec<(&str, usize)> = report.lost.iter().map(|(p, i)| (&**p, *i)).collect();
+        st.namenode.decommission_node(NodeId(0));
+        let lost = st.namenode.lost_blocks();
+        let lost: Vec<(&str, usize)> = lost.iter().map(|(p, i)| (&**p, *i)).collect();
         let want: Vec<(&str, usize)> = sorted[5..].iter().map(|p| (p.as_str(), 0)).collect();
         assert_eq!(lost, want);
         drop(st);

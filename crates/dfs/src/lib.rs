@@ -7,7 +7,7 @@
 //! through files of matrix tiles. This crate reproduces the pieces of that
 //! stack the system and its optimizer actually interact with:
 //!
-//! * a [`namenode::NameNode`] holding the file → block → replica-location
+//! * a `namenode::NameNode` holding the file → block → replica-location
 //!   mapping and the live-datanode registry;
 //! * [`datanode`] storage for block payloads, with capacity accounting;
 //! * the [`Dfs`] façade offering create/read/delete with a replica
@@ -21,6 +21,8 @@
 //! Nothing here keeps wall-clock time; the DFS reports *what happened* and
 //! the discrete-event simulator in `cumulon-cluster` decides *how long it
 //! took*.
+
+#![warn(unreachable_pub)]
 
 pub mod blob;
 pub mod datanode;

@@ -10,7 +10,7 @@ use crate::error::{DfsError, Result};
 
 /// Metadata of one block: id, size and replica locations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockMeta {
+pub(crate) struct BlockMeta {
     /// Block identifier.
     pub id: BlockId,
     /// Payload size in bytes: the *wire* (encoded) length, although the
@@ -23,20 +23,15 @@ pub struct BlockMeta {
 
 /// Metadata of one file: an ordered list of blocks.
 #[derive(Debug, Clone, Default)]
-pub struct FileMeta {
+pub(crate) struct FileMeta {
     /// Blocks in file order.
     pub blocks: Vec<BlockMeta>,
 }
 
 impl FileMeta {
     /// Total file length in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.blocks.iter().map(|b| b.len).sum()
-    }
-
-    /// True when the file holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
     }
 }
 
@@ -44,14 +39,14 @@ impl FileMeta {
 ///
 /// The namespace is a hash map keyed by shared path strings: a lookup is
 /// one hash of the path, and a file's one path allocation is shared with
-/// the reverse block index. Hash order is never observable: the two
-/// results that walk the namespace sort at the boundary — [`NameNode::list`]
-/// (and through it the DFS's drain and spill-adoption order) and
-/// [`DecommissionReport::lost`] — and every other walk is an
-/// order-independent sum. The live-node list is kept sorted, so placement
+/// the reverse block index. Hash order is never observable: the results
+/// that walk the namespace in order sort at the boundary —
+/// [`NameNode::list`] (and through it the DFS's drain and spill-adoption
+/// order) and the lost blocks tests list — and every other walk is an
+/// order-independent sum or sorted by its caller. The live-node list is kept sorted, so placement
 /// draws from the same sequence whatever order nodes came and went in.
 #[derive(Debug, Default)]
-pub struct NameNode {
+pub(crate) struct NameNode {
     files: HashMap<Arc<str>, FileMeta>,
     /// Live datanode ids, sorted.
     live_nodes: Vec<NodeId>,
@@ -62,7 +57,7 @@ pub struct NameNode {
 
 impl NameNode {
     /// Creates a namenode with `nodes` live datanodes (ids `0..nodes`).
-    pub fn new(nodes: u32) -> Self {
+    pub(crate) fn new(nodes: u32) -> Self {
         NameNode {
             live_nodes: (0..nodes).map(NodeId).collect(),
             ..NameNode::default()
@@ -70,54 +65,61 @@ impl NameNode {
     }
 
     /// Registers an additional datanode (cluster grow).
-    pub fn register_node(&mut self, node: NodeId) {
+    pub(crate) fn register_node(&mut self, node: NodeId) {
         if let Err(at) = self.live_nodes.binary_search(&node) {
             self.live_nodes.insert(at, node);
         }
     }
 
     /// Marks a datanode dead, removing it from all replica lists. Returns
-    /// the blocks that dropped below one replica (lost, in path order) and
-    /// those that still have replicas but fewer than before
-    /// (under-replicated, in no particular order).
-    pub fn decommission_node(&mut self, node: NodeId) -> DecommissionReport {
+    /// the blocks that still have replicas but fewer than before
+    /// (under-replicated, in no particular order); blocks left with none
+    /// are lost.
+    pub(crate) fn decommission_node(&mut self, node: NodeId) -> Vec<BlockId> {
         if let Ok(at) = self.live_nodes.binary_search(&node) {
             self.live_nodes.remove(at);
         }
-        let mut lost = Vec::new();
         let mut under_replicated = Vec::new();
-        for (path, meta) in &mut self.files {
-            for (idx, block) in meta.blocks.iter_mut().enumerate() {
-                let before = block.replicas.len();
-                block.replicas.retain(|&n| n != node);
-                if block.replicas.len() < before {
-                    if block.replicas.is_empty() {
-                        lost.push((Arc::clone(path), idx));
-                    } else {
-                        under_replicated.push(block.id);
-                    }
-                }
+        for block in self.files.values_mut().flat_map(|f| &mut f.blocks) {
+            let before = block.replicas.len();
+            block.replicas.retain(|&n| n != node);
+            if block.replicas.len() < before && !block.replicas.is_empty() {
+                under_replicated.push(block.id);
             }
         }
+        under_replicated
+    }
+
+    /// `(path, block index)` pairs with no replica left, in path order.
+    #[cfg(test)]
+    pub(crate) fn lost_blocks(&self) -> Vec<(Arc<str>, usize)> {
+        let mut lost: Vec<_> = self
+            .files
+            .iter()
+            .flat_map(|(path, meta)| {
+                meta.blocks
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, b)| b.replicas.is_empty())
+                    .map(|(idx, _)| (Arc::clone(path), idx))
+            })
+            .collect();
         lost.sort_unstable();
-        DecommissionReport {
-            lost,
-            under_replicated,
-        }
+        lost
     }
 
     /// Live datanode ids, sorted (deterministic placement).
-    pub fn live_nodes(&self) -> &[NodeId] {
+    pub(crate) fn live_nodes(&self) -> &[NodeId] {
         &self.live_nodes
     }
 
     /// True when the node is live.
-    pub fn is_live(&self, node: NodeId) -> bool {
+    pub(crate) fn is_live(&self, node: NodeId) -> bool {
         self.live_nodes.binary_search(&node).is_ok()
     }
 
     /// Allocates a fresh block id.
-    pub fn allocate_block(&mut self) -> BlockId {
+    pub(crate) fn allocate_block(&mut self) -> BlockId {
         let id = BlockId(self.next_block);
         self.next_block += 1;
         id
@@ -126,7 +128,7 @@ impl NameNode {
     /// Creates a file entry; fails if the path exists. Returns the
     /// namespace's key for the path, which [`NameNode::append_block`]
     /// shares instead of allocating the path again.
-    pub fn create_file(&mut self, path: &str) -> Result<Arc<str>> {
+    pub(crate) fn create_file(&mut self, path: &str) -> Result<Arc<str>> {
         match self.files.entry(Arc::from(path)) {
             Entry::Occupied(_) => Err(DfsError::AlreadyExists(path.to_string())),
             Entry::Vacant(v) => {
@@ -138,7 +140,7 @@ impl NameNode {
     }
 
     /// Appends a block record to an existing file.
-    pub fn append_block(&mut self, path: &Arc<str>, block: BlockMeta) -> Result<()> {
+    pub(crate) fn append_block(&mut self, path: &Arc<str>, block: BlockMeta) -> Result<()> {
         let meta = self
             .files
             .get_mut(&**path)
@@ -150,24 +152,24 @@ impl NameNode {
     }
 
     /// Looks up file metadata.
-    pub fn stat(&self, path: &str) -> Result<&FileMeta> {
+    pub(crate) fn stat(&self, path: &str) -> Result<&FileMeta> {
         self.file(path)
             .ok_or_else(|| DfsError::FileNotFound(path.to_string()))
     }
 
     /// File metadata, or `None` — without building an error — when there
     /// is no file at `path`.
-    pub fn file(&self, path: &str) -> Option<&FileMeta> {
+    pub(crate) fn file(&self, path: &str) -> Option<&FileMeta> {
         self.files.get(path)
     }
 
     /// True if the path exists.
-    pub fn exists(&self, path: &str) -> bool {
+    pub(crate) fn exists(&self, path: &str) -> bool {
         self.files.contains_key(path)
     }
 
     /// Removes a file, returning its block metadata for replica cleanup.
-    pub fn delete_file(&mut self, path: &str) -> Result<Vec<BlockMeta>> {
+    pub(crate) fn delete_file(&mut self, path: &str) -> Result<Vec<BlockMeta>> {
         let meta = self
             .files
             .remove(path)
@@ -179,7 +181,7 @@ impl NameNode {
     }
 
     /// Lists paths under a prefix, sorted.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
+    pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
         let mut paths: Vec<String> = self
             .files
             .keys()
@@ -191,7 +193,7 @@ impl NameNode {
     }
 
     /// Records an extra replica for a block (re-replication).
-    pub fn add_replica(&mut self, id: BlockId, node: NodeId) -> Result<()> {
+    pub(crate) fn add_replica(&mut self, id: BlockId, node: NodeId) -> Result<()> {
         let (path, idx) = self
             .block_index
             .get(&id)
@@ -209,7 +211,7 @@ impl NameNode {
     }
 
     /// Total bytes across all files (logical, not × replication).
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.files.values().map(FileMeta::len).sum()
     }
 
@@ -217,7 +219,7 @@ impl NameNode {
     /// count`. This is the namenode's claim of what the datanodes
     /// collectively store; byte conservation says the datanodes' own
     /// counters must agree exactly, on both payload planes.
-    pub fn replicated_bytes(&self) -> u64 {
+    pub(crate) fn replicated_bytes(&self) -> u64 {
         self.files
             .values()
             .flat_map(|f| &f.blocks)
@@ -227,7 +229,7 @@ impl NameNode {
 
     /// Total replica count across all blocks (the number of block copies
     /// the datanodes should collectively hold).
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.files
             .values()
             .flat_map(|f| &f.blocks)
@@ -236,7 +238,7 @@ impl NameNode {
     }
 
     /// Expected stored bytes per datanode, from block metadata alone.
-    pub fn per_node_replica_bytes(&self) -> BTreeMap<NodeId, u64> {
+    pub(crate) fn per_node_replica_bytes(&self) -> BTreeMap<NodeId, u64> {
         let mut out = BTreeMap::new();
         for block in self.files.values().flat_map(|f| &f.blocks) {
             for &node in &block.replicas {
@@ -245,21 +247,6 @@ impl NameNode {
         }
         out
     }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-}
-
-/// Outcome of a node decommission.
-#[derive(Debug, Default)]
-pub struct DecommissionReport {
-    /// `(path, block index)` pairs whose last replica was on the dead
-    /// node, in path order.
-    pub lost: Vec<(Arc<str>, usize)>,
-    /// Blocks that survive but are now under-replicated.
-    pub under_replicated: Vec<BlockId>,
 }
 
 #[cfg(test)]
@@ -283,7 +270,6 @@ mod tests {
         assert_eq!(nn.stat("/m/a").unwrap().len(), 100);
         assert!(nn.exists("/m/a"));
         assert_eq!(nn.total_bytes(), 100);
-        assert_eq!(nn.file_count(), 1);
     }
 
     #[test]
@@ -330,9 +316,8 @@ mod tests {
         nn.append_block(&path, b1).unwrap();
         nn.append_block(&path, b2).unwrap();
 
-        let report = nn.decommission_node(NodeId(0));
-        assert_eq!(report.lost, vec![(path, 1)]);
-        assert_eq!(report.under_replicated, vec![b1_id]);
+        assert_eq!(nn.decommission_node(NodeId(0)), vec![b1_id]);
+        assert_eq!(nn.lost_blocks(), vec![(path, 1)]);
         assert!(!nn.is_live(NodeId(0)));
         assert_eq!(nn.live_nodes(), [NodeId(1), NodeId(2)]);
     }

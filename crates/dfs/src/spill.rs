@@ -9,24 +9,24 @@
 //! **least-recently-used** resident files are *demoted* — encoded through
 //! the ordinary [`cumulon_matrix::serialize::encode_tile`] wire codec,
 //! optionally compressed, appended to a blob segment — and their in-RAM
-//! payloads replaced by a [`crate::datanode::BlockPayload::Spilled`]
+//! payloads replaced by a `crate::datanode::BlockPayload::Spilled`
 //! reference. The next read of a demoted file re-admits it through
 //! [`crate::Dfs::read_tile_file`], transparently. Every non-phantom tile
 //! file is tracked, a checkpoint's rewrite included.
 //!
 //! **A demotion pays only for bytes that have to move.** Re-admission
-//! does not give the blob entry up: the file's [`SpilledFile`] moves from
+//! does not give the blob entry up: the file's `SpilledFile` moves from
 //! the `spilled` map to the `backed` map and keeps its blob reference as
 //! an on-disk *backing* for as long as the resident tile still has those
 //! bytes. When a backed file goes cold again — a *clean* re-eviction —
 //! the entry moves straight back and the replicas are swapped to
 //! `Spilled` references: no encode, no compression, no write. A *dirty*
 //! demotion writes the encoding under a key the plane mints for it
-//! ([`SpillPlane::mint_key`]), so each entry is owned by exactly one file
+//! (`SpillPlane::mint_key`), so each entry is owned by exactly one file
 //! and nothing is hashed.
 //! The backing is released exactly where the bytes stop being the
-//! file's: an overwrite ([`SpillPlane::note_resident`]), a delete — also
-//! the one a checkpoint's rewrite makes — ([`SpillPlane::forget`]), a
+//! file's: an overwrite (`SpillPlane::note_resident`), a delete — also
+//! the one a checkpoint's rewrite makes — (`SpillPlane::forget`), a
 //! demotion that finds the file gone or without a resident replica, and
 //! the plane's own drop. Backed files are resident files, so the extra live disk bytes are
 //! bounded by the budget. Which file is evicted when, and every logical
@@ -50,7 +50,7 @@
 //! Phantom tiles are never tracked: they hold no materialised data, so
 //! spilling them would save nothing.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -123,7 +123,7 @@ pub struct SpillStats {
 /// Where one file's encoded payload lives on disk — the file is either
 /// demoted to it or resident and backed by it.
 #[derive(Debug, Clone, Copy)]
-pub struct SpilledFile {
+pub(crate) struct SpilledFile {
     /// Key of the blob entry, minted for this file when it was spilled
     /// ([`SpillPlane::mint_key`]).
     pub key: BlobKey,
@@ -183,7 +183,7 @@ pub struct SpillPlane {
 
 impl SpillPlane {
     /// Builds a plane from a config with a nonzero budget.
-    pub fn new(config: &SpillConfig) -> Result<SpillPlane> {
+    pub(crate) fn new(config: &SpillConfig) -> Result<SpillPlane> {
         debug_assert!(config.budget_bytes > 0, "budget 0 means no plane");
         let dir = config.dir.clone().unwrap_or_else(default_dir);
         Ok(SpillPlane {
@@ -209,12 +209,12 @@ impl SpillPlane {
     }
 
     /// Whether payloads are compressed on the way to disk.
-    pub fn compress(&self) -> bool {
+    pub(crate) fn compress(&self) -> bool {
         self.compress
     }
 
     /// The configured budget in bytes.
-    pub fn budget_bytes(&self) -> u64 {
+    pub(crate) fn budget_bytes(&self) -> u64 {
         self.budget
     }
 
@@ -224,7 +224,7 @@ impl SpillPlane {
     }
 
     /// Mutable handle to the blob store (demotion/re-admission I/O).
-    pub fn blob_mut(&mut self) -> &mut BlobStore {
+    pub(crate) fn blob_mut(&mut self) -> &mut BlobStore {
         &mut self.blob
     }
 
@@ -233,7 +233,7 @@ impl SpillPlane {
     /// one file it spills. Keys count up from `[0, 0]` and are never
     /// reused, so finding a new entry costs a counter bump, not a pass
     /// over the bytes.
-    pub fn mint_key(&mut self) -> BlobKey {
+    pub(crate) fn mint_key(&mut self) -> BlobKey {
         let key = BlobKey([self.next_key, 0]);
         self.next_key += 1;
         key
@@ -251,7 +251,7 @@ impl SpillPlane {
     /// dropping it silently would leak a segment ref and skew
     /// `spill_conserved()`.
     #[must_use = "a displaced entry holds a blob reference the caller must release"]
-    pub fn note_resident(&mut self, path: &str, bytes: u64) -> Option<SpilledFile> {
+    pub(crate) fn note_resident(&mut self, path: &str, bytes: u64) -> Option<SpilledFile> {
         let displaced = self
             .spilled
             .remove(path)
@@ -282,7 +282,7 @@ impl SpillPlane {
     /// an unclaimed prefetch marker, the read claims it: the wire bytes
     /// the reader would otherwise have read back synchronously are
     /// credited to `readback_bytes_avoided`.
-    pub fn touch(&mut self, path: &str) {
+    pub(crate) fn touch(&mut self, path: &str) {
         if let Some((seq, bytes)) = self.resident.get(path).copied() {
             self.seq += 1;
             self.order.remove(&seq);
@@ -295,14 +295,16 @@ impl SpillPlane {
     }
 
     /// True when `path` is currently tracked as resident (its decoded
-    /// payload is pinned in RAM). The scheduler's residency oracle.
-    pub fn is_resident(&self, path: &str) -> bool {
+    /// payload is pinned in RAM). Test observability: the scheduler asks
+    /// `Dfs::is_spilled` instead.
+    #[cfg(test)]
+    pub(crate) fn is_resident(&self, path: &str) -> bool {
         self.resident.contains_key(path)
     }
 
     /// True when `path` is currently demoted to the blob store. The
     /// scheduler's prefetch oracle: reading such a path pays a readback.
-    pub fn is_spilled(&self, path: &str) -> bool {
+    pub(crate) fn is_spilled(&self, path: &str) -> bool {
         self.spilled.contains_key(path)
     }
 
@@ -310,7 +312,7 @@ impl SpillPlane {
     /// ahead of demand (scheduler prefetch), not on a task's read path.
     /// The marker is claimed by the next read ([`SpillPlane::touch`]) and
     /// dropped without credit on eviction or forget.
-    pub fn record_prefetched(&mut self, path: &str, wire_len: u64) {
+    pub(crate) fn record_prefetched(&mut self, path: &str, wire_len: u64) {
         if self.resident.contains_key(path) {
             self.prefetched.insert(path.to_string(), wire_len);
             self.prefetched_files += 1;
@@ -318,7 +320,7 @@ impl SpillPlane {
     }
 
     /// True when resident bytes exceed the budget.
-    pub fn over_budget(&self) -> bool {
+    pub(crate) fn over_budget(&self) -> bool {
         self.resident_bytes > self.budget
     }
 
@@ -328,7 +330,7 @@ impl SpillPlane {
     /// with [`SpillPlane::record_clean_eviction`], any other with
     /// [`SpillPlane::record_spilled`] — or, if the file turns out not to
     /// be demotable any more, releases the backing's blob reference.
-    pub fn next_eviction(&mut self) -> Option<(String, Option<SpilledFile>)> {
+    pub(crate) fn next_eviction(&mut self) -> Option<(String, Option<SpilledFile>)> {
         if !self.over_budget() {
             return None;
         }
@@ -350,7 +352,7 @@ impl SpillPlane {
     /// spilled or backing entry for the same path is returned so the
     /// caller can release the superseded blob reference.
     #[must_use = "a displaced entry holds a blob reference the caller must release"]
-    pub fn record_spilled(
+    pub(crate) fn record_spilled(
         &mut self,
         path: &str,
         key: BlobKey,
@@ -374,19 +376,19 @@ impl SpillPlane {
     /// together with `backing`: the entry goes back to `spilled` with the
     /// blob reference it never gave up. Counts as an eviction of
     /// `wire_len` bytes like any other, and as a clean one.
-    pub fn record_clean_eviction(&mut self, path: &str, backing: SpilledFile) {
+    pub(crate) fn record_clean_eviction(&mut self, path: &str, backing: SpilledFile) {
         let displaced = self.record_spilled(path, backing.key, backing.wire_len);
         debug_assert!(displaced.is_none(), "a backed path has no other entry");
         self.clean_evictions += 1;
     }
 
     /// Looks up where a demoted file's payload lives.
-    pub fn spilled(&self, path: &str) -> Option<SpilledFile> {
+    pub(crate) fn spilled(&self, path: &str) -> Option<SpilledFile> {
         self.spilled.get(path).copied()
     }
 
     /// Looks up the on-disk backing of a resident file.
-    pub fn backing(&self, path: &str) -> Option<SpilledFile> {
+    pub(crate) fn backing(&self, path: &str) -> Option<SpilledFile> {
         self.backed.get(path).copied()
     }
 
@@ -394,7 +396,11 @@ impl SpillPlane {
     /// becomes resident, *backed* by the entry it was read from — the blob
     /// reference stays with the plane. Returns that entry (`None`, and
     /// nothing is booked, when the path was not spilled).
-    pub fn record_readmitted(&mut self, path: &str, resident_bytes: u64) -> Option<SpilledFile> {
+    pub(crate) fn record_readmitted(
+        &mut self,
+        path: &str,
+        resident_bytes: u64,
+    ) -> Option<SpilledFile> {
         let entry = self.spilled.remove(path)?;
         self.readmissions += 1;
         self.readback_bytes_total += entry.wire_len;
@@ -407,7 +413,7 @@ impl SpillPlane {
     /// entry if the path was demoted or backed, so the caller can release
     /// the blob reference.
     #[must_use = "a forgotten entry holds a blob reference the caller must release"]
-    pub fn forget(&mut self, path: &str) -> Option<SpilledFile> {
+    pub(crate) fn forget(&mut self, path: &str) -> Option<SpilledFile> {
         if let Some((seq, bytes)) = self.resident.remove(path) {
             self.order.remove(&seq);
             self.resident_bytes -= bytes;
@@ -420,23 +426,24 @@ impl SpillPlane {
 
     /// Paths currently demoted (for conservation checks), in namespace
     /// order.
-    pub fn spilled_paths(&self) -> Vec<String> {
+    pub(crate) fn spilled_paths(&self) -> Vec<String> {
         sorted_paths(&self.spilled)
     }
 
     /// Resident paths with an on-disk backing (for conservation checks),
     /// in namespace order.
-    pub fn backed_paths(&self) -> Vec<String> {
+    pub(crate) fn backed_paths(&self) -> Vec<String> {
         sorted_paths(&self.backed)
     }
 
     /// Resident paths from coldest to hottest (test observability).
-    pub fn lru_order(&self) -> VecDeque<String> {
+    #[cfg(test)]
+    pub(crate) fn lru_order(&self) -> Vec<String> {
         self.order.values().cloned().collect()
     }
 
     /// Current counters.
-    pub fn stats(&self) -> SpillStats {
+    pub(crate) fn stats(&self) -> SpillStats {
         SpillStats {
             resident_bytes: self.resident_bytes,
             resident_files: self.resident.len() as u64,
@@ -459,7 +466,8 @@ impl SpillPlane {
     /// are backed, the byte charge must equal the sum of per-path
     /// charges, the LRU order map must mirror the resident map exactly,
     /// and prefetch markers may only annotate resident paths.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         for path in self.resident.keys() {
             if self.spilled.contains_key(path) {
                 return Err(format!("{path} is both resident and spilled"));

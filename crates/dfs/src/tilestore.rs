@@ -201,11 +201,6 @@ impl TileStore {
             .ok_or_else(|| DfsError::MatrixNotFound(name.to_string()))
     }
 
-    /// All registered matrix names.
-    pub fn names(&self) -> Vec<String> {
-        self.state.read().matrices.keys().cloned().collect()
-    }
-
     /// Validates that a tile's dims match slot `(ti, tj)` of a registered
     /// matrix. Task contexts run this when they stage a write, so a
     /// malformed tile fails inside the task, as a direct write would.
@@ -335,13 +330,6 @@ impl TileStore {
         }
     }
 
-    /// True when every tile of the matrix has been written (generated
-    /// matrices are always complete).
-    pub fn is_complete(&self, name: &str) -> Result<bool> {
-        let handle = self.lookup(name)?;
-        Ok(handle.generator.is_some() || self.missing_tile(name, &handle.meta).is_none())
-    }
-
     /// The first tile of a stored matrix, in grid order, with no file.
     fn missing_tile(&self, name: &str, meta: &MatrixMeta) -> Option<(usize, usize)> {
         meta.grid()
@@ -350,7 +338,7 @@ impl TileStore {
     }
 
     /// Visits the nodes a read of tile `(ti, tj)` of `name` is fully local
-    /// on ([`Dfs::home_of`]); allocates nothing. A generated matrix's tiles
+    /// on (`Dfs::home_of`); allocates nothing. A generated matrix's tiles
     /// are synthesized by whichever node reads them, so they have no home:
     /// asking costs one registry lookup.
     pub fn tile_home(&self, name: &str, ti: usize, tj: usize, visit: impl FnMut(NodeId)) {
@@ -514,7 +502,6 @@ mod tests {
         for ((ti, tj), tile) in m.iter_tiles() {
             s.write_tile("A", ti, tj, tile, Some(NodeId(0))).unwrap();
         }
-        assert!(s.is_complete("A").unwrap());
         let back = s.get_local("A").unwrap();
         assert_eq!(back.to_dense_vec().unwrap(), m.to_dense_vec().unwrap());
     }
@@ -543,7 +530,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(s.is_complete("R").unwrap());
         let (tile, receipt) = s.read_tile("R", 0, 0, Some(NodeId(1)), false).unwrap();
         assert_eq!((tile.rows(), tile.cols()), (4, 4));
         assert_eq!(receipt, IoReceipt::default());
@@ -615,7 +601,6 @@ mod tests {
             s.read_tile("A", 0, 0, None, false),
             Err(DfsError::TileNotFound { .. })
         ));
-        assert!(!s.is_complete("A").unwrap());
     }
 
     #[test]
@@ -724,14 +709,6 @@ mod tests {
         }
         assert_eq!(s.dfs().storage_stats(), stats);
         assert_eq!(s.dfs().per_node_bytes(), per_node);
-    }
-
-    #[test]
-    fn names_sorted() {
-        let s = store();
-        s.register("B", MatrixMeta::new(1, 1, 1)).unwrap();
-        s.register("A", MatrixMeta::new(1, 1, 1)).unwrap();
-        assert_eq!(s.names(), vec!["A", "B"]);
     }
 }
 
@@ -1000,8 +977,7 @@ mod spill_plane_tests {
         assert!(s.dfs().spill_conserved());
     }
 
-    /// drop_matrix on a spilled matrix releases every blob reference, and
-    /// an explicit compaction sweep reclaims the segment bytes.
+    /// drop_matrix on a spilled matrix releases every blob reference.
     #[test]
     fn drop_matrix_releases_blob_bytes() {
         let s = store_with(31);
@@ -1012,11 +988,9 @@ mod spill_plane_tests {
         assert_eq!(st.spilled_files, 25, "budget of 1 byte spills everything");
         assert_eq!(st.resident_bytes, 0);
         s.drop_matrix("A").unwrap();
-        s.dfs().compact_spill().unwrap();
         let st = s.dfs().spill_stats().unwrap();
         assert_eq!(st.spilled_files, 0);
         assert_eq!(st.blob.live_entries, 0);
-        assert_eq!(st.blob.dead_bytes, 0, "compaction reclaimed the garbage");
         assert!(s.dfs().storage_accounting().is_conserved());
     }
 

@@ -71,7 +71,7 @@ pub struct Script {
 
 impl Expr {
     /// Variables referenced (with duplicates).
-    pub fn vars(&self, out: &mut Vec<String>) {
+    pub(crate) fn vars(&self, out: &mut Vec<String>) {
         match self {
             Expr::Var(n) => out.push(n.clone()),
             Expr::Bin(_, a, b) => {

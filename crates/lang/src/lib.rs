@@ -34,6 +34,8 @@
 //! Without an `out` declaration, every assigned name that no later
 //! statement consumes becomes an output.
 
+#![warn(unreachable_pub)]
+
 pub mod ast;
 pub mod compile;
 pub mod input;

@@ -1,4 +1,5 @@
-//! Recursive-descent parser for the surface language.
+//! Recursive-descent parser for the surface language, depth-bounded by
+//! `MAX_EXPR_DEPTH`.
 
 use cumulon_core::error::CoreError;
 use cumulon_core::Result;
@@ -6,9 +7,20 @@ use cumulon_core::Result;
 use crate::ast::{BinOp, Expr, Script, Stmt, UnFn};
 use crate::lexer::{Token, TokenKind};
 
+/// Deepest expression the parser accepts. Every tree node — a binary
+/// operator, unary minus, scalar prefix, postfix transpose or function —
+/// adds one level to the tree's height, and every open parenthesis or
+/// prefix adds one level of parser recursion. The height of each subtree
+/// plus the levels still open around it must stay within the bound:
+/// compiling and dropping an expression recurse once per tree level, so
+/// the bound keeps a hostile script from overflowing the stack.
+const MAX_EXPR_DEPTH: usize = 256;
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Parentheses and prefixes open at the current position.
+    depth: usize,
 }
 
 fn err(line: usize, msg: impl Into<String>) -> CoreError {
@@ -43,6 +55,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Fails with the depth error past [`MAX_EXPR_DEPTH`] open levels.
+    fn check_depth(&self, levels: usize) -> Result<()> {
+        if levels > MAX_EXPR_DEPTH {
+            return Err(err(
+                self.line(),
+                format!("expression nested deeper than {MAX_EXPR_DEPTH} levels"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Opens one parenthesis or prefix level; the caller closes it with
+    /// `self.depth -= 1`.
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        self.check_depth(self.depth)
+    }
+
+    /// Accepts a just-built subtree of tree height `height`.
+    fn built(&self, height: usize) -> Result<usize> {
+        self.check_depth(self.depth + height)?;
+        Ok(height)
+    }
+
     fn parse_script(&mut self) -> Result<Script> {
         let mut stmts = Vec::new();
         while self.peek().is_some() {
@@ -67,7 +103,7 @@ impl<'a> Parser<'a> {
             Some(TokenKind::Ident(_)) => {
                 let name = self.parse_ident()?;
                 self.expect(&TokenKind::Assign, "'='")?;
-                let expr = self.parse_expr()?;
+                let (expr, _) = self.parse_expr()?;
                 self.expect(&TokenKind::Semi, "';'")?;
                 Ok(Stmt::Assign { name, expr, line })
             }
@@ -91,8 +127,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_term()?;
+    fn parse_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut lhs, mut height) = self.parse_term()?;
         loop {
             let op = match self.peek() {
                 Some(TokenKind::Plus) => BinOp::Add,
@@ -100,14 +136,15 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.bump();
-            let rhs = self.parse_term()?;
+            let (rhs, rhs_height) = self.parse_term()?;
+            height = self.built(1 + height.max(rhs_height))?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_term(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_factor()?;
+    fn parse_term(&mut self) -> Result<(Expr, usize)> {
+        let (mut lhs, mut height) = self.parse_factor()?;
         loop {
             let op = match self.peek() {
                 Some(TokenKind::Star) => BinOp::MatMul,
@@ -116,59 +153,63 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.bump();
-            let rhs = self.parse_factor()?;
+            let (rhs, rhs_height) = self.parse_factor()?;
+            height = self.built(1 + height.max(rhs_height))?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_factor(&mut self) -> Result<Expr> {
-        match self.peek() {
+    fn parse_factor(&mut self) -> Result<(Expr, usize)> {
+        let (scale, (inner, height)) = match self.peek() {
             Some(TokenKind::Minus) => {
                 self.bump();
-                let inner = self.parse_factor()?;
-                Ok(Expr::Scale(-1.0, Box::new(inner)))
+                self.descend()?;
+                (-1.0, self.parse_factor()?)
             }
             Some(&TokenKind::Number(value)) => {
                 self.bump();
+                self.descend()?;
                 // A bare number is a scalar factor: `2 * A`, `2 A`… only
                 // the explicit-`*` form and direct juxtaposition with a
                 // postfix expression are accepted.
-                match self.peek() {
+                let inner = match self.peek() {
                     Some(TokenKind::Star) => {
                         self.bump();
-                        let inner = self.parse_factor()?;
-                        Ok(Expr::Scale(value, Box::new(inner)))
+                        self.parse_factor()?
                     }
-                    Some(TokenKind::Ident(_)) | Some(TokenKind::LParen) => {
-                        let inner = self.parse_postfix()?;
-                        Ok(Expr::Scale(value, Box::new(inner)))
+                    Some(TokenKind::Ident(_)) | Some(TokenKind::LParen) => self.parse_postfix()?,
+                    _ => {
+                        return Err(err(
+                            self.line(),
+                            "a number must scale a matrix (write `2 * A` or `2A`)",
+                        ))
                     }
-                    _ => Err(err(
-                        self.line(),
-                        "a number must scale a matrix (write `2 * A` or `2A`)",
-                    )),
-                }
+                };
+                (value, inner)
             }
-            _ => self.parse_postfix(),
-        }
+            _ => return self.parse_postfix(),
+        };
+        self.depth -= 1;
+        Ok((Expr::Scale(scale, Box::new(inner)), self.built(height + 1)?))
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr> {
-        let mut e = self.parse_atom()?;
+    fn parse_postfix(&mut self) -> Result<(Expr, usize)> {
+        let (mut e, mut height) = self.parse_atom()?;
         while self.peek() == Some(&TokenKind::Tick) {
             self.bump();
+            height = self.built(height + 1)?;
             e = Expr::Transpose(Box::new(e));
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr> {
+    fn parse_atom(&mut self) -> Result<(Expr, usize)> {
         let line = self.line();
         match self.bump().cloned() {
             Some(Token {
                 kind: TokenKind::Ident(name),
-                line,
+                ..
             }) => {
                 // Function application?
                 let func = match name.as_str() {
@@ -178,23 +219,16 @@ impl<'a> Parser<'a> {
                     _ => None,
                 };
                 if let (Some(f), Some(TokenKind::LParen)) = (func, self.peek()) {
-                    let _ = f;
                     self.bump();
-                    let inner = self.parse_expr()?;
-                    self.expect(&TokenKind::RParen, "')'")?;
-                    return Ok(Expr::Apply(func.expect("checked above"), Box::new(inner)));
+                    let (inner, height) = self.parse_paren()?;
+                    return Ok((Expr::Apply(f, Box::new(inner)), self.built(height + 1)?));
                 }
-                let _ = line;
-                Ok(Expr::Var(name))
+                Ok((Expr::Var(name), 0))
             }
             Some(Token {
                 kind: TokenKind::LParen,
                 ..
-            }) => {
-                let inner = self.parse_expr()?;
-                self.expect(&TokenKind::RParen, "')'")?;
-                Ok(inner)
-            }
+            }) => self.parse_paren(),
             Some(t) => Err(err(
                 t.line,
                 format!("expected an expression, found {:?}", t.kind),
@@ -202,11 +236,25 @@ impl<'a> Parser<'a> {
             None => Err(err(line, "expected an expression, found end of input")),
         }
     }
+
+    /// Parses `expr ")"` after an opening parenthesis.
+    fn parse_paren(&mut self) -> Result<(Expr, usize)> {
+        self.descend()?;
+        let inner = self.parse_expr()?;
+        self.expect(&TokenKind::RParen, "')'")?;
+        self.depth -= 1;
+        Ok(inner)
+    }
 }
 
 /// Parses a token stream into a script.
 pub fn parse(tokens: &[Token]) -> Result<Script> {
-    Parser { tokens, pos: 0 }.parse_script()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .parse_script()
 }
 
 #[cfg(test)]
@@ -336,5 +384,63 @@ mod tests {
         assert!(parse(&tokenize("X = 2;").unwrap()).is_err()); // bare scalar
         assert!(parse(&tokenize("out;").unwrap()).is_err());
         assert!(parse(&tokenize("X = (A;").unwrap()).is_err());
+    }
+
+    /// Runs `compile_source` on a thread with a 2 MiB stack — what a
+    /// spawned thread, and so a `serve` handler, gets by default.
+    fn compile_on_small_stack(script: String) -> std::result::Result<(), String> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                crate::compile_source(&script)
+                    .map(|_| ())
+                    .map_err(|e| e.to_string())
+            })
+            .unwrap()
+            .join()
+            .expect("compiling must not overflow the stack")
+    }
+
+    /// `levels` brackets, each closing a chain of `terms` sums:
+    /// `((A + A) + A) + A` for two levels of one term each. The tree is
+    /// `levels * terms` high, while the brackets nest only `levels` deep.
+    fn nested_sums(levels: usize, terms: usize) -> String {
+        let mut e = "A".to_string();
+        for _ in 0..levels {
+            e = format!("({e}){}", " + A".repeat(terms));
+        }
+        e
+    }
+
+    /// Nesting, unary prefixes, chain length and chains nested in brackets
+    /// each hit the depth bound: at 30 000 levels every shape ends in a
+    /// parse error naming the line, and at the bound itself every shape
+    /// still compiles.
+    #[test]
+    fn hostile_depth_is_a_parse_error() {
+        let shapes = |n: usize| {
+            [
+                format!("X = {}A{};", "(".repeat(n), ")".repeat(n)),
+                format!("X = {}A;", "-".repeat(n)),
+                format!("X = A{};", " + A".repeat(n)),
+            ]
+        };
+        for script in shapes(30_000) {
+            let e = compile_on_small_stack(format!("Y = A;\n{script}")).unwrap_err();
+            assert!(e.contains("line 2") && e.contains("deeper than 256"), "{e}");
+        }
+        for script in shapes(MAX_EXPR_DEPTH) {
+            compile_on_small_stack(script).unwrap();
+        }
+        for script in shapes(MAX_EXPR_DEPTH + 1) {
+            assert!(compile_on_small_stack(script).is_err());
+        }
+        // Chains nested in brackets: the tree's height counts, however
+        // shallow the brackets and however short each chain.
+        let e = compile_on_small_stack(format!("Y = A;\nX = {};", nested_sums(128, 128)));
+        let e = e.unwrap_err();
+        assert!(e.contains("line 2") && e.contains("deeper than 256"), "{e}");
+        compile_on_small_stack(format!("X = {};", nested_sums(2, 128))).unwrap();
+        assert!(compile_on_small_stack(format!("X = {} + A;", nested_sums(2, 128))).is_err());
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! The matcher runs at a small fraction of disk speed, and on a dense
 //! Gaussian tile it finds nothing. [`maybe_compress`] therefore samples
-//! first: buffers of [`PROBE_MIN_LEN`] bytes or more have a few small
+//! first: buffers of `PROBE_MIN_LEN` bytes or more have a few small
 //! windows spread over their length compressed, and a sample that does
 //! not shrink sends the whole buffer down the `Raw` path untouched. The
 //! probe reads only the bytes it is given, so the same buffer always
@@ -47,7 +47,7 @@ const WINDOW: usize = 65_535;
 const HASH_BITS: u32 = 15;
 /// Buffers shorter than this skip the probe: the full matcher is cheap
 /// on them, and a sample of a small buffer is most of the buffer.
-pub const PROBE_MIN_LEN: usize = 32 << 10;
+pub(crate) const PROBE_MIN_LEN: usize = 32 << 10;
 /// The probe compresses this many windows, spread evenly from the first
 /// byte of the buffer to its last…
 const PROBE_WINDOWS: usize = 4;
@@ -70,15 +70,6 @@ impl Codec {
         match self {
             Codec::Raw => 0,
             Codec::Lz => 1,
-        }
-    }
-
-    /// Inverse of [`Codec::tag`].
-    pub fn from_tag(tag: u8) -> Result<Codec> {
-        match tag {
-            0 => Ok(Codec::Raw),
-            1 => Ok(Codec::Lz),
-            t => Err(MatrixError::Corrupt(format!("unknown codec tag {t}"))),
         }
     }
 }
@@ -250,7 +241,7 @@ fn probe_shrinks(input: &[u8]) -> bool {
 /// Compresses when it helps: returns `(Codec::Lz, compressed)` when the
 /// compressed form is strictly smaller, `(Codec::Raw, input)` — borrowed,
 /// not copied — otherwise, so a spilled buffer never grows past its raw
-/// size. Buffers of [`PROBE_MIN_LEN`] bytes or more whose sample does not
+/// size. Buffers of `PROBE_MIN_LEN` bytes or more whose sample does not
 /// shrink (see the module docs) are `Raw` without running the matcher
 /// over the whole of them.
 pub fn maybe_compress(input: &[u8]) -> (Codec, Cow<'_, [u8]>) {
@@ -541,7 +532,6 @@ mod tests {
         // Truncated match token.
         let bad = [8u8, 0, 0, 0, 0b0000_0010, b'a', 1, 0];
         assert!(lz_decompress(&bad).is_err());
-        assert!(Codec::from_tag(9).is_err());
     }
 
     #[test]

@@ -82,13 +82,13 @@ impl DenseTile {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -100,7 +100,7 @@ impl DenseTile {
 
     /// Mutable row-major backing slice.
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -111,25 +111,25 @@ impl DenseTile {
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] = v;
     }
 
     /// Number of non-zero entries (exact count).
-    pub fn nnz(&self) -> u64 {
+    pub(crate) fn nnz(&self) -> u64 {
         self.data.iter().filter(|&&v| v != 0.0).count() as u64
     }
 
     /// `self += other`, element-wise.
-    pub fn add_assign(&mut self, other: &DenseTile) -> Result<()> {
+    pub(crate) fn add_assign(&mut self, other: &DenseTile) -> Result<()> {
         self.check_same_shape("add", other)?;
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += *b;
@@ -138,7 +138,7 @@ impl DenseTile {
     }
 
     /// `self -= other`, element-wise.
-    pub fn sub_assign(&mut self, other: &DenseTile) -> Result<()> {
+    pub(crate) fn sub_assign(&mut self, other: &DenseTile) -> Result<()> {
         self.check_same_shape("sub", other)?;
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a -= *b;
@@ -147,7 +147,7 @@ impl DenseTile {
     }
 
     /// `self *= other`, element-wise (Hadamard product).
-    pub fn mul_assign_elem(&mut self, other: &DenseTile) -> Result<()> {
+    pub(crate) fn mul_assign_elem(&mut self, other: &DenseTile) -> Result<()> {
         self.check_same_shape("elem_mul", other)?;
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a *= *b;
@@ -158,7 +158,7 @@ impl DenseTile {
     /// `self /= other`, element-wise. Division by zero yields zero, matching
     /// the convention GNMF-style multiplicative updates rely on (a zero
     /// denominator only occurs where the numerator is also zero).
-    pub fn div_assign_elem(&mut self, other: &DenseTile) -> Result<()> {
+    pub(crate) fn div_assign_elem(&mut self, other: &DenseTile) -> Result<()> {
         self.check_same_shape("elem_div", other)?;
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a = if *b == 0.0 { 0.0 } else { *a / *b };
@@ -167,21 +167,14 @@ impl DenseTile {
     }
 
     /// Scales every element by `s`.
-    pub fn scale(&mut self, s: f64) {
+    pub(crate) fn scale(&mut self, s: f64) {
         for a in &mut self.data {
             *a *= s;
         }
     }
 
-    /// Adds scalar `s` to every element.
-    pub fn add_scalar(&mut self, s: f64) {
-        for a in &mut self.data {
-            *a += s;
-        }
-    }
-
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
         for a in &mut self.data {
             *a = f(*a);
         }
@@ -207,34 +200,13 @@ impl DenseTile {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
 
     /// Squared Frobenius norm.
-    pub fn frob_sq(&self) -> f64 {
+    pub(crate) fn frob_sq(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum()
-    }
-
-    /// Row sums as a `rows × 1` tile.
-    pub fn row_sums(&self) -> DenseTile {
-        let mut out = DenseTile::zeros(self.rows, 1);
-        for i in 0..self.rows {
-            out.data[i] = self.data[i * self.cols..(i + 1) * self.cols].iter().sum();
-        }
-        out
-    }
-
-    /// Column sums as a `1 × cols` tile.
-    pub fn col_sums(&self) -> DenseTile {
-        let mut out = DenseTile::zeros(1, self.cols);
-        for i in 0..self.rows {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, v) in out.data.iter_mut().zip(row.iter()) {
-                *o += *v;
-            }
-        }
-        out
     }
 
     /// `c += a × b` (accumulating GEMM). This is the workhorse of the whole
@@ -316,8 +288,8 @@ impl DenseTile {
     ///
     /// The classic five-loop nest. Working from the outside in: `NC`-wide
     /// column slabs of `b`, `KC`-deep rank-k slices (packed once into
-    /// [`pack::pack_b`] micro-panels), `MC`-tall row blocks of `a` (packed
-    /// into [`pack::pack_a`] micro-panels), then register blocks computed
+    /// `pack::pack_b` micro-panels), `MC`-tall row blocks of `a` (packed
+    /// into `pack::pack_a` micro-panels), then register blocks computed
     /// by the [`crate::microkernel`]: 8×16 groups of micro-tiles on
     /// AVX-512, `MR × NR` tiles elsewhere and on odd leftover panels.
     /// Block sizes keep the A block (`MC·KC` ≈ 256 KiB) L2-resident and
@@ -356,7 +328,7 @@ impl DenseTile {
 
     /// `c += atᵀ × b` where `at` holds `Aᵀ` as stored: the packed GEMM of
     /// [`gemm_acc_packed`](Self::gemm_acc_packed) with `A`'s panels packed
-    /// straight from `at` ([`pack::pack_a_t`]) into the caller's scratch.
+    /// straight from `at` (`pack::pack_a_t`) into the caller's scratch.
     /// Bitwise equal to `gemm_acc_packed(c, &at.transpose(), b)`, without
     /// building the transpose.
     pub fn gemm_acc_t_packed_in(
@@ -700,8 +672,6 @@ mod tests {
         assert_eq!(a.data(), &[2.0, -4.0, 6.0]);
         a.map_inplace(f64::abs);
         assert_eq!(a.data(), &[2.0, 4.0, 6.0]);
-        a.add_scalar(1.0);
-        assert_eq!(a.data(), &[3.0, 5.0, 7.0]);
     }
 
     #[test]
@@ -709,8 +679,6 @@ mod tests {
         let a = DenseTile::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.sum(), 21.0);
         assert_eq!(a.frob_sq(), 91.0);
-        assert_eq!(a.row_sums().data(), &[6.0, 15.0]);
-        assert_eq!(a.col_sums().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.nnz(), 6);
     }
 

@@ -22,6 +22,8 @@
 //! suite to cross-check the tiled implementations, and [`ops`] exposes
 //! flop/byte accounting shared with the cost models in `cumulon-core`.
 
+#![warn(unreachable_pub)]
+
 pub mod compress;
 pub mod dense;
 pub mod error;
@@ -44,9 +46,3 @@ pub use microkernel::{detected_simd_level, simd_level, SimdLevel};
 pub use pack::PackScratch;
 pub use sparse::CsrTile;
 pub use tile::{Tile, TileData};
-
-/// Default tile side length used throughout the system when the optimizer
-/// has not chosen one. The paper stores matrices in square tiles whose size
-/// is a physical-design knob; 1000×1000 doubles ≈ 8 MB, a comfortable HDFS
-/// block payload.
-pub const DEFAULT_TILE_SIZE: usize = 1000;

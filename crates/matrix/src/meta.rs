@@ -61,7 +61,7 @@ impl MatrixMeta {
     }
 
     /// Total number of elements.
-    pub fn elements(&self) -> u64 {
+    pub(crate) fn elements(&self) -> u64 {
         self.rows as u64 * self.cols as u64
     }
 

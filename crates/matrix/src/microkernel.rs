@@ -5,7 +5,7 @@
 //! bottoms out in a rank-`kc` update of a register-resident accumulator
 //! block. Two block shapes exist:
 //!
-//! * the **`MR × NR` = 4×8 tile** ([`Kernel::run`]) — plain scalar Rust
+//! * the **`MR × NR` = 4×8 tile** (`Kernel::run`) — plain scalar Rust
 //!   over a `[[f64; NR]; MR]` array, shaped so the autovectorizer lowers
 //!   each accumulator row to SIMD lanes, compiled three times: a
 //!   **generic** clone (`mul` + `add`, portable everywhere), an
@@ -13,7 +13,7 @@
 //!   4-wide `ymm` lanes (8 `ymm` accumulators, enough independent chains
 //!   to cover FMA latency on two ports), and an **AVX-512** clone of the
 //!   same body;
-//! * the **8×16 group** ([`Kernel::run_wide`], AVX-512 only) — a 2×2 group
+//! * the **8×16 group** (`Kernel::run_wide`, AVX-512 only) — a 2×2 group
 //!   of 4×8 tiles written with `std::arch::x86_64` intrinsics: 16 `zmm`
 //!   accumulators, and per `k` step 2 B loads, 8 broadcasts and 16
 //!   `vfmadd`. On AVX-512 the 4×8 tile is only 4 `zmm` chains, which
@@ -27,7 +27,7 @@
 //! over; AVX2+FMA and generic run the 4×8 tile everywhere.
 //!
 //! Which clone runs is decided by CPUID detection, cached once per process
-//! ([`simd_level`]) and resolved once per GEMM call ([`Kernel::resolve`]).
+//! ([`simd_level`]) and resolved once per GEMM call (`Kernel::resolve`).
 //! Every FMA clone computes each output lane the same way — `k`-ascending,
 //! one single-rounding FMA per step from the accumulator's initial value —
 //! so the AVX-512 and AVX2+FMA results are **bitwise equal** whatever block
@@ -47,16 +47,16 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// lanes in 16 `ymm` registers. On AVX-512 the same tile is only 4 `zmm`
 /// chains, which is why that level computes 2×2 groups of tiles
 /// ([`Kernel::run_wide`]) instead.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns of the microkernel tile and of one packed B micro-panel (two
 /// 4-wide `ymm` lanes, or one 8-wide `zmm`).
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// The 4×8 tile's register-resident accumulator.
-pub type Acc = [[f64; NR]; MR];
+pub(crate) type Acc = [[f64; NR]; MR];
 /// The 8×16 group's register-resident accumulator: rows `0..MR` come from
 /// the first A micro-panel, columns `0..NR` from the first B micro-panel.
-pub type WideAcc = [[f64; 2 * NR]; 2 * MR];
+pub(crate) type WideAcc = [[f64; 2 * NR]; 2 * MR];
 
 /// SIMD class the microkernel dispatches to, best-first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -154,13 +154,13 @@ pub fn set_simd_override(level: Option<SimdLevel>) {
 /// The microkernels of one SIMD level, resolved once per GEMM call so the
 /// macrokernel's inner loops never re-read the dispatch atomics.
 #[derive(Debug, Clone, Copy)]
-pub struct Kernel {
+pub(crate) struct Kernel {
     level: SimdLevel,
 }
 
 impl Kernel {
     /// The kernels of the level [`simd_level`] dispatches to right now.
-    pub fn resolve() -> Kernel {
+    pub(crate) fn resolve() -> Kernel {
         Kernel {
             level: simd_level(),
         }
@@ -168,7 +168,7 @@ impl Kernel {
 
     /// True when [`run_wide`](Self::run_wide) is available: AVX-512 on
     /// `x86_64`.
-    pub fn has_wide(self) -> bool {
+    pub(crate) fn has_wide(self) -> bool {
         cfg!(target_arch = "x86_64") && self.level == SimdLevel::Avx512
     }
 
@@ -183,7 +183,7 @@ impl Kernel {
     /// # Panics
     /// If a panel holds fewer than `kc` steps.
     #[inline]
-    pub fn run(self, kc: usize, a_panel: &[f64], b_panel: &[f64], acc: &mut Acc) {
+    pub(crate) fn run(self, kc: usize, a_panel: &[f64], b_panel: &[f64], acc: &mut Acc) {
         assert!(a_panel.len() >= kc * MR, "A micro-panel shorter than kc");
         assert!(b_panel.len() >= kc * NR, "B micro-panel shorter than kc");
         match self.level {
@@ -207,7 +207,7 @@ impl Kernel {
     /// If [`has_wide`](Self::has_wide) is false, or a panel holds fewer
     /// than `kc` steps.
     #[inline]
-    pub fn run_wide(self, kc: usize, a: [&[f64]; 2], b: [&[f64]; 2], acc: &mut WideAcc) {
+    pub(crate) fn run_wide(self, kc: usize, a: [&[f64]; 2], b: [&[f64]; 2], acc: &mut WideAcc) {
         assert!(self.has_wide(), "the 8x16 group needs AVX-512");
         for panel in a {
             assert!(panel.len() >= kc * MR, "A micro-panel shorter than kc");

@@ -130,17 +130,6 @@ pub fn map_work(t: &Tile) -> Work {
     }
 }
 
-/// Analytic dense-GEMM flops for planning (no tiles in hand yet).
-pub fn gemm_flops(m: u64, l: u64, n: u64) -> f64 {
-    2.0 * m as f64 * l as f64 * n as f64
-}
-
-/// Analytic flops for a multiply where the left side has the given density
-/// (sparse×dense pattern).
-pub fn spmm_flops(m: u64, l: u64, n: u64, left_density: f64) -> f64 {
-    gemm_flops(m, l, n) * left_density.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,12 +197,6 @@ mod tests {
                 bytes_out: 33.0
             }
         );
-    }
-
-    #[test]
-    fn analytic_flops() {
-        assert_eq!(gemm_flops(10, 10, 10), 2000.0);
-        assert_eq!(spmm_flops(10, 10, 10, 0.1), 200.0);
     }
 
     #[test]

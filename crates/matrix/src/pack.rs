@@ -14,7 +14,7 @@
 //!   lives at `jp·kc·NR + k·NR + j`.
 //!
 //! A left operand stored transposed (`Aᵀ` row-major, as a tile of `A'`
-//! is) packs into the same layout with [`pack_a_t`]: there the `MR` rows
+//! is) packs into the same layout with `pack_a_t`: there the `MR` rows
 //! of one `k` step are already contiguous, so no transposed copy of the
 //! tile is ever built.
 //!
@@ -73,7 +73,7 @@ impl Left<'_> {
 /// Packs the `mc × kc` block of row-major `a` (leading dimension `lda`)
 /// starting at `(i0, k0)` into `MR`-interleaved micro-panels, replacing
 /// the contents of `out`.
-pub fn pack_a(
+pub(crate) fn pack_a(
     a: &[f64],
     lda: usize,
     i0: usize,
@@ -102,7 +102,7 @@ pub fn pack_a(
 /// dimension `ldat`, the row count of `A`): produces exactly the panels
 /// `pack_a` would from a materialised `A`. For each `k` step the `MR`
 /// rows of a panel are one contiguous run of `at`'s row `k0 + k`.
-pub fn pack_a_t(
+pub(crate) fn pack_a_t(
     at: &[f64],
     ldat: usize,
     i0: usize,
@@ -127,7 +127,7 @@ pub fn pack_a_t(
 /// Packs the `kc × nc` block of row-major `b` (leading dimension `ldb`)
 /// starting at `(k0, j0)` into `NR`-wide micro-panels, replacing the
 /// contents of `out`.
-pub fn pack_b(
+pub(crate) fn pack_b(
     b: &[f64],
     ldb: usize,
     k0: usize,

@@ -63,11 +63,6 @@ pub fn elem_div(a: &[f64], b: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Frobenius norm.
-pub fn frob_norm(a: &[f64]) -> f64 {
-    a.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,10 +95,5 @@ mod tests {
         assert_eq!(sub(&a, &b), vec![1.0, 4.0]);
         assert_eq!(elem_mul(&a, &b), vec![2.0, 0.0]);
         assert_eq!(elem_div(&a, &b), vec![2.0, 0.0]);
-    }
-
-    #[test]
-    fn frob() {
-        assert_eq!(frob_norm(&[3.0, 4.0]), 5.0);
     }
 }

@@ -17,8 +17,9 @@
 //! copies (a little-endian in-memory `f64`/`u32` buffer *is* its wire form,
 //! so the copy is one `memcpy`, not a per-element loop). Big-endian hosts
 //! fall back to the element-wise path; both produce identical bytes. The
-//! historical element-wise codec is kept as [`encode_tile_elementwise`] /
-//! [`decode_tile_elementwise`] so tests can assert byte equality.
+//! historical element-wise codec is kept, in test builds only, as
+//! `encode_tile_elementwise` / `decode_tile_elementwise` so tests can
+//! assert byte equality.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -202,7 +203,8 @@ pub fn decode_tile(mut bytes: Bytes) -> Result<Tile> {
 
 /// The pre-bulk-copy encoder: one `put_*_le` per element. Kept as the
 /// reference implementation the fast path is tested against.
-pub fn encode_tile_elementwise(tile: &Tile) -> Bytes {
+#[cfg(test)]
+pub(crate) fn encode_tile_elementwise(tile: &Tile) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
     buf.put_u32_le(MAGIC);
     match tile.payload() {
@@ -244,7 +246,8 @@ pub fn encode_tile_elementwise(tile: &Tile) -> Bytes {
 
 /// The pre-bulk-copy decoder: one `get_*_le` per element. Kept as the
 /// reference implementation the fast path is tested against.
-pub fn decode_tile_elementwise(mut bytes: Bytes) -> Result<Tile> {
+#[cfg(test)]
+pub(crate) fn decode_tile_elementwise(mut bytes: Bytes) -> Result<Tile> {
     if bytes.remaining() < 24 {
         return Err(MatrixError::Corrupt("buffer shorter than header".into()));
     }

@@ -19,19 +19,8 @@ pub struct CsrTile {
 }
 
 impl CsrTile {
-    /// Creates an empty (all-zero) sparse tile.
-    pub fn empty(rows: usize, cols: usize) -> Self {
-        CsrTile {
-            rows,
-            cols,
-            row_ptr: vec![0; rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Builds a CSR tile from raw arrays, validating the structure.
-    pub fn from_raw(
+    pub(crate) fn from_raw(
         rows: usize,
         cols: usize,
         row_ptr: Vec<u32>,
@@ -78,7 +67,11 @@ impl CsrTile {
 
     /// Builds a CSR tile from `(row, col, value)` triples. Triples may be in
     /// any order; duplicate coordinates are summed.
-    pub fn from_triples(rows: usize, cols: usize, mut triples: Vec<(usize, usize, f64)>) -> Self {
+    pub(crate) fn from_triples(
+        rows: usize,
+        cols: usize,
+        mut triples: Vec<(usize, usize, f64)>,
+    ) -> Self {
         triples.sort_unstable_by_key(|&(r, c, _)| (r, c));
         let mut row_ptr = vec![0u32; rows + 1];
         let mut col_idx = Vec::with_capacity(triples.len());
@@ -134,13 +127,13 @@ impl CsrTile {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -161,7 +154,7 @@ impl CsrTile {
     }
 
     /// Iterates stored entries as `(row, col, value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |i| {
             self.row_range(i)
                 .map(move |k| (i, self.col_idx[k] as usize, self.values[k]))
@@ -393,7 +386,7 @@ impl CsrTile {
     /// Element-wise product with a dense tile, returning a sparse tile with
     /// the same (or smaller) support as `self`. This is the "mask" pattern:
     /// in GNMF the residual only needs evaluating at the support of V.
-    pub fn elem_mul_dense(&self, d: &DenseTile) -> Result<CsrTile> {
+    pub(crate) fn elem_mul_dense(&self, d: &DenseTile) -> Result<CsrTile> {
         if self.rows != d.rows() || self.cols != d.cols() {
             return Err(MatrixError::ShapeMismatch {
                 op: "sparse_elem_mul",
@@ -411,7 +404,7 @@ impl CsrTile {
 
     /// Element-wise division `self / d` at the support of `self` (zero
     /// denominators yield zero, matching [`DenseTile::div_assign_elem`]).
-    pub fn elem_div_dense(&self, d: &DenseTile) -> Result<CsrTile> {
+    pub(crate) fn elem_div_dense(&self, d: &DenseTile) -> Result<CsrTile> {
         if self.rows != d.rows() || self.cols != d.cols() {
             return Err(MatrixError::ShapeMismatch {
                 op: "sparse_elem_div",
@@ -448,25 +441,25 @@ impl CsrTile {
     }
 
     /// Transpose, returning a new CSR tile.
-    pub fn transpose(&self) -> CsrTile {
+    pub(crate) fn transpose(&self) -> CsrTile {
         let triples = self.iter().map(|(i, j, v)| (j, i, v)).collect();
         CsrTile::from_triples(self.cols, self.rows, triples)
     }
 
     /// Scales every stored value by `s`.
-    pub fn scale(&mut self, s: f64) {
+    pub(crate) fn scale(&mut self, s: f64) {
         for v in &mut self.values {
             *v *= s;
         }
     }
 
     /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.values.iter().sum()
     }
 
     /// Squared Frobenius norm.
-    pub fn frob_sq(&self) -> f64 {
+    pub(crate) fn frob_sq(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum()
     }
 }

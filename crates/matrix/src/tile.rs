@@ -98,7 +98,7 @@ impl Tile {
     }
 
     /// True if this tile is stored sparse.
-    pub fn is_sparse(&self) -> bool {
+    pub(crate) fn is_sparse(&self) -> bool {
         matches!(self.data, TileData::Sparse(_))
     }
 
@@ -112,7 +112,7 @@ impl Tile {
     }
 
     /// Density in `[0, 1]` (nnz over capacity).
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         let cap = (self.rows * self.cols) as f64;
         if cap == 0.0 {
             0.0
@@ -152,21 +152,14 @@ impl Tile {
     }
 
     /// Borrows the dense payload, failing on sparse/phantom.
-    pub fn as_dense(&self) -> Result<&DenseTile> {
+    #[cfg(test)]
+    pub(crate) fn as_dense(&self) -> Result<&DenseTile> {
         match &self.data {
             TileData::Dense(d) => Ok(d),
             TileData::Sparse(_) => Err(MatrixError::PhantomData {
                 op: "as_dense(sparse)",
             }),
             TileData::Phantom { .. } => Err(MatrixError::PhantomData { op: "as_dense" }),
-        }
-    }
-
-    /// Borrows the sparse payload, failing on dense/phantom.
-    pub fn as_sparse(&self) -> Result<&CsrTile> {
-        match &self.data {
-            TileData::Sparse(s) => Ok(s),
-            _ => Err(MatrixError::PhantomData { op: "as_sparse" }),
         }
     }
 
@@ -400,7 +393,7 @@ impl Tile {
     }
 
     /// Squared Frobenius norm (0 for phantom tiles).
-    pub fn frob_sq(&self) -> f64 {
+    pub(crate) fn frob_sq(&self) -> f64 {
         match &self.data {
             TileData::Dense(d) => d.frob_sq(),
             TileData::Sparse(s) => s.frob_sq(),

@@ -48,7 +48,7 @@ pub struct TaggedTile {
 
 impl TaggedTile {
     /// Serialized size on the shuffle wire (tile + key/tag header).
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         self.tile.stored_bytes() + 16
     }
 }
@@ -90,21 +90,22 @@ impl Emitter {
     }
 
     /// Emits a value for a key.
-    pub fn emit(&mut self, key: ReduceKey, value: TaggedTile) {
+    pub(crate) fn emit(&mut self, key: ReduceKey, value: TaggedTile) {
         self.bytes += value.wire_bytes();
         self.out.push((key, value));
     }
 
     /// Bytes emitted so far.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 }
 
 /// Map function: reads inputs through the task context, emits tagged tiles.
-pub type MapFn = Arc<dyn Fn(&mut TaskCtx, &mut Emitter) -> Result<()> + Send + Sync>;
+pub(crate) type MapFn = Arc<dyn Fn(&mut TaskCtx, &mut Emitter) -> Result<()> + Send + Sync>;
 /// Reduce function: one key and its values; writes outputs via the context.
-pub type ReduceFn = Arc<dyn Fn(&mut TaskCtx, ReduceKey, &[TaggedTile]) -> Result<()> + Send + Sync>;
+pub(crate) type ReduceFn =
+    Arc<dyn Fn(&mut TaskCtx, ReduceKey, &[TaggedTile]) -> Result<()> + Send + Sync>;
 
 /// Specification of one MR job.
 pub struct MrJobSpec {
@@ -129,7 +130,7 @@ pub struct MrJobSpec {
 type ShuffleBuf = Arc<Mutex<Vec<Option<Vec<(ReduceKey, TaggedTile)>>>>>;
 
 /// Deterministic key → reducer partitioner.
-pub fn partition(key: ReduceKey, reducers: usize) -> usize {
+pub(crate) fn partition(key: ReduceKey, reducers: usize) -> usize {
     let h = (key.0 as u64)
         .wrapping_mul(2_654_435_761)
         .wrapping_add(key.1 as u64);
@@ -158,23 +159,18 @@ impl MrEngine {
         }
     }
 
-    /// Overrides the billing policy.
-    pub fn set_billing(&mut self, policy: BillingPolicy) {
-        self.billing = policy;
-    }
-
     /// The tile store.
-    pub fn store(&self) -> &TileStore {
+    pub(crate) fn store(&self) -> &TileStore {
         &self.store
     }
 
     /// The cluster spec this engine schedules onto.
-    pub fn spec(&self) -> ClusterSpec {
+    pub(crate) fn spec(&self) -> ClusterSpec {
         self.spec
     }
 
     /// Runs a batch of MR jobs (dependencies refer to batch indices).
-    pub fn run(&self, specs: Vec<MrJobSpec>, mode: ExecMode) -> Result<RunReport> {
+    pub(crate) fn run(&self, specs: Vec<MrJobSpec>, mode: ExecMode) -> Result<RunReport> {
         let mut dag = JobDag::new();
         // Cluster-job index of each MR job's final phase.
         let mut final_phase: Vec<usize> = Vec::with_capacity(specs.len());

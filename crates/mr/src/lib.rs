@@ -23,6 +23,8 @@
 //!   materialisation), shuffle-based element-wise/transpose operators, and
 //!   an unfused op-at-a-time program executor.
 
+#![warn(unreachable_pub)]
+
 pub mod engine;
 pub mod systemml;
 

@@ -12,24 +12,48 @@ use cumulon_cluster::{
 use cumulon_core::error::CoreError;
 use cumulon_core::expr::InputDesc;
 use cumulon_core::recovery::RecoveryConfig;
-use cumulon_core::{Constraint, CostModel, Optimizer, Result, SearchSpace, SpotHazard};
+use cumulon_core::{Constraint, Optimizer, Result, SearchSpace, SpotHazard};
 use cumulon_lang::{compile_source, CompiledScript, InputSpec};
 use cumulon_workloads::{run_elastic, ElasticPolicy, Workload};
 
-use crate::protocol::Request;
+use crate::protocol::{ErrorCode, Request};
 
-/// The closed-form (spec-sheet) cost model over the whole instance
-/// catalog — the same construction as `cumulon::idealized_cost_model`,
-/// duplicated here because the facade crate depends on this one.
-pub fn idealized_cost_model() -> CostModel {
-    let mut m = CostModel::default();
-    for i in cumulon_cluster::instances::catalog() {
-        m.insert(
-            i.name,
-            cumulon_core::OpCoefficients::idealized(i, 2.0, 0.85),
-        );
+pub use cumulon_core::calibrate::idealized_cost_model;
+
+/// Why a `plan`, `optimize` or `run` request failed, with the wire code
+/// that says whose fault it is: `bad-request` when the script does not
+/// compile or names an input the request does not specify, `internal`
+/// when a valid request failed later.
+#[derive(Debug)]
+pub struct RequestError {
+    /// The code the service answers with.
+    pub code: ErrorCode,
+    /// What went wrong.
+    pub error: CoreError,
+}
+
+impl RequestError {
+    fn bad_request(error: CoreError) -> Self {
+        RequestError {
+            code: ErrorCode::BadRequest,
+            error,
+        }
     }
-    m
+}
+
+impl From<CoreError> for RequestError {
+    fn from(error: CoreError) -> Self {
+        RequestError {
+            code: ErrorCode::Internal,
+            error,
+        }
+    }
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
 }
 
 fn compile_and_check(req: &Request) -> Result<(CompiledScript, BTreeMap<String, InputDesc>)> {
@@ -82,8 +106,8 @@ pub struct PlanOutcome {
 }
 
 /// Estimates the script on the request's cluster shape (fast lane).
-pub fn plan(req: &Request) -> Result<PlanOutcome> {
-    let (compiled, descs) = compile_and_check(req)?;
+pub fn plan(req: &Request) -> std::result::Result<PlanOutcome, RequestError> {
+    let (compiled, descs) = compile_and_check(req).map_err(RequestError::bad_request)?;
     let cluster = provision(&req.inputs, &req.instance, req.nodes, req.slots)?;
     let optimizer = Optimizer::new(idealized_cost_model());
     let est = optimizer.estimate_on(&cluster, &compiled.program, &descs)?;
@@ -111,8 +135,8 @@ pub struct OptimizeOutcome {
 }
 
 /// Searches deployments under the request's constraint (fast lane).
-pub fn optimize(req: &Request) -> Result<OptimizeOutcome> {
-    let (compiled, descs) = compile_and_check(req)?;
+pub fn optimize(req: &Request) -> std::result::Result<OptimizeOutcome, RequestError> {
+    let (compiled, descs) = compile_and_check(req).map_err(RequestError::bad_request)?;
     let constraint = match (req.deadline_s, req.budget_dollars) {
         (Some(d), None) => Constraint::Deadline(d),
         (None, Some(b)) => Constraint::Budget(b),
@@ -199,8 +223,12 @@ pub struct RunOutcome {
 /// are bitwise-identical to a private-pool or single-threaded run of the
 /// same program (the determinism contract the concurrency proptest
 /// pins).
-pub fn run(req: &Request, threads: usize, shared_pool: bool) -> Result<RunOutcome> {
-    let (compiled, descs) = compile_and_check(req)?;
+pub fn run(
+    req: &Request,
+    threads: usize,
+    shared_pool: bool,
+) -> std::result::Result<RunOutcome, RequestError> {
+    let (compiled, descs) = compile_and_check(req).map_err(RequestError::bad_request)?;
     let cluster = provision(&req.inputs, &req.instance, req.nodes, req.slots)?;
     if req.memory_budget > 0 {
         let config = cumulon_dfs::SpillConfig {

@@ -35,6 +35,7 @@
 //! invariant, and a proptest races N clients against a serial replay).
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 pub mod engine;

@@ -34,7 +34,7 @@ pub enum Action {
 
 impl Action {
     /// The wire name of the action.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Action::Plan => "plan",
             Action::Optimize => "optimize",
@@ -74,7 +74,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The wire name of the code.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadRequest => "bad-request",
             ErrorCode::QueueFull => "queue-full",
@@ -267,7 +267,7 @@ impl Reply {
     }
 
     /// Builds a complete error response line.
-    pub fn err(
+    pub(crate) fn err(
         id: &str,
         action: &str,
         code: ErrorCode,
@@ -284,7 +284,7 @@ impl Reply {
     }
 
     /// Appends a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Reply {
+    pub(crate) fn str(mut self, key: &str, value: &str) -> Reply {
         self.buf
             .push_str(&format!(",\"{}\":\"{}\"", escape(key), escape(value)));
         self
@@ -299,7 +299,7 @@ impl Reply {
     }
 
     /// Appends an integer field.
-    pub fn int(mut self, key: &str, value: u64) -> Reply {
+    pub(crate) fn int(mut self, key: &str, value: u64) -> Reply {
         self.buf.push_str(&format!(",\"{}\":{value}", escape(key)));
         self
     }

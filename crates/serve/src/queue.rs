@@ -20,7 +20,7 @@ struct QueueState<T> {
 }
 
 /// A bounded, priority-ordered, multi-producer multi-consumer queue.
-pub struct JobQueue<T> {
+pub(crate) struct JobQueue<T> {
     depth: usize,
     state: Mutex<QueueState<T>>,
     cvar: Condvar,
@@ -28,7 +28,7 @@ pub struct JobQueue<T> {
 
 impl<T> JobQueue<T> {
     /// An empty queue admitting at most `depth` items at once.
-    pub fn new(depth: usize) -> JobQueue<T> {
+    pub(crate) fn new(depth: usize) -> JobQueue<T> {
         JobQueue {
             depth: depth.max(1),
             state: Mutex::new(QueueState {
@@ -41,27 +41,14 @@ impl<T> JobQueue<T> {
     }
 
     /// Maximum number of queued items.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// Items currently queued (racy by nature; for backpressure math and
-    /// reporting only).
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// Whether the queue is currently empty (same caveat as [`len`]).
-    ///
-    /// [`len`]: JobQueue::len
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Tries to admit `item` at `priority`. Returns the queue length
     /// after insertion, or gives the item back (`Err`) when the queue is
     /// full or closed — never blocks.
-    pub fn push(&self, priority: u8, item: T) -> Result<usize, T> {
+    pub(crate) fn push(&self, priority: u8, item: T) -> Result<usize, T> {
         let mut st = self.state.lock().unwrap();
         if st.closed || st.items.len() >= self.depth {
             return Err(item);
@@ -78,7 +65,7 @@ impl<T> JobQueue<T> {
     /// Pops the highest-priority item (FIFO within a priority), blocking
     /// while the queue is open and empty. Returns `None` once the queue
     /// is closed *and* drained — the worker-shutdown signal.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(best) = st
@@ -99,7 +86,7 @@ impl<T> JobQueue<T> {
 
     /// Closes the queue: future pushes reject, queued items still drain
     /// through `pop`, and blocked poppers wake to observe the close.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.cvar.notify_all();
     }

@@ -82,7 +82,8 @@ impl TokenBucket {
     }
 
     /// Tokens currently available at time `now_s`, without spending.
-    pub fn available(&self, now_s: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn available(&self, now_s: f64) -> f64 {
         let dt = (now_s - self.last_s).max(0.0);
         (self.tokens + dt * self.refill_per_s).min(self.capacity)
     }

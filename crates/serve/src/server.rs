@@ -271,6 +271,42 @@ mod tests {
         server.stop();
     }
 
+    /// A `plan`, `optimize` or `run` whose script nests 3 000 parentheses
+    /// is a `bad-request` naming the depth bound, not a stack overflow that
+    /// takes the daemon down; a new connection is answered afterwards.
+    #[test]
+    fn a_too_deep_script_is_a_bad_request_and_the_server_keeps_serving() {
+        let server = Server::start("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let request = |action: &str, script: &str| {
+            format!(
+                "{{\"schema\":\"cumulon-serve-v1\",\"id\":\"p\",\"tenant\":\"t\",\
+                 \"action\":\"{action}\",\"script\":\"{script}\",\"inputs\":[\"A=96x48:16\"],\
+                 \"instance\":\"m1.large\",\"nodes\":2,\"slots\":2}}"
+            )
+        };
+        let deep = format!("G = {}A{};", "(".repeat(3_000), ")".repeat(3_000));
+        for action in ["plan", "optimize", "run"] {
+            let reply = Client::connect(server.addr())
+                .unwrap()
+                .request(&request(action, &deep))
+                .unwrap();
+            assert_eq!(reply.get("ok").and_then(|x| x.as_bool()), Some(false));
+            assert_eq!(
+                reply.get("error").and_then(|x| x.as_str()),
+                Some("bad-request"),
+                "{action}"
+            );
+            let message = reply.get("message").and_then(|x| x.as_str()).unwrap();
+            assert!(message.contains("deeper than"), "{action}: {message}");
+        }
+        let reply = Client::connect(server.addr())
+            .unwrap()
+            .request(&request("plan", "G = A' * A;"))
+            .unwrap();
+        assert_eq!(reply.get("ok").and_then(|x| x.as_bool()), Some(true));
+        server.stop();
+    }
+
     fn open_fds() -> usize {
         std::fs::read_dir("/proc/self/fd").unwrap().count()
     }

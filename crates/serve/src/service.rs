@@ -111,6 +111,8 @@ pub struct JobRecord {
     pub spans: u64,
     /// Error message, set when `Failed`.
     pub error: String,
+    /// Wire code of the error, set when `Failed`.
+    pub error_code: ErrorCode,
 }
 
 struct QueuedRun {
@@ -195,6 +197,7 @@ impl ServiceInner {
             Err(e) => self.update_job(&run.job_id, |r| {
                 r.state = JobState::Failed;
                 r.error = e.to_string();
+                r.error_code = e.code;
             }),
         }
     }
@@ -299,7 +302,7 @@ impl Service {
                     .num("est_cost_dollars", est.cost_dollars)
                     .int("plan_jobs", est.jobs as u64)
                     .finish(),
-                Err(e) => Reply::err(&req.id, "plan", ErrorCode::Internal, &e.to_string(), None),
+                Err(e) => Reply::err(&req.id, "plan", e.code, &e.to_string(), None),
             },
             Action::Optimize => match engine::optimize(&req) {
                 Ok(best) => Reply::ok(&req.id, "optimize")
@@ -310,13 +313,7 @@ impl Service {
                     .num("est_cost_dollars", best.est_cost_dollars)
                     .str("summary", &best.summary)
                     .finish(),
-                Err(e) => Reply::err(
-                    &req.id,
-                    "optimize",
-                    ErrorCode::Internal,
-                    &e.to_string(),
-                    None,
-                ),
+                Err(e) => Reply::err(&req.id, "optimize", e.code, &e.to_string(), None),
             },
             Action::Run => self.handle_run(req),
             Action::CheckStatus => self.handle_status(&req),
@@ -342,6 +339,7 @@ impl Service {
                     summary: String::new(),
                     spans: 0,
                     error: String::new(),
+                    error_code: ErrorCode::Internal,
                 },
             );
         }
@@ -470,7 +468,7 @@ fn render_finished(id: &str, job_id: &str, rec: &JobRecord) -> String {
             .int("spans", rec.spans)
             .str("summary", &rec.summary)
             .finish(),
-        JobState::Failed => Reply::err(id, "run", ErrorCode::Internal, &rec.error, None),
+        JobState::Failed => Reply::err(id, "run", rec.error_code, &rec.error, None),
         _ => unreachable!("render_finished called on unfinished job"),
     }
 }

@@ -43,7 +43,7 @@ fn phase_args(out: &mut String, p: &PhaseBreakdown) {
 impl TraceLog {
     /// Renders the log as Chrome `trace_event` JSON (object form).
     ///
-    /// Layout (schema version [`crate::TRACE_SCHEMA_VERSION`]):
+    /// Layout (schema version `crate::TRACE_SCHEMA_VERSION`):
     ///
     /// * `schema_version` — integer version stamp;
     /// * `cumulon` — run metadata: `instance`, `nodes`, `slots`,

@@ -24,11 +24,12 @@
 //!
 //! # Schema
 //!
-//! Exported JSON is versioned via [`TRACE_SCHEMA_VERSION`] and documented
+//! Exported JSON is versioned via `TRACE_SCHEMA_VERSION` and documented
 //! in DESIGN.md ("Observability"). A minimal dependency-free JSON parser
 //! ([`json`]) backs the golden-file schema tests.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +47,7 @@ pub use report::{
 /// Bump on any breaking change to span fields or JSON layout.
 /// v2: task launch cost moved out of `overhead_s` into `startup_s`.
 /// v3: the tile-cache hit and miss counters left the run metadata.
-pub const TRACE_SCHEMA_VERSION: u32 = 3;
+pub(crate) const TRACE_SCHEMA_VERSION: u32 = 3;
 
 /// Simulated seconds attributed to each execution phase of a task (or a
 /// whole run). Produced by the hardware model's noise-free cost split and
@@ -226,7 +227,8 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The event's time on the global simulated timeline.
-    pub fn t_s(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn t_s(&self) -> f64 {
         match self {
             TraceEvent::NodeFailure { t_s, .. }
             | TraceEvent::SpeculativeWin { t_s, .. }
@@ -250,7 +252,7 @@ impl TraceEvent {
 /// A completed run's full span record, snapshotted from a [`Trace`].
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    /// Schema version of this log (see [`TRACE_SCHEMA_VERSION`]).
+    /// Schema version of this log (see `TRACE_SCHEMA_VERSION`).
     pub schema_version: u32,
     /// Instance type name (e.g. `"m1.large"`).
     pub instance: String,

@@ -37,7 +37,8 @@ impl MulChain {
 
     /// The classic skewed three-factor chain `(thin × wide × thin)` where
     /// association order matters enormously.
-    pub fn skewed(thin: usize, wide: usize, tile_size: usize, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn skewed(thin: usize, wide: usize, tile_size: usize, seed: u64) -> Self {
         MulChain {
             dims: vec![thin, wide, thin, wide],
             tile_size,
@@ -46,7 +47,7 @@ impl MulChain {
     }
 
     /// Number of factors.
-    pub fn factors(&self) -> usize {
+    pub(crate) fn factors(&self) -> usize {
         self.dims.len() - 1
     }
 
@@ -106,17 +107,13 @@ impl Workload for MulChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulon_cluster::instances::catalog;
+
     use cumulon_cluster::{Cluster, ClusterSpec, ExecMode};
-    use cumulon_core::calibrate::{CostModel, OpCoefficients};
+
     use cumulon_core::Optimizer;
 
     fn optimizer() -> Optimizer {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        Optimizer::new(m)
+        Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
     }
 
     #[test]

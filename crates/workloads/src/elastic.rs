@@ -100,13 +100,6 @@ pub struct ElasticRun {
     pub refits: usize,
 }
 
-impl ElasticRun {
-    /// Total simulated makespan across all iterations.
-    pub fn total_makespan_s(&self) -> f64 {
-        self.reports.iter().map(|r| r.makespan_s).sum()
-    }
-}
-
 /// Plan-job index encoded in a traced job name (`"{op}#{idx}"`).
 fn plan_index(job_name: &str) -> Option<usize> {
     job_name.rsplit_once('#').and_then(|(_, i)| i.parse().ok())

@@ -192,16 +192,11 @@ impl Workload for Gnmf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulon_cluster::instances::catalog;
+
     use cumulon_cluster::ClusterSpec;
-    use cumulon_core::calibrate::{CostModel, OpCoefficients};
 
     fn optimizer() -> Optimizer {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        Optimizer::new(m)
+        Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
     }
 
     fn small() -> Gnmf {

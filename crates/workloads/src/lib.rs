@@ -7,15 +7,22 @@
 //! * [`gnmf`] — Gaussian non-negative matrix factorisation over a sparse
 //!   document-term matrix (multiplicative updates);
 //! * [`rsvd`] — randomized SVD: the cluster computes the heavy sketching
-//!   products, the driver finishes with small `k×k` factorisations;
+//!   products;
 //! * [`regression`] — linear least squares, both one-shot via normal
 //!   equations and iterative gradient descent (ridge-regularised);
 //! * [`power`] — sparse power iteration (PageRank-style);
 //! * [`chains`] — multiply-chain microworkloads for the optimizer
 //!   experiments;
 //! * [`smallmat`] — from-scratch driver-side dense kernels for the small
-//!   matrices that never leave the driver (Cholesky, triangular solves,
-//!   Jacobi eigenvalues, Gaussian elimination).
+//!   matrices that never leave the driver.
+//!
+//! The driver-side finishes — RSVD's small `k×k` factorisations, the
+//! normal-equation solve and gradient-descent loop, the normalised power
+//! loop — and the `smallmat` kernels only they use (Cholesky, triangular
+//! solves, Jacobi eigenvalues, Gaussian elimination) are built for tests
+//! only, which check the workloads' numerics against them.
+
+#![warn(unreachable_pub)]
 
 pub mod chains;
 pub mod checkpoint;

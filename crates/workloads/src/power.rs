@@ -7,10 +7,13 @@
 
 use std::collections::BTreeMap;
 
+#[cfg(test)]
 use cumulon_cluster::{Cluster, ExecMode, RunReport};
 use cumulon_core::error::CoreError;
 use cumulon_core::expr::{InputDesc, ProgramBuilder};
-use cumulon_core::{Optimizer, Program, Result};
+#[cfg(test)]
+use cumulon_core::Optimizer;
+use cumulon_core::{Program, Result};
 use cumulon_dfs::TileStore;
 use cumulon_matrix::gen::Generator;
 use cumulon_matrix::MatrixMeta;
@@ -31,8 +34,9 @@ pub struct PowerIteration {
 }
 
 /// Result of a driver-run power iteration.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct PowerResult {
+pub(crate) struct PowerResult {
     /// Rayleigh-quotient style estimates `‖y_i‖ / ‖x_i‖` per iteration.
     pub eigenvalue_estimates: Vec<f64>,
     /// Per-iteration run reports.
@@ -54,7 +58,7 @@ impl PowerIteration {
 
     /// Program of iteration `iter`: `x_{iter+1} = scale · (P x_iter)`,
     /// where `scale` normalises the previous product.
-    pub fn step_program(&self, iter: usize, scale: f64) -> Program {
+    pub(crate) fn step_program(&self, iter: usize, scale: f64) -> Program {
         let mut b = ProgramBuilder::new();
         let p = b.input("P");
         let x = b.input(&Self::x_name(iter));
@@ -78,7 +82,8 @@ impl PowerIteration {
 
     /// Driver loop with normalisation folded into the programs (real mode;
     /// in simulated mode the normalisation scale stays 1).
-    pub fn run(
+    #[cfg(test)]
+    pub(crate) fn run(
         &self,
         optimizer: &Optimizer,
         cluster: &Cluster,
@@ -112,6 +117,7 @@ impl PowerIteration {
         })
     }
 
+    #[cfg(test)]
     fn vector_norm(&self, store: &TileStore, iter: usize) -> Result<f64> {
         let x = store
             .get_local(&Self::x_name(iter))
@@ -163,16 +169,11 @@ impl Workload for PowerIteration {
 mod tests {
     use super::*;
     use crate::smallmat::{jacobi_eigenvalues, SmallMat};
-    use cumulon_cluster::instances::catalog;
+
     use cumulon_cluster::ClusterSpec;
-    use cumulon_core::calibrate::{CostModel, OpCoefficients};
 
     fn optimizer() -> Optimizer {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        Optimizer::new(m)
+        Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
     }
 
     #[test]

@@ -11,14 +11,18 @@
 
 use std::collections::BTreeMap;
 
+#[cfg(test)]
 use cumulon_cluster::{Cluster, ExecMode, RunReport};
 use cumulon_core::error::CoreError;
 use cumulon_core::expr::{InputDesc, ProgramBuilder};
-use cumulon_core::{Optimizer, Program, Result};
+#[cfg(test)]
+use cumulon_core::Optimizer;
+use cumulon_core::{Program, Result};
 use cumulon_dfs::TileStore;
 use cumulon_matrix::gen::Generator;
 use cumulon_matrix::MatrixMeta;
 
+#[cfg(test)]
 use crate::smallmat::{cholesky, cholesky_solve, jacobi_eigenvalues, SmallMat};
 use crate::Workload;
 
@@ -76,7 +80,8 @@ impl Regression {
     }
 
     /// Runs the normal-equation route end to end, returning the solution.
-    pub fn solve_normal_eq(
+    #[cfg(test)]
+    pub(crate) fn solve_normal_eq(
         &self,
         optimizer: &Optimizer,
         cluster: &Cluster,
@@ -114,7 +119,8 @@ impl Regression {
 
     /// A stable gradient step size from the normal-equation Gram matrix:
     /// `α = 1 / λ_max(G + λI)`.
-    pub fn step_size(&self, store: &TileStore) -> Result<f64> {
+    #[cfg(test)]
+    pub(crate) fn step_size(&self, store: &TileStore) -> Result<f64> {
         let d = self.features;
         let g_local = store.get_local("G").map_err(CoreError::from)?;
         let mut g = SmallMat::new(
@@ -133,7 +139,7 @@ impl Regression {
     }
 
     /// Gradient-descent program for one iteration, parameterised by `α`.
-    pub fn gd_program(&self, iter: usize, alpha: f64) -> Program {
+    pub(crate) fn gd_program(&self, iter: usize, alpha: f64) -> Program {
         let mut b = ProgramBuilder::new();
         let x = b.input("X");
         let y = b.input("y");
@@ -163,7 +169,8 @@ impl Regression {
 
     /// Runs `iters` gradient-descent iterations; returns the final iterate
     /// (empty in simulated mode) and the per-iteration reports.
-    pub fn run_gd(
+    #[cfg(test)]
+    pub(crate) fn run_gd(
         &self,
         optimizer: &Optimizer,
         cluster: &Cluster,
@@ -236,16 +243,11 @@ impl Workload for Regression {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulon_cluster::instances::catalog;
+
     use cumulon_cluster::ClusterSpec;
-    use cumulon_core::calibrate::{CostModel, OpCoefficients};
 
     fn optimizer() -> Optimizer {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        Optimizer::new(m)
+        Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
     }
 
     fn small() -> Regression {

@@ -27,6 +27,7 @@ use cumulon_dfs::TileStore;
 use cumulon_matrix::gen::Generator;
 use cumulon_matrix::MatrixMeta;
 
+#[cfg(test)]
 use crate::smallmat::{cholesky, invert_upper, jacobi_eigenvalues, SmallMat};
 use crate::Workload;
 
@@ -96,7 +97,7 @@ impl Rsvd {
     }
 
     /// The Gram-stage program: `G1 = YᵀY`, `B = AᵀY`, `G2 = BᵀB`.
-    pub fn gram_program(&self) -> Program {
+    pub(crate) fn gram_program(&self) -> Program {
         let mut b = ProgramBuilder::new();
         let a = b.input("A");
         let y = b.input(&self.final_y());
@@ -112,7 +113,7 @@ impl Rsvd {
     }
 
     /// Inputs of the Gram stage.
-    pub fn gram_inputs(&self) -> BTreeMap<String, InputDesc> {
+    pub(crate) fn gram_inputs(&self) -> BTreeMap<String, InputDesc> {
         let mut m = BTreeMap::new();
         m.insert("A".into(), InputDesc::dense(self.a_meta()).generated());
         m.insert(
@@ -123,7 +124,8 @@ impl Rsvd {
     }
 
     /// Driver-side finish: approximate singular values, descending.
-    pub fn singular_values(&self, store: &TileStore) -> Result<Vec<f64>> {
+    #[cfg(test)]
+    pub(crate) fn singular_values(&self, store: &TileStore) -> Result<Vec<f64>> {
         let g1 = fetch_small(store, "G1", self.k)?;
         let g2 = fetch_small(store, "G2", self.k)?;
         let r = cholesky(&g1)?;
@@ -135,7 +137,8 @@ impl Rsvd {
 }
 
 /// Fetches a small `k×k` matrix from the store into driver memory.
-pub fn fetch_small(store: &TileStore, name: &str, k: usize) -> Result<SmallMat> {
+#[cfg(test)]
+pub(crate) fn fetch_small(store: &TileStore, name: &str, k: usize) -> Result<SmallMat> {
     let local = store.get_local(name).map_err(CoreError::from)?;
     let data = local
         .to_dense_vec()
@@ -207,17 +210,13 @@ impl Workload for Rsvd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulon_cluster::instances::catalog;
+
     use cumulon_cluster::ClusterSpec;
-    use cumulon_core::calibrate::{CostModel, OpCoefficients};
+
     use cumulon_matrix::LocalMatrix;
 
     fn optimizer() -> Optimizer {
-        let mut m = CostModel::default();
-        for i in catalog() {
-            m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-        }
-        Optimizer::new(m)
+        Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
     }
 
     /// Reference singular values via Jacobi on the full Gram matrix AᵀA.

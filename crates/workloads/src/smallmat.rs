@@ -6,6 +6,7 @@
 // loops state the recurrences the way the math is written.
 #![allow(clippy::needless_range_loop)]
 
+#[cfg(test)]
 use cumulon_core::error::{CoreError, Result};
 
 /// A small column-count dense matrix, row-major.
@@ -27,7 +28,7 @@ impl SmallMat {
     }
 
     /// Zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         SmallMat {
             rows,
             cols,
@@ -36,7 +37,8 @@ impl SmallMat {
     }
 
     /// Identity.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;
@@ -46,13 +48,14 @@ impl SmallMat {
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.cols + j]
     }
 
     /// Element mutator.
+    #[cfg(test)]
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.cols + j] = v;
     }
 
@@ -75,7 +78,8 @@ impl SmallMat {
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> SmallMat {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> SmallMat {
         let mut out = SmallMat::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -86,7 +90,8 @@ impl SmallMat {
     }
 
     /// Maximum absolute difference to another matrix.
-    pub fn max_abs_diff(&self, other: &SmallMat) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_abs_diff(&self, other: &SmallMat) -> f64 {
         self.data
             .iter()
             .zip(other.data.iter())
@@ -97,7 +102,8 @@ impl SmallMat {
 
 /// Cholesky factorisation of a symmetric positive-definite matrix:
 /// returns upper-triangular `R` with `A = Rᵀ R`.
-pub fn cholesky(a: &SmallMat) -> Result<SmallMat> {
+#[cfg(test)]
+pub(crate) fn cholesky(a: &SmallMat) -> Result<SmallMat> {
     let n = a.rows;
     if a.cols != n {
         return Err(CoreError::Invariant(
@@ -127,7 +133,8 @@ pub fn cholesky(a: &SmallMat) -> Result<SmallMat> {
 }
 
 /// Solves `Rᵀ x = b` then `R y = x` (i.e. `A y = b` given `A = RᵀR`).
-pub fn cholesky_solve(r: &SmallMat, b: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn cholesky_solve(r: &SmallMat, b: &[f64]) -> Vec<f64> {
     let n = r.rows;
     debug_assert_eq!(b.len(), n);
     // Forward: Rᵀ x = b (Rᵀ is lower triangular).
@@ -152,7 +159,8 @@ pub fn cholesky_solve(r: &SmallMat, b: &[f64]) -> Vec<f64> {
 }
 
 /// Solves the upper-triangular system `R x = b`.
-pub fn solve_upper(r: &SmallMat, b: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn solve_upper(r: &SmallMat, b: &[f64]) -> Vec<f64> {
     let n = r.rows;
     let mut x = vec![0.0; n];
     for i in (0..n).rev() {
@@ -166,7 +174,8 @@ pub fn solve_upper(r: &SmallMat, b: &[f64]) -> Vec<f64> {
 }
 
 /// Inverse of an upper-triangular matrix.
-pub fn invert_upper(r: &SmallMat) -> SmallMat {
+#[cfg(test)]
+pub(crate) fn invert_upper(r: &SmallMat) -> SmallMat {
     let n = r.rows;
     let mut inv = SmallMat::zeros(n, n);
     for col in 0..n {
@@ -182,7 +191,8 @@ pub fn invert_upper(r: &SmallMat) -> SmallMat {
 
 /// Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted
 /// descending. Robust and dependency-free for the small matrices we need.
-pub fn jacobi_eigenvalues(a: &SmallMat, sweeps: usize) -> Result<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn jacobi_eigenvalues(a: &SmallMat, sweeps: usize) -> Result<Vec<f64>> {
     let n = a.rows;
     if a.cols != n {
         return Err(CoreError::Invariant("jacobi needs a square matrix".into()));
@@ -233,7 +243,8 @@ pub fn jacobi_eigenvalues(a: &SmallMat, sweeps: usize) -> Result<Vec<f64>> {
 
 /// Solves a general square linear system by Gaussian elimination with
 /// partial pivoting.
-pub fn solve_linear(a: &SmallMat, b: &[f64]) -> Result<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn solve_linear(a: &SmallMat, b: &[f64]) -> Result<Vec<f64>> {
     let n = a.rows;
     if a.cols != n || b.len() != n {
         return Err(CoreError::Invariant(

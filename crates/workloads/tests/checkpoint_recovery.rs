@@ -3,9 +3,7 @@
 //! program) must rewind to the last checkpoint and still converge to the
 //! exact failure-free factors.
 
-use cumulon_cluster::instances::catalog;
 use cumulon_cluster::{Cluster, ClusterSpec, ExecMode, FailurePlan, SchedulerConfig};
-use cumulon_core::calibrate::{CostModel, OpCoefficients};
 use cumulon_core::{Optimizer, RecoveryConfig};
 use cumulon_dfs::DfsConfig;
 use cumulon_matrix::serialize::encoded_len;
@@ -14,11 +12,7 @@ use cumulon_workloads::gnmf::Gnmf;
 use cumulon_workloads::{run_checkpointed, CheckpointPolicy, Workload};
 
 fn optimizer() -> Optimizer {
-    let mut m = CostModel::default();
-    for i in catalog() {
-        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-    }
-    Optimizer::new(m)
+    Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
 }
 
 fn small() -> Gnmf {

@@ -8,7 +8,6 @@
 
 use cumulon_cluster::scheduler::Revocation;
 use cumulon_cluster::{Cluster, ClusterSpec, ExecMode, FailurePlan, SchedulerConfig};
-use cumulon_core::calibrate::{CostModel, OpCoefficients};
 use cumulon_core::{Optimizer, RecoveryConfig};
 use cumulon_dfs::DfsConfig;
 use cumulon_workloads::power::PowerIteration;
@@ -16,11 +15,7 @@ use cumulon_workloads::{run_checkpointed, run_elastic, CheckpointPolicy, Elastic
 use proptest::prelude::*;
 
 fn optimizer() -> Optimizer {
-    let mut m = CostModel::default();
-    for i in cumulon_cluster::instances::catalog() {
-        m.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
-    }
-    Optimizer::new(m)
+    Optimizer::new(cumulon_core::calibrate::idealized_cost_model())
 }
 
 fn power() -> PowerIteration {

@@ -1,11 +1,9 @@
-//! Integration tests for the surface language and distributed aggregates:
-//! scripts compiled by `cumulon-lang` must execute identically to
-//! hand-built programs, and cluster-side aggregates must match driver-side
-//! reference values.
+//! Integration tests for the surface language: scripts compiled by
+//! `cumulon-lang` must execute identically to hand-built programs and match
+//! driver-side reference values.
 
 use std::collections::BTreeMap;
 
-use cumulon::core::aggregate::{aggregate, frobenius_norm, AggKind};
 use cumulon::prelude::*;
 
 fn optimizer() -> Optimizer {
@@ -94,41 +92,6 @@ fn scripted_chain_goes_through_the_optimizer() {
         expect = expect.matmul(m).unwrap();
     }
     assert!(got.max_abs_diff(&expect).unwrap() < 1e-8);
-}
-
-#[test]
-fn aggregates_support_convergence_checks_at_scale() {
-    // Real mode: exact values.
-    let cluster = Cluster::provision(ClusterSpec::named("m1.large", 3, 2).unwrap()).unwrap();
-    let meta = MatrixMeta::new(36, 24, 10);
-    let m = LocalMatrix::generate(meta, &Generator::DenseGaussian { seed: 9 });
-    cluster.store().put_local("M", &m).unwrap();
-
-    let (norm, _) = frobenius_norm(&cluster, "M", 3, "it0", ExecMode::Real).unwrap();
-    assert!((norm.unwrap() - m.frob_norm()).abs() < 1e-9);
-    let (sum, _) = aggregate(&cluster, "M", AggKind::Sum, 3, "it1", ExecMode::Real).unwrap();
-    assert!((sum.unwrap() - m.sum()).abs() < 1e-9);
-
-    // Phantom mode at scale: value unavailable, cost realistic.
-    let big = Cluster::provision(ClusterSpec::named("c1.xlarge", 8, 8).unwrap()).unwrap();
-    let big_meta = MatrixMeta::new(100_000, 100_000, 1_000);
-    big.store()
-        .register_generated(
-            "BIG",
-            big_meta,
-            Generator::SparseUniform {
-                seed: 1,
-                density: 0.01,
-            },
-        )
-        .unwrap();
-    let (v, report) =
-        aggregate(&big, "BIG", AggKind::FrobSq, 64, "it2", ExecMode::Simulated).unwrap();
-    assert!(v.is_none());
-    assert!(
-        report.makespan_s > 1.0,
-        "scanning 1.2GB of sparse data takes real time"
-    );
 }
 
 #[test]
