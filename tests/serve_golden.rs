@@ -7,7 +7,11 @@
 //! response schema documented in README.md ("Protocol reference") and
 //! DESIGN.md ("Service layer").
 //!
-//! Regenerate after an intentional schema change with:
+//! `run_paths_match_golden` pins the run pipeline's output the same way,
+//! through `cumulon run`/`trace`/`plan` and the service's `run`, in
+//! `tests/golden/run_paths.txt`.
+//!
+//! Regenerate both after an intentional change with:
 //!
 //! ```sh
 //! BLESS_SERVE_GOLDEN=1 cargo test -p cumulon --test serve_golden
@@ -130,5 +134,97 @@ fn serve_session_matches_golden_and_schema() {
     assert!(
         run_fp.starts_with("mk"),
         "fingerprint is the canonical form"
+    );
+}
+
+/// Every way a run leaves the pipeline, pinned byte for byte: `cumulon
+/// run` in each of its modes, `cumulon trace`, `cumulon plan`, and the
+/// service's `run` with the spot, elastic and memory-budget fields the
+/// session above does not exercise. The CLI and the service reach the
+/// same run pipeline, so a change to it shows up here on both sides.
+const CLI_RUNS: &[&str] = &[
+    "run chain.cm --input A=4000x2000:200 --instance m1.large --nodes 4 --slots 2 --threads 1",
+    "run chain.cm --input A=120x60:20 --instance m1.large --nodes 2 --slots 2 --threads 1 --real",
+    "run chain.cm --input A=4000x2000:200 --instance m1.large --nodes 4 --slots 2 --threads 1 \
+     --spot --bid 0.4",
+    "run chain.cm --input A=4000x2000:200 --instance m1.large --nodes 4 --slots 2 --threads 1 \
+     --spot --bid 0.4 --elastic",
+    "run chain.cm --input A=120x60:20 --instance m1.large --nodes 2 --slots 2 --threads 1 \
+     --real --memory-budget 8192 --prefetch-depth 2",
+    "trace chain.cm --input A=120x60:20 --instance m1.large --nodes 2 --slots 2 --threads 1 --real",
+    "plan mul.cm --input A=8000x8000 --input B=8000x8000 --deadline 120 --max-nodes 8",
+    "plan mul.cm --input A=8000x8000 --input B=8000x8000 --deadline 120 --max-nodes 8 --spot",
+];
+
+const SERVE_RUNS: &[&str] = &[
+    r#"{"schema":"cumulon-serve-v1","id":"p1","tenant":"t","action":"run","script":"G = A' * A; H = G * G;","inputs":["A=4000x2000:200"],"instance":"m1.large","nodes":4,"slots":2,"spot":true,"bid":0.4}"#,
+    r#"{"schema":"cumulon-serve-v1","id":"p2","tenant":"t","action":"run","script":"G = A' * A; H = G * G;","inputs":["A=4000x2000:200"],"instance":"m1.large","nodes":4,"slots":2,"spot":true,"bid":0.4,"elastic":true}"#,
+    r#"{"schema":"cumulon-serve-v1","id":"p3","tenant":"t","action":"run","script":"G = A' * A; H = G * G;","inputs":["A=120x60:20"],"instance":"m1.large","nodes":2,"slots":2,"memory_budget":8192}"#,
+];
+
+fn run_paths_transcript() -> String {
+    let dir = std::env::temp_dir().join(format!("cumulon_run_paths_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let chain = dir.join("chain.cm");
+    let mul = dir.join("mul.cm");
+    std::fs::write(&chain, "G = A' * A; H = G * G;").expect("write script");
+    std::fs::write(&mul, "C = A * B;").expect("write script");
+    let mut transcript = String::new();
+    for line in CLI_RUNS {
+        let args: Vec<String> = line
+            .split_whitespace()
+            .map(|a| match a {
+                "chain.cm" => chain.to_str().unwrap().to_string(),
+                "mul.cm" => mul.to_str().unwrap().to_string(),
+                other => other.to_string(),
+            })
+            .collect();
+        let cmd = cumulon::cli::parse_args(&args).expect("golden command line parses");
+        let mut out = Vec::new();
+        cumulon::cli::execute(&cmd, &mut out).expect("golden command runs");
+        transcript.push_str("$ cumulon ");
+        transcript.push_str(&line.split_whitespace().collect::<Vec<_>>().join(" "));
+        transcript.push('\n');
+        transcript.push_str(&String::from_utf8(out).expect("utf-8 output"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut svc = Service::start(ServiceConfig {
+        run_workers: 1,
+        threads: 1,
+        quota: QuotaConfig {
+            capacity: 1e6,
+            refill_per_s: 1e3,
+            ..QuotaConfig::default()
+        },
+        ..Default::default()
+    });
+    for request in SERVE_RUNS {
+        transcript.push_str("C: ");
+        transcript.push_str(request);
+        transcript.push('\n');
+        transcript.push_str("S: ");
+        transcript.push_str(&svc.handle(request));
+    }
+    svc.shutdown();
+    transcript
+}
+
+#[test]
+fn run_paths_match_golden() {
+    let transcript = run_paths_transcript();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/run_paths.txt"
+    );
+    if std::env::var_os("BLESS_SERVE_GOLDEN").is_some() {
+        std::fs::write(path, &transcript).expect("bless golden");
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file exists");
+    assert_eq!(
+        transcript, golden,
+        "run output diverged from tests/golden/run_paths.txt; if the change \
+         is intentional, run BLESS_SERVE_GOLDEN=1 cargo test -p cumulon \
+         --test serve_golden"
     );
 }
