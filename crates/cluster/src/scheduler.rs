@@ -62,8 +62,9 @@ pub use specpool::{shared_spec_pool, SpecPool};
 
 /// Process-wide default worker-thread count, used when
 /// [`SchedulerConfig::threads`] is `0`. Starts at `1` (sequential) so
-/// library embedders opt into parallelism explicitly; binaries set it once
-/// at startup via [`set_default_threads`].
+/// library embedders opt into parallelism explicitly; `repro --threads`
+/// sets it once at startup via [`set_default_threads`] (`cumulon run`
+/// puts its count in [`SchedulerConfig::threads`] instead).
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the process-wide default worker-thread count that
@@ -81,7 +82,7 @@ pub fn set_default_threads(n: usize) {
 }
 
 /// The current process-wide default worker-thread count.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     DEFAULT_THREADS.load(Ordering::Relaxed).max(1)
 }
 

@@ -24,6 +24,12 @@ pub enum CoreError {
     Calibration(String),
     /// Execution-layer failure.
     Exec(String),
+    /// The caller asked for something malformed: an unknown or missing
+    /// command-line flag, a run spec no run can honour, or a script input
+    /// with no spec.
+    Usage(String),
+    /// The DSL source does not lex, parse or compile.
+    Parse(String),
     /// Data was lost that no plan job can recompute (a source input or a
     /// truncated-lineage matrix). Iterative drivers catch this to rewind
     /// to their last checkpoint.
@@ -45,6 +51,7 @@ impl fmt::Display for CoreError {
             CoreError::Infeasible(m) => write!(f, "no feasible deployment: {m}"),
             CoreError::Calibration(m) => write!(f, "calibration failed: {m}"),
             CoreError::Exec(m) => write!(f, "execution failed: {m}"),
+            CoreError::Usage(m) | CoreError::Parse(m) => f.write_str(m),
             CoreError::Unrecoverable { matrix, detail } => {
                 write!(f, "unrecoverable data loss in '{matrix}': {detail}")
             }
@@ -78,6 +85,15 @@ mod tests {
         assert_eq!(
             CoreError::UnknownInput("V".into()).to_string(),
             "unknown input matrix: V"
+        );
+        // User errors read as what the user got wrong, nothing more.
+        assert_eq!(
+            CoreError::Usage("nodes must be positive".into()).to_string(),
+            "nodes must be positive"
+        );
+        assert_eq!(
+            CoreError::Parse("parse error at line 1: x".into()).to_string(),
+            "parse error at line 1: x"
         );
         assert!(CoreError::Infeasible("deadline 1s".into())
             .to_string()

@@ -14,23 +14,11 @@
 //! generator-backed (seeded, deterministic). Density `< 1` implies sparse
 //! storage.
 
-use std::collections::BTreeMap;
-
-use cumulon_cluster::{
-    Cluster, ClusterSpec, ExecMode, FailurePlan, SchedulerConfig, SpotMarket, Trace,
-};
+use cumulon_cluster::{SchedulerConfig, Trace};
 use cumulon_core::error::CoreError;
-use cumulon_core::expr::InputDesc;
-use cumulon_core::recovery::RecoveryConfig;
-use cumulon_core::{
-    Constraint, DeploymentSearch, Optimizer, Result, SearchSpace, SpotHazard, SpotSearchSpace,
-};
-use cumulon_lang::{compile_source, CompiledScript};
-use cumulon_workloads::{run_elastic, ElasticPolicy, Workload};
-
-// Input parsing moved to `cumulon-lang` so the CLI and `cumulon serve`
-// share it; re-exported here for source compatibility.
-pub use cumulon_lang::InputSpec;
+use cumulon_core::{Constraint, DeploymentSearch, Optimizer, Result, SearchSpace, SpotSearchSpace};
+use cumulon_lang::{compile_source, CompiledScript, InputSpec};
+use cumulon_serve::engine::{self, Executed, RunSpec};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,57 +44,16 @@ pub enum Command {
     Run {
         /// Script path.
         script: String,
-        /// Input specs.
-        inputs: Vec<InputSpec>,
-        /// Instance type name.
-        instance: String,
-        /// Node count.
-        nodes: u32,
-        /// Slots per node (0 = one per core).
-        slots: u32,
-        /// Real tile math instead of phantom.
-        real: bool,
-        /// Worker threads for task compute (0 = all host cores, 1 = every
-        /// task resolved inline in the event loop). Results are identical
-        /// either way.
-        threads: usize,
+        /// What the run executes on (`threads` 0 = all host cores).
+        spec: RunSpec,
         /// Write a Chrome `trace_event` JSON timeline of the run here
         /// (load in Perfetto or `chrome://tracing`). Tracing never
         /// changes results.
         trace: Option<String>,
-        /// Run the upper half of the fleet as spot capacity under a
-        /// synthetic price trace: when the market outbids us, those
-        /// nodes are reclaimed in one correlated revocation (with a
-        /// warning window the scheduler drains into) and the run
-        /// survives via lineage recovery.
-        spot: bool,
-        /// Spot bid as a fraction of the on-demand list price
-        /// (default 0.5). Only meaningful with `--spot`.
-        bid: Option<f64>,
-        /// Re-provision at the end of the run: refit the cost model from
-        /// the traced execution and replace revoked capacity with
-        /// on-demand nodes, topping the fleet back up to `--nodes`.
-        elastic: bool,
         /// Threads *inside* each tile kernel (1 = serial, 0 = all host
         /// cores). Bitwise-identical results at any setting; useful when
         /// a run has fewer concurrent tasks than cores.
         kernel_threads: usize,
-        /// Host-memory budget in bytes for resident tile payloads
-        /// (0 = unbounded). Cold tiles spill to an append-only blob
-        /// store on disk and are re-admitted transparently on read;
-        /// results are bitwise-identical at any budget.
-        memory_budget: u64,
-        /// Directory for spill segment files (default: a per-process
-        /// temp directory). Only meaningful with `--memory-budget`.
-        spill_dir: Option<String>,
-        /// Prefetch up to this many spilled frontier tiles per wave, ahead
-        /// of the demand reads that would otherwise pull them back
-        /// synchronously (under a budget each wave already resolves tasks
-        /// whose hinted input tiles are RAM-resident first). `0` disables.
-        /// Results, receipts and simulated time are bitwise-identical at
-        /// any depth (the `spill-schedule-transparency` invariant). Only
-        /// meaningful with `--memory-budget`.
-        prefetch_depth: usize,
     },
     /// `trace`: execute like `run`, then print the critical-path,
     /// slot-utilization and estimate-vs-actual reports for the traced
@@ -114,18 +61,8 @@ pub enum Command {
     Trace {
         /// Script path.
         script: String,
-        /// Input specs.
-        inputs: Vec<InputSpec>,
-        /// Instance type name.
-        instance: String,
-        /// Node count.
-        nodes: u32,
-        /// Slots per node (0 = one per core).
-        slots: u32,
-        /// Real tile math instead of phantom.
-        real: bool,
-        /// Worker threads for task compute (0 = all host cores).
-        threads: usize,
+        /// What the run executes on (no spot, elastic or spill settings).
+        spec: RunSpec,
         /// Also write the Chrome `trace_event` JSON timeline here.
         out_json: Option<String>,
         /// Threads inside each tile kernel (1 = serial, 0 = all cores).
@@ -204,9 +141,23 @@ const USAGE: &str =
     tenant service; newline-delimited JSON, schema\n\
     cumulon-serve-v1 — see README \"cumulon serve\")";
 
+/// Takes the value after `flag` and parses it, failing with "`flag`
+/// needs `what`" when it is missing or does not parse.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+    what: &str,
+) -> Result<T> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| CoreError::Usage(format!("{flag} needs {what}")))
+}
+
 /// Parses CLI arguments (past the binary name).
 pub fn parse_args(args: &[String]) -> Result<Command> {
-    let usage = || CoreError::Invariant(USAGE.to_string());
+    let usage = || CoreError::Usage(USAGE.to_string());
+    let unknown =
+        |other: &str, cmd: &str| CoreError::Usage(format!("unknown argument '{other}'{cmd}"));
     let mut it = args.iter();
     let cmd = it.next().ok_or_else(usage)?.clone();
     if cmd == "--help" || cmd == "-h" {
@@ -219,17 +170,8 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => quick = true,
-                "--report" => {
-                    report =
-                        Some(it.next().cloned().ok_or_else(|| {
-                            CoreError::Invariant("--report needs a file path".into())
-                        })?)
-                }
-                other => {
-                    return Err(CoreError::Invariant(format!(
-                        "unknown argument '{other}' for check"
-                    )));
-                }
+                "--report" => report = Some(flag_value(&mut it, "--report", "a file path")?),
+                other => return Err(unknown(other, " for check")),
             }
         }
         return Ok(Command::Check { quick, report });
@@ -241,29 +183,17 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         let mut run_workers = 2usize;
         let mut threads = 2usize;
         while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| CoreError::Invariant(format!("{flag} needs a value")))
-            };
-            let int = |flag: &str, v: String| {
-                v.parse::<usize>()
-                    .map_err(|_| CoreError::Invariant(format!("{flag} needs an integer")))
-            };
-            match arg.as_str() {
-                "--addr" => addr = value("--addr")?,
-                "--queue-depth" => queue_depth = int("--queue-depth", value("--queue-depth")?)?,
-                "--run-workers" => run_workers = int("--run-workers", value("--run-workers")?)?,
-                "--threads" => threads = int("--threads", value("--threads")?)?,
-                other => {
-                    return Err(CoreError::Invariant(format!(
-                        "unknown argument '{other}' for serve"
-                    )));
-                }
+            let flag = arg.as_str();
+            match flag {
+                "--addr" => addr = flag_value(&mut it, flag, "a value")?,
+                "--queue-depth" => queue_depth = flag_value(&mut it, flag, "an integer")?,
+                "--run-workers" => run_workers = flag_value(&mut it, flag, "an integer")?,
+                "--threads" => threads = flag_value(&mut it, flag, "an integer")?,
+                other => return Err(unknown(other, " for serve")),
             }
         }
         if queue_depth == 0 || run_workers == 0 {
-            return Err(CoreError::Invariant(
+            return Err(CoreError::Usage(
                 "--queue-depth and --run-workers must be positive".into(),
             ));
         }
@@ -281,25 +211,13 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         let mut kernel_threads = 1usize;
         let mut json = None;
         while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| CoreError::Invariant(format!("{flag} needs a value")))
-            };
-            match arg.as_str() {
-                "--instance" => instance = value("--instance")?,
+            let flag = arg.as_str();
+            match flag {
+                "--instance" => instance = flag_value(&mut it, flag, "a value")?,
                 "--quick" => quick = true,
-                "--kernel-threads" => {
-                    kernel_threads = value("--kernel-threads")?.parse().map_err(|_| {
-                        CoreError::Invariant("--kernel-threads needs an integer".into())
-                    })?
-                }
-                "--json" => json = Some(value("--json")?),
-                other => {
-                    return Err(CoreError::Invariant(format!(
-                        "unknown argument '{other}' for calibrate"
-                    )));
-                }
+                "--kernel-threads" => kernel_threads = flag_value(&mut it, flag, "an integer")?,
+                "--json" => json = Some(flag_value(&mut it, flag, "a value")?),
+                other => return Err(unknown(other, " for calibrate")),
             }
         }
         return Ok(Command::Calibrate {
@@ -310,368 +228,142 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         });
     }
     let script = it.next().ok_or_else(usage)?.clone();
-    let mut inputs = Vec::new();
+    let mut spec = RunSpec::default();
+    let mut instance: Option<String> = None;
+    let mut nodes: Option<u32> = None;
     let mut deadline: Option<f64> = None;
     let mut budget: Option<f64> = None;
     let mut max_nodes = 64u32;
-    let mut instance: Option<String> = None;
-    let mut nodes: Option<u32> = None;
-    let mut slots = 0u32;
-    let mut real = false;
-    let mut threads = 0usize;
     let mut kernel_threads = 1usize;
     let mut trace: Option<String> = None;
-    let mut spot = false;
-    let mut bid: Option<f64> = None;
-    let mut elastic = false;
-    let mut memory_budget = 0u64;
-    let mut spill_dir: Option<String> = None;
-    let mut prefetch_depth = 0usize;
-
-    let next_value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| CoreError::Invariant(format!("{flag} needs a value")))
-    };
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--input" => inputs.push(InputSpec::parse(&next_value(&mut it, "--input")?)?),
-            "--deadline" => {
-                deadline = Some(
-                    next_value(&mut it, "--deadline")?
-                        .parse::<f64>()
-                        .map_err(|_| CoreError::Invariant("--deadline needs minutes".into()))?
-                        * 60.0,
-                )
-            }
-            "--budget" => {
-                budget = Some(
-                    next_value(&mut it, "--budget")?
-                        .parse::<f64>()
-                        .map_err(|_| {
-                            CoreError::Invariant("--budget needs a dollar amount".into())
-                        })?,
-                )
-            }
-            "--max-nodes" => {
-                max_nodes = next_value(&mut it, "--max-nodes")?
-                    .parse()
-                    .map_err(|_| CoreError::Invariant("--max-nodes needs an integer".into()))?
-            }
-            "--instance" => instance = Some(next_value(&mut it, "--instance")?),
-            "--nodes" => {
-                nodes = Some(
-                    next_value(&mut it, "--nodes")?
-                        .parse()
-                        .map_err(|_| CoreError::Invariant("--nodes needs an integer".into()))?,
-                )
-            }
-            "--slots" => {
-                slots = next_value(&mut it, "--slots")?
-                    .parse()
-                    .map_err(|_| CoreError::Invariant("--slots needs an integer".into()))?
-            }
-            "--real" => real = true,
-            "--spot" => spot = true,
-            "--elastic" => elastic = true,
-            "--bid" => {
-                let frac = next_value(&mut it, "--bid")?.parse::<f64>().map_err(|_| {
-                    CoreError::Invariant("--bid needs a fraction of the list price".into())
-                })?;
-                if !(frac > 0.0 && frac.is_finite()) {
-                    return Err(CoreError::Invariant(
-                        "--bid must be a positive fraction of the list price".into(),
-                    ));
-                }
-                bid = Some(frac);
-            }
-            "--trace" => trace = Some(next_value(&mut it, "--trace")?),
-            "--threads" => {
-                threads = next_value(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|_| CoreError::Invariant("--threads needs an integer".into()))?
-            }
-            "--kernel-threads" => {
-                kernel_threads = next_value(&mut it, "--kernel-threads")?
-                    .parse()
-                    .map_err(|_| CoreError::Invariant("--kernel-threads needs an integer".into()))?
-            }
-            "--memory-budget" => {
-                memory_budget = next_value(&mut it, "--memory-budget")?
-                    .parse()
-                    .map_err(|_| {
-                        CoreError::Invariant("--memory-budget needs a byte count".into())
-                    })?
-            }
-            "--spill-dir" => spill_dir = Some(next_value(&mut it, "--spill-dir")?),
-            "--prefetch-depth" => {
-                prefetch_depth = next_value(&mut it, "--prefetch-depth")?
-                    .parse()
-                    .map_err(|_| {
-                        CoreError::Invariant("--prefetch-depth needs a tile count".into())
-                    })?
-            }
-            other => {
-                return Err(CoreError::Invariant(format!("unknown argument '{other}'")));
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--input" => spec.inputs.push(InputSpec::parse(&flag_value::<String>(
+                &mut it, flag, "a value",
+            )?)?),
+            "--deadline" => deadline = Some(flag_value::<f64>(&mut it, flag, "minutes")? * 60.0),
+            "--budget" => budget = Some(flag_value(&mut it, flag, "a dollar amount")?),
+            "--max-nodes" => max_nodes = flag_value(&mut it, flag, "an integer")?,
+            "--instance" => instance = Some(flag_value(&mut it, flag, "a value")?),
+            "--nodes" => nodes = Some(flag_value(&mut it, flag, "an integer")?),
+            "--slots" => spec.slots = flag_value(&mut it, flag, "an integer")?,
+            "--real" => spec.real = true,
+            "--spot" => spec.spot = true,
+            "--elastic" => spec.elastic = true,
+            "--bid" => spec.bid = Some(flag_value(&mut it, flag, "a fraction of the list price")?),
+            "--trace" => trace = Some(flag_value(&mut it, flag, "a value")?),
+            "--threads" => spec.threads = flag_value(&mut it, flag, "an integer")?,
+            "--kernel-threads" => kernel_threads = flag_value(&mut it, flag, "an integer")?,
+            "--memory-budget" => spec.memory_budget = flag_value(&mut it, flag, "a byte count")?,
+            "--spill-dir" => spec.spill_dir = Some(flag_value(&mut it, flag, "a value")?),
+            "--prefetch-depth" => spec.prefetch_depth = flag_value(&mut it, flag, "a tile count")?,
+            other => return Err(unknown(other, "")),
         }
     }
-    if inputs.is_empty() {
-        return Err(CoreError::Invariant(
-            "at least one --input is required".into(),
-        ));
+    if spec.inputs.is_empty() {
+        return Err(CoreError::Usage("at least one --input is required".into()));
     }
-    if bid.is_some() && !spot {
-        return Err(CoreError::Invariant("--bid requires --spot".into()));
-    }
-    if (spot || elastic) && !matches!(cmd.as_str(), "plan" | "run") {
-        return Err(CoreError::Invariant(format!(
+    if (spec.spot || spec.elastic) && !matches!(cmd.as_str(), "plan" | "run") {
+        return Err(CoreError::Usage(format!(
             "--spot/--elastic only apply to plan and run, not {cmd}"
         )));
     }
-    if (memory_budget != 0 || spill_dir.is_some() || prefetch_depth != 0) && cmd != "run" {
-        return Err(CoreError::Invariant(format!(
+    if (spec.memory_budget != 0 || spec.spill_dir.is_some() || spec.prefetch_depth != 0)
+        && cmd != "run"
+    {
+        return Err(CoreError::Usage(format!(
             "--memory-budget/--spill-dir/--prefetch-depth only apply to run, not {cmd}"
         )));
     }
-    if spill_dir.is_some() && memory_budget == 0 {
-        return Err(CoreError::Invariant(
-            "--spill-dir requires --memory-budget".into(),
-        ));
+    if matches!(cmd.as_str(), "run" | "trace") {
+        spec.instance =
+            instance.ok_or_else(|| CoreError::Usage(format!("{cmd} needs --instance")))?;
+        spec.nodes = nodes.ok_or_else(|| CoreError::Usage(format!("{cmd} needs --nodes")))?;
     }
-    if prefetch_depth != 0 && memory_budget == 0 {
-        return Err(CoreError::Invariant(
-            "--prefetch-depth requires --memory-budget (nothing spills without one)".into(),
-        ));
-    }
+    spec.validate()?;
     match cmd.as_str() {
         "plan" => {
-            if elastic {
-                return Err(CoreError::Invariant("--elastic only applies to run".into()));
+            if spec.elastic {
+                return Err(CoreError::Usage("--elastic only applies to run".into()));
             }
             let constraint = match (deadline, budget) {
                 (Some(d), None) => Constraint::Deadline(d),
                 (None, Some(b)) => Constraint::Budget(b),
                 (None, None) => Constraint::Deadline(3_600.0),
                 (Some(_), Some(_)) => {
-                    return Err(CoreError::Invariant(
+                    return Err(CoreError::Usage(
                         "pick one of --deadline and --budget".into(),
                     ))
                 }
             };
-            if spot && matches!(constraint, Constraint::Budget(_)) {
-                return Err(CoreError::Invariant(
+            if spec.spot && matches!(constraint, Constraint::Budget(_)) {
+                return Err(CoreError::Usage(
                     "--spot prices rework against a deadline; use --deadline, not --budget".into(),
                 ));
             }
             Ok(Command::Plan {
                 script,
-                inputs,
+                inputs: spec.inputs,
                 constraint,
                 max_nodes,
-                spot,
-                bid,
+                spot: spec.spot,
+                bid: spec.bid,
             })
         }
         "run" => {
-            let instance =
-                instance.ok_or_else(|| CoreError::Invariant("run needs --instance".into()))?;
-            let nodes = nodes.ok_or_else(|| CoreError::Invariant("run needs --nodes".into()))?;
-            if elastic && trace.is_some() {
-                return Err(CoreError::Invariant(
+            if spec.elastic && trace.is_some() {
+                return Err(CoreError::Usage(
                     "--elastic drives its own traced run; drop --trace".into(),
                 ));
             }
             Ok(Command::Run {
                 script,
-                inputs,
-                instance,
-                nodes,
-                slots,
-                real,
-                threads,
+                spec,
                 trace,
-                spot,
-                bid,
-                elastic,
-                kernel_threads,
-                memory_budget,
-                spill_dir,
-                prefetch_depth,
-            })
-        }
-        "trace" => {
-            let instance =
-                instance.ok_or_else(|| CoreError::Invariant("trace needs --instance".into()))?;
-            let nodes = nodes.ok_or_else(|| CoreError::Invariant("trace needs --nodes".into()))?;
-            Ok(Command::Trace {
-                script,
-                inputs,
-                instance,
-                nodes,
-                slots,
-                real,
-                threads,
-                out_json: trace,
                 kernel_threads,
             })
         }
-        "explain" => Ok(Command::Explain { script, inputs }),
+        "trace" => Ok(Command::Trace {
+            script,
+            spec,
+            out_json: trace,
+            kernel_threads,
+        }),
+        "explain" => Ok(Command::Explain {
+            script,
+            inputs: spec.inputs,
+        }),
         _ => Err(usage()),
     }
 }
 
 fn load_script(path: &str) -> Result<CompiledScript> {
     let source = std::fs::read_to_string(path)
-        .map_err(|e| CoreError::Invariant(format!("cannot read {path}: {e}")))?;
+        .map_err(|e| CoreError::Usage(format!("cannot read {path}: {e}")))?;
     compile_source(&source)
 }
 
-fn check_inputs(
-    compiled: &CompiledScript,
-    specs: &[InputSpec],
-) -> Result<BTreeMap<String, InputDesc>> {
-    let mut map = BTreeMap::new();
-    for s in specs {
-        map.insert(s.name.clone(), s.desc());
-    }
-    for needed in &compiled.inputs {
-        if !map.contains_key(needed) {
-            return Err(CoreError::Invariant(format!(
-                "script input '{needed}' has no --input specification"
-            )));
-        }
-    }
-    Ok(map)
-}
-
-/// Provisions the requested cluster and registers the generated inputs —
-/// the shared front half of `run` and `trace`.
-fn provision_for_run(
-    inputs: &[InputSpec],
-    instance: &str,
-    nodes: u32,
-    slots: u32,
-) -> Result<Cluster> {
-    let spec_slots = if slots == 0 {
-        cumulon_cluster::instances::by_name(instance)
-            .map(|i| i.cores)
-            .unwrap_or(1)
-    } else {
-        slots
-    };
-    let cluster = Cluster::provision(
-        ClusterSpec::named(instance, nodes, spec_slots).map_err(CoreError::from)?,
-    )
-    .map_err(CoreError::from)?;
-    for (i, s) in inputs.iter().enumerate() {
-        cluster
-            .store()
-            .register_generated(&s.name, s.meta(), s.generator(i as u64 + 1))
-            .map_err(CoreError::from)?;
-    }
-    Ok(cluster)
-}
-
-/// Runs a compiled script on a provisioned cluster, recording into
-/// `trace` when the handle is enabled.
-#[allow(clippy::too_many_arguments)]
-fn run_traced(
-    optimizer: &Optimizer,
-    cluster: &Cluster,
-    compiled: &CompiledScript,
-    descs: &BTreeMap<String, InputDesc>,
-    real: bool,
-    sched: SchedulerConfig,
-    failures: &FailurePlan,
+/// Loads the script and runs it through the shared run pipeline as the
+/// CLI's run, with `threads` 0 meaning every host core.
+fn run_script(
+    script: &str,
+    spec: &RunSpec,
+    kernel_threads: usize,
     trace: &Trace,
-) -> Result<cumulon_cluster::RunReport> {
-    let mode = if real {
-        ExecMode::Real
-    } else {
-        ExecMode::Simulated
+) -> Result<(CompiledScript, Executed)> {
+    cumulon_matrix::set_kernel_threads(kernel_threads);
+    let compiled = load_script(script)?;
+    let threads = match spec.threads {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
     };
-    optimizer.execute_on_traced(
-        cluster,
-        &compiled.program,
-        descs,
-        "cli",
-        mode,
-        sched,
-        failures,
-        RecoveryConfig::default(),
-        trace,
-    )
-}
-
-/// A compiled script wrapped as a one-iteration [`Workload`], so the
-/// elastic driver (`run --elastic`) can trace, refit and re-provision
-/// around it. Inputs are registered by [`provision_for_run`], so `setup`
-/// is a no-op.
-struct ScriptWorkload {
-    program: cumulon_core::Program,
-    descs: BTreeMap<String, InputDesc>,
-}
-
-impl Workload for ScriptWorkload {
-    fn name(&self) -> &'static str {
-        "cli"
-    }
-
-    fn inputs(&self, _iter: usize) -> BTreeMap<String, InputDesc> {
-        self.descs.clone()
-    }
-
-    fn setup(&self, _store: &cumulon_dfs::TileStore) -> Result<()> {
-        Ok(())
-    }
-
-    fn program(&self, _iter: usize) -> cumulon_core::Program {
-        self.program.clone()
-    }
-}
-
-/// Compiles a spot position for `run --spot`: the upper half of the fleet
-/// is spot capacity on a deterministic synthetic price trace around the
-/// market's typical fraction of the list price; every time the trace
-/// outbids us those nodes are reclaimed together, with a warning window
-/// the scheduler drains into. The trace's price steps are scaled to
-/// `horizon_s` (the run's estimated makespan) so mid-run crossings are
-/// actually exercised regardless of problem size. Returns the injected
-/// failure plan plus a human-readable description of the position.
-fn spot_failures(
-    instance: &str,
-    nodes: u32,
-    bid_fraction: f64,
-    horizon_s: f64,
-) -> Result<(FailurePlan, String)> {
-    let list = cumulon_cluster::instances::by_name(instance)
-        .map(|i| i.price_per_hour)
-        .ok_or_else(|| CoreError::Invariant(format!("unknown instance '{instance}'")))?;
-    let hazard = SpotHazard::typical();
-    let spot_nodes: Vec<u32> = (nodes.div_ceil(2)..nodes).collect();
-    let step_s = (horizon_s / 12.0).max(1e-3);
-    let market = SpotMarket::synthetic(42, hazard.mean_price_fraction * list, 0.6, step_s, 48)
-        .with_bid(bid_fraction * list)
-        .with_warning_lead(0.4 * step_s);
-    let revocations = market.revocations(&spot_nodes);
-    let line = format!(
-        "spot   : {} node(s) bid ${:.4}/h against mean ${:.4}/h (list ${:.4}/h): \
-         {} revocation event(s) on a {:.1}s-step trace",
-        spot_nodes.len(),
-        market.bid,
-        hazard.mean_price_fraction * list,
-        list,
-        revocations.len(),
-        step_s,
-    );
-    Ok((
-        FailurePlan {
-            revocations,
-            ..Default::default()
-        },
-        line,
-    ))
+    let spec = RunSpec {
+        threads,
+        ..spec.clone()
+    };
+    let run = engine::execute(&spec, &compiled, "cli", SchedulerConfig::default(), trace)?;
+    Ok((compiled, run))
 }
 
 fn write_trace_json(
@@ -703,7 +395,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             bid,
         } => {
             let compiled = load_script(script)?;
-            let descs = check_inputs(&compiled, inputs)?;
+            let descs = engine::input_descs(&compiled, inputs)?;
             let space = SearchSpace {
                 max_nodes: *max_nodes,
                 ..Default::default()
@@ -711,7 +403,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             let optimizer = Optimizer::new(crate::idealized_cost_model());
             if *spot {
                 let Constraint::Deadline(deadline_s) = *constraint else {
-                    return Err(CoreError::Invariant(
+                    return Err(CoreError::Usage(
                         "--spot needs a deadline to price rework against".into(),
                     ));
                 };
@@ -765,84 +457,30 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
         }
         Command::Run {
             script,
-            inputs,
-            instance,
-            nodes,
-            slots,
-            real,
-            threads,
+            spec,
             trace,
-            spot,
-            bid,
-            elastic,
             kernel_threads,
-            memory_budget,
-            spill_dir,
-            prefetch_depth,
         } => {
-            cumulon_cluster::set_default_threads(*threads);
-            cumulon_matrix::set_kernel_threads(*kernel_threads);
-            let compiled = load_script(script)?;
-            let descs = check_inputs(&compiled, inputs)?;
-            let cluster = provision_for_run(inputs, instance, *nodes, *slots)?;
-            if *memory_budget > 0 {
-                let config = cumulon_dfs::SpillConfig {
-                    budget_bytes: *memory_budget,
-                    dir: spill_dir.as_ref().map(std::path::PathBuf::from),
-                    compress: true,
-                };
-                cluster
-                    .store()
-                    .set_memory_budget(&config)
-                    .map_err(CoreError::from)?;
+            let handle = if trace.is_some() {
+                Trace::enabled()
+            } else {
+                Trace::disabled()
+            };
+            let (compiled, run) = run_script(script, spec, *kernel_threads, &handle)?;
+            if spec.memory_budget > 0 {
                 writeln!(
                     out,
-                    "spill  : resident tile budget {memory_budget} B, cold tiles spill to {}",
-                    spill_dir.as_deref().unwrap_or("a temp directory")
+                    "spill  : resident tile budget {} B, cold tiles spill to {}",
+                    spec.memory_budget,
+                    spec.spill_dir.as_deref().unwrap_or("a temp directory")
                 )
                 .map_err(w)?;
             }
-            let sched = SchedulerConfig::default().with_prefetch(*prefetch_depth);
-            let failures = if *spot {
-                // Scale the price trace to the run so crossings land
-                // mid-run; an estimate failure falls back to an hour.
-                let horizon = Optimizer::new(crate::idealized_cost_model())
-                    .estimate_on(&cluster, &compiled.program, &descs)
-                    .map(|e| e.makespan_s)
-                    .unwrap_or(3_600.0);
-                let (plan, line) = spot_failures(instance, *nodes, bid.unwrap_or(0.5), horizon)?;
+            if let Some(line) = &run.spot {
                 writeln!(out, "{line}").map_err(w)?;
-                plan
-            } else {
-                FailurePlan::default()
-            };
-            if *elastic {
-                // The elastic driver traces the run itself, refits the
-                // cost model from the spans, and we top the fleet back up
-                // afterwards — replacing revoked spot capacity with
-                // on-demand nodes.
-                let workload = ScriptWorkload {
-                    program: compiled.program.clone(),
-                    descs: descs.clone(),
-                };
-                let mut optimizer = Optimizer::new(crate::idealized_cost_model());
-                let mode = if *real {
-                    ExecMode::Real
-                } else {
-                    ExecMode::Simulated
-                };
-                let run = run_elastic(
-                    &workload,
-                    &mut optimizer,
-                    &cluster,
-                    1,
-                    mode,
-                    sched,
-                    |_| failures.clone(),
-                    RecoveryConfig::default(),
-                    ElasticPolicy::replace_at(*nodes),
-                )?;
-                writeln!(out, "{}", run.reports[0].summary()).map_err(w)?;
+            }
+            writeln!(out, "{}", run.report.summary()).map_err(w)?;
+            if spec.elastic {
                 for d in &run.decisions {
                     writeln!(
                         out,
@@ -851,30 +489,18 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                     )
                     .map_err(w)?;
                 }
-                let live = cluster.live_nodes();
-                if live < *nodes {
-                    let grown = cluster.grow(*nodes - live);
+                if run.replaced > 0 {
                     writeln!(
                         out,
                         "elastic: replaced {} revoked node(s) with on-demand capacity \
                          ({} live)",
-                        grown.len(),
-                        cluster.live_nodes()
+                        run.replaced,
+                        run.cluster.live_nodes()
                     )
                     .map_err(w)?;
                 }
             } else {
-                let optimizer = Optimizer::new(crate::idealized_cost_model());
-                let handle = if trace.is_some() {
-                    Trace::enabled()
-                } else {
-                    Trace::disabled()
-                };
-                let report = run_traced(
-                    &optimizer, &cluster, &compiled, &descs, *real, sched, &failures, &handle,
-                )?;
-                writeln!(out, "{}", report.summary()).map_err(w)?;
-                for job in &report.jobs {
+                for job in &run.report.jobs {
                     writeln!(
                         out,
                         "  job {:<12} {:>8.1}s  {} tasks, locality {:.0}%",
@@ -885,13 +511,13 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                     )
                     .map_err(w)?;
                 }
-                if let Some(path) = trace {
-                    let log = handle.snapshot().expect("trace handle is enabled");
-                    write_trace_json(&log, path, out)?;
-                }
             }
-            if *memory_budget > 0 {
-                if let Some(stats) = cluster.store().dfs().spill_stats() {
+            if let Some(path) = trace {
+                let log = handle.snapshot().expect("trace handle is enabled");
+                write_trace_json(&log, path, out)?;
+            }
+            if spec.memory_budget > 0 {
+                if let Some(stats) = run.cluster.store().dfs().spill_stats() {
                     let ratio = if stats.blob.bytes_written > 0 {
                         stats.blob.raw_bytes_written as f64 / stats.blob.bytes_written as f64
                     } else {
@@ -908,7 +534,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                         stats.readback_bytes_total
                     )
                     .map_err(w)?;
-                    if *prefetch_depth > 0 {
+                    if spec.prefetch_depth > 0 {
                         writeln!(
                             out,
                             "spill  : {} tile(s) prefetched, {} B of readback \
@@ -919,9 +545,9 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                     }
                 }
             }
-            if *real {
+            if spec.real {
                 for name in compiled.outputs() {
-                    let m = cluster.store().get_local(name)?;
+                    let m = run.cluster.store().get_local(name)?;
                     writeln!(
                         out,
                         "output {name}: {}x{}, ‖·‖_F = {:.4}",
@@ -936,42 +562,22 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
         }
         Command::Trace {
             script,
-            inputs,
-            instance,
-            nodes,
-            slots,
-            real,
-            threads,
+            spec,
             out_json,
             kernel_threads,
         } => {
-            cumulon_cluster::set_default_threads(*threads);
-            cumulon_matrix::set_kernel_threads(*kernel_threads);
-            let compiled = load_script(script)?;
-            let descs = check_inputs(&compiled, inputs)?;
-            let cluster = provision_for_run(inputs, instance, *nodes, *slots)?;
-            let optimizer = Optimizer::new(crate::idealized_cost_model());
             let handle = Trace::enabled();
-            let report = run_traced(
-                &optimizer,
-                &cluster,
-                &compiled,
-                &descs,
-                *real,
-                SchedulerConfig::default(),
-                &FailurePlan::default(),
-                &handle,
-            )?;
+            let (compiled, run) = run_script(script, spec, *kernel_threads, &handle)?;
             let log = handle.snapshot().expect("trace handle is enabled");
-            writeln!(out, "{}", report.summary()).map_err(w)?;
+            writeln!(out, "{}", run.report.summary()).map_err(w)?;
             if let Some(path) = out_json {
                 write_trace_json(&log, path, out)?;
             }
             writeln!(out).map_err(w)?;
             writeln!(out, "{}", log.critical_path().render()).map_err(w)?;
             writeln!(out, "{}", log.utilization().render()).map_err(w)?;
-            let (phases, predicted_makespan) =
-                optimizer.predict_phases_on(&cluster, &compiled.program, &descs)?;
+            let (phases, predicted_makespan) = Optimizer::new(crate::idealized_cost_model())
+                .predict_phases_on(&run.cluster, &compiled.program, &run.descs)?;
             writeln!(
                 out,
                 "{}",
@@ -982,7 +588,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
         }
         Command::Explain { script, inputs } => {
             let compiled = load_script(script)?;
-            let descs = check_inputs(&compiled, inputs)?;
+            let descs = engine::input_descs(&compiled, inputs)?;
             let plan = cumulon_core::lower::build_plan(
                 &compiled.program,
                 &descs,
@@ -1069,7 +675,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             json,
         } => {
             let inst = cumulon_cluster::instances::by_name(instance)
-                .ok_or_else(|| CoreError::Invariant(format!("unknown instance '{instance}'")))?;
+                .ok_or_else(|| CoreError::Usage(format!("unknown instance '{instance}'")))?;
             cumulon_matrix::set_kernel_threads(*kernel_threads);
             let profile = cumulon_core::calibrate::KernelProfile::measure(*quick);
             cumulon_matrix::set_kernel_threads(1);
@@ -1209,20 +815,17 @@ mod tests {
             cmd,
             Command::Run {
                 script: "s.cm".into(),
-                inputs: vec![InputSpec::parse("A=10x10").unwrap()],
-                instance: "m1.large".into(),
-                nodes: 4,
-                slots: 2,
-                real: true,
-                threads: 3,
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=10x10").unwrap()],
+                    instance: "m1.large".into(),
+                    nodes: 4,
+                    slots: 2,
+                    real: true,
+                    threads: 3,
+                    ..RunSpec::default()
+                },
                 trace: None,
-                spot: false,
-                bid: None,
-                elastic: false,
                 kernel_threads: 1,
-                memory_budget: 0,
-                spill_dir: None,
-                prefetch_depth: 0,
             }
         );
     }
@@ -1235,28 +838,23 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Run {
-                memory_budget,
-                spill_dir,
-                prefetch_depth,
-                ..
-            } => {
-                assert_eq!(memory_budget, 1_048_576);
-                assert_eq!(spill_dir.as_deref(), Some("/tmp/spill"));
-                assert_eq!(prefetch_depth, 8);
+            Command::Run { spec, .. } => {
+                assert_eq!(spec.memory_budget, 1_048_576);
+                assert_eq!(spec.spill_dir.as_deref(), Some("/tmp/spill"));
+                assert_eq!(spec.prefetch_depth, 8);
             }
             other => panic!("wrong command {other:?}"),
         }
         // --spill-dir or --prefetch-depth without a budget, spill flags
         // off `run`, and non-integer values all reject.
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --spill-dir /tmp/x"
-        ))
-        .is_err());
-        assert!(parse_args(&args(
+        assert_eq!(
+            parse_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --spill-dir /tmp/x"),
+            "spill dir requires a memory budget"
+        );
+        assert!(parse_err(
             "run s.cm --input A=1x1 --instance m1.large --nodes 2 --prefetch-depth 4"
-        ))
-        .is_err());
+        )
+        .starts_with("prefetch depth requires a memory budget"));
         assert!(parse_args(&args(
             "trace s.cm --input A=1x1 --instance m1.large --nodes 2 --memory-budget 1024"
         ))
@@ -1284,12 +882,10 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Run {
-                spot, bid, elastic, ..
-            } => {
-                assert!(spot);
-                assert_eq!(bid, Some(0.7));
-                assert!(elastic);
+            Command::Run { spec, .. } => {
+                assert!(spec.spot);
+                assert_eq!(spec.bid, Some(0.7));
+                assert!(spec.elastic);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1305,11 +901,24 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         // --bid without --spot, spot under a budget, --elastic on plan,
-        // spot flags on trace/explain, and non-positive bids all reject.
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --bid 0.5"
-        ))
-        .is_err());
+        // spot flags on trace/explain, non-positive bids and an empty
+        // fleet all reject, the run-spec checks with the service's words.
+        assert_eq!(
+            parse_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --bid 0.5"),
+            "bid requires spot"
+        );
+        assert_eq!(
+            parse_err("plan s.cm --input A=1x1 --bid 0.5"),
+            "bid requires spot"
+        );
+        assert_eq!(
+            parse_err("run s.cm --input A=1x1 --instance m1.large --nodes 0"),
+            "nodes must be positive"
+        );
+        assert_eq!(
+            parse_err("trace s.cm --input A=1x1 --instance m1.large --nodes 0"),
+            "nodes must be positive"
+        );
         assert!(parse_args(&args("plan s.cm --input A=1x1 --budget 5 --spot")).is_err());
         assert!(parse_args(&args("plan s.cm --input A=1x1 --spot --elastic")).is_err());
         assert!(parse_args(&args(
@@ -1317,10 +926,10 @@ mod tests {
         ))
         .is_err());
         assert!(parse_args(&args("explain s.cm --input A=1x1 --elastic")).is_err());
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --spot --bid -0.2"
-        ))
-        .is_err());
+        assert_eq!(
+            parse_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --spot --bid -0.2"),
+            "bid must be a positive fraction of the list price"
+        );
         assert!(parse_args(&args(
             "run s.cm --input A=1x1 --instance m1.large --nodes 2 --elastic --trace t.json"
         ))
@@ -1345,12 +954,13 @@ mod tests {
             cmd,
             Command::Trace {
                 script: "s.cm".into(),
-                inputs: vec![InputSpec::parse("A=10x10").unwrap()],
-                instance: "m1.large".into(),
-                nodes: 2,
-                slots: 1,
-                real: false,
-                threads: 0,
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=10x10").unwrap()],
+                    instance: "m1.large".into(),
+                    nodes: 2,
+                    slots: 1,
+                    ..RunSpec::default()
+                },
                 out_json: Some("t.json".into()),
                 kernel_threads: 1,
             }
@@ -1369,11 +979,10 @@ mod tests {
             assert_eq!(text, format!("{USAGE}\n"));
             assert!(text.starts_with("usage: cumulon <plan|run|trace|explain>"));
         }
-        // A bare or unknown command is still an error that quotes the
-        // usage text.
+        // A bare or unknown command is a usage error that is the usage
+        // text and nothing more.
         for line in ["", "bogus s.cm --input A=2x2"] {
-            let err = parse_args(&args(line)).unwrap_err().to_string();
-            assert!(err.contains(USAGE), "{line:?}: {err}");
+            assert_eq!(parse_err(line), USAGE, "{line:?}");
         }
     }
 
@@ -1541,6 +1150,59 @@ mod tests {
         assert!(parse_args(&args("plan s.cm --input A=1x1 --deadline 5 --budget 2")).is_err());
         assert!(parse_args(&args("frobnicate s.cm --input A=1x1")).is_err());
         assert!(parse_args(&args("plan s.cm --input A=1x1 --bogus 3")).is_err());
+        // User errors read as what the user got wrong, not as a broken
+        // planner.
+        assert_eq!(
+            parse_err("run x.cm --input A=1x1 --bogus"),
+            "unknown argument '--bogus'"
+        );
+        assert_eq!(
+            parse_err("run x.cm --input A=1x1 --instance m1.large"),
+            "run needs --nodes"
+        );
+        assert_eq!(
+            parse_err("run x.cm --input A=1x1 --nodes many"),
+            "--nodes needs an integer"
+        );
+        assert_eq!(
+            parse_err("plan x.cm --input A=0x1"),
+            "bad input 'A=0x1': dimensions and tile size must be positive"
+        );
+        assert_eq!(
+            parse_err("check --bogus"),
+            "unknown argument '--bogus' for check"
+        );
+    }
+
+    /// The message `parse_args` rejects `line` with; a usage error, so
+    /// nothing but the message itself.
+    fn parse_err(line: &str) -> String {
+        match parse_args(&args(line)) {
+            Err(CoreError::Usage(m)) => m,
+            other => panic!("{line:?}: want a usage error, got {other:?}"),
+        }
+    }
+
+    /// A script that does not parse fails with the parser's message
+    /// alone.
+    #[test]
+    fn script_errors_name_the_script_problem() {
+        let path = write_script("G = A' *;");
+        let script = path.to_str().unwrap().to_string();
+        let err = execute(
+            &Command::Explain {
+                script,
+                inputs: vec![InputSpec::parse("A=10x10").unwrap()],
+            },
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::Parse(_)), "{err:?}");
+        assert!(
+            err.to_string().starts_with("parse error at line 1: "),
+            "{err}"
+        );
+        std::fs::remove_file(path).ok();
     }
 
     /// Writes `content` to a script file of its own: tests run on
@@ -1578,20 +1240,14 @@ mod tests {
         execute(
             &Command::Run {
                 script: script.clone(),
-                inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
-                instance: "m1.large".into(),
-                nodes: 2,
-                slots: 0,
-                real: true,
-                threads: 0,
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
+                    nodes: 2,
+                    real: true,
+                    ..RunSpec::default()
+                },
                 trace: None,
-                spot: false,
-                bid: None,
-                elastic: false,
                 kernel_threads: 1,
-                memory_budget: 0,
-                spill_dir: None,
-                prefetch_depth: 0,
             },
             &mut out,
         )
@@ -1616,20 +1272,17 @@ mod tests {
             execute(
                 &Command::Run {
                     script: script.clone(),
-                    inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
-                    instance: "m1.large".into(),
-                    nodes: 2,
-                    slots: 0,
-                    real: true,
-                    threads: 1,
+                    spec: RunSpec {
+                        inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
+                        nodes: 2,
+                        real: true,
+                        threads: 1,
+                        memory_budget: budget,
+                        prefetch_depth: prefetch,
+                        ..RunSpec::default()
+                    },
                     trace: None,
-                    spot: false,
-                    bid: None,
-                    elastic: false,
                     kernel_threads: 1,
-                    memory_budget: budget,
-                    spill_dir: None,
-                    prefetch_depth: prefetch,
                 },
                 &mut out,
             )
@@ -1672,20 +1325,19 @@ mod tests {
         execute(
             &Command::Run {
                 script,
-                inputs: vec![InputSpec::parse("A=60x30:10").unwrap()],
-                instance: "m1.large".into(),
-                nodes: 4,
-                slots: 2,
-                real: true,
-                threads: 1,
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=60x30:10").unwrap()],
+                    nodes: 4,
+                    slots: 2,
+                    real: true,
+                    threads: 1,
+                    spot: true,
+                    bid: Some(0.3),
+                    elastic: true,
+                    ..RunSpec::default()
+                },
                 trace: None,
-                spot: true,
-                bid: Some(0.3),
-                elastic: true,
                 kernel_threads: 1,
-                memory_budget: 0,
-                spill_dir: None,
-                prefetch_depth: 0,
             },
             &mut out,
         )
@@ -1772,12 +1424,14 @@ mod tests {
         execute(
             &Command::Trace {
                 script,
-                inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
-                instance: "m1.large".into(),
-                nodes: 2,
-                slots: 2,
-                real: true,
-                threads: 1,
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
+                    nodes: 2,
+                    slots: 2,
+                    real: true,
+                    threads: 1,
+                    ..RunSpec::default()
+                },
                 out_json: Some(json_path.to_str().unwrap().to_string()),
                 kernel_threads: 1,
             },
@@ -1832,7 +1486,10 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap_err();
-        assert!(err.to_string().contains("'B'"), "{err}");
+        assert_eq!(
+            err,
+            CoreError::Usage("script input 'B' has no input spec".into())
+        );
         std::fs::remove_file(path).ok();
     }
 }

@@ -52,7 +52,7 @@ pub fn compile(script: &Script) -> Result<CompiledScript> {
                 let mut used = Vec::new();
                 expr.vars(&mut used);
                 if used.contains(name) && !env.contains_key(name) {
-                    return Err(CoreError::Invariant(format!(
+                    return Err(CoreError::Parse(format!(
                         "line {line}: '{name}' used before assignment on its own right-hand side"
                     )));
                 }
@@ -86,7 +86,7 @@ pub fn compile(script: &Script) -> Result<CompiledScript> {
             }
         }
         if !any {
-            return Err(CoreError::Invariant(
+            return Err(CoreError::Parse(
                 "script has no outputs: every assignment is consumed (add an `out` statement)"
                     .into(),
             ));
@@ -94,7 +94,7 @@ pub fn compile(script: &Script) -> Result<CompiledScript> {
     } else {
         for (name, line) in &declared_outputs {
             let id = *env.get(name).ok_or_else(|| {
-                CoreError::Invariant(format!("line {line}: output '{name}' was never assigned"))
+                CoreError::Parse(format!("line {line}: output '{name}' was never assigned"))
             })?;
             b.output(name, id);
         }

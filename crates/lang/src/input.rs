@@ -34,7 +34,7 @@ pub struct InputSpec {
 impl InputSpec {
     /// Parses `NAME=ROWSxCOLS[@DENSITY][:TILE]`.
     pub fn parse(spec: &str) -> Result<InputSpec> {
-        let bad = |m: &str| CoreError::Invariant(format!("bad input '{spec}': {m}"));
+        let bad = |m: &str| CoreError::Usage(format!("bad input '{spec}': {m}"));
         let (name, rest) = spec.split_once('=').ok_or_else(|| bad("missing '='"))?;
         let (dims_part, tile) = match rest.split_once(':') {
             Some((d, t)) => (

@@ -46,7 +46,7 @@ pub struct Token {
 }
 
 fn err(line: usize, msg: impl Into<String>) -> CoreError {
-    CoreError::Invariant(format!("parse error at line {line}: {}", msg.into()))
+    CoreError::Parse(format!("parse error at line {line}: {}", msg.into()))
 }
 
 /// Tokenizes source text. `#` starts a line comment.

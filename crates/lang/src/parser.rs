@@ -24,7 +24,7 @@ struct Parser<'a> {
 }
 
 fn err(line: usize, msg: impl Into<String>) -> CoreError {
-    CoreError::Invariant(format!("parse error at line {line}: {}", msg.into()))
+    CoreError::Parse(format!("parse error at line {line}: {}", msg.into()))
 }
 
 impl<'a> Parser<'a> {

@@ -12,20 +12,20 @@ use proptest::prelude::*;
 
 /// `InputSpec::parse` is total: it either accepts a spec that keeps its
 /// own contract (positive dimensions and tile, density in `[0, 1]`) or
-/// rejects it with a `CoreError::Invariant` that quotes the input.
+/// rejects it with a `CoreError::Usage` that quotes the input.
 fn parse_is_total(spec: &str) -> Result<(), TestCaseError> {
     match InputSpec::parse(spec) {
         Ok(s) => {
             prop_assert!(s.rows > 0 && s.cols > 0 && s.tile > 0, "{spec:?} -> {s:?}");
             prop_assert!((0.0..=1.0).contains(&s.density), "{spec:?} -> {s:?}");
         }
-        Err(CoreError::Invariant(msg)) => {
+        Err(CoreError::Usage(msg)) => {
             prop_assert!(
                 msg.contains(spec),
                 "{spec:?}: error does not name it: {msg}"
             );
         }
-        Err(e) => prop_assert!(false, "{spec:?}: not an invariant error: {e}"),
+        Err(e) => prop_assert!(false, "{spec:?}: not a usage error: {e}"),
     }
     Ok(())
 }

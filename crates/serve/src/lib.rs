@@ -5,13 +5,15 @@
 //! executing full simulated runs (`run`) over a newline-delimited JSON
 //! protocol ([`protocol::SCHEMA`] = `cumulon-serve-v1`). This is the
 //! product shape the paper's "millions of users hammering what-if
-//! queries" motivation implies — the CLI's one-shot pipelines, made
+//! queries" motivation implies — the CLI's one-shot run pipeline, made
 //! resident and admission-controlled.
 //!
 //! Layers, inside out:
 //!
-//! * [`engine`] — the per-action execution pipelines (compile →
-//!   provision → estimate/optimize/execute), mirrored from the CLI;
+//! * [`engine`] — the one run pipeline ([`engine::RunSpec`] executed by
+//!   [`engine::execute`]: compile → provision → estimate/optimize/
+//!   execute), which `cumulon run` and `cumulon trace` call too, plus the
+//!   per-action `plan`/`optimize`/`run` answers;
 //! * [`quota`] — per-tenant token buckets with exact `retry_after_s`;
 //! * [`queue`] — the bounded, priority-ordered run queue (backpressure
 //!   rejects rather than blocks);

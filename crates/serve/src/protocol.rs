@@ -10,6 +10,8 @@
 use cumulon_lang::InputSpec;
 use cumulon_trace::json::{escape, parse, JsonValue};
 
+use crate::engine::RunSpec;
+
 /// Schema tag carried by every request and response.
 pub const SCHEMA: &str = "cumulon-serve-v1";
 
@@ -97,7 +99,7 @@ impl ErrorCode {
 /// )
 /// .unwrap();
 /// assert_eq!(req.action, Action::Run);
-/// assert_eq!(req.inputs[0].name, "A");
+/// assert_eq!(req.run.inputs[0].name, "A");
 /// ```
 #[derive(Clone, Debug)]
 pub struct Request {
@@ -110,14 +112,11 @@ pub struct Request {
     pub action: Action,
     /// DSL source text (required for plan/optimize/run).
     pub script: String,
-    /// Generator-backed inputs, `NAME=RxC[@D][:T]` each.
-    pub inputs: Vec<InputSpec>,
-    /// Instance type for plan/run (default `m1.large`).
-    pub instance: String,
-    /// Node count for plan/run (default 4).
-    pub nodes: u32,
-    /// Slots per node (0 = one per core).
-    pub slots: u32,
+    /// What plan and run execute on: `inputs`, `instance` (default
+    /// `m1.large`), `nodes` (default 4), `slots`, and for run `spot`,
+    /// `bid`, `elastic` and `memory_budget`, with the same meaning as
+    /// the `cumulon run` flags. Optimize reads only its inputs.
+    pub run: RunSpec,
     /// Optimize: deadline constraint, seconds.
     pub deadline_s: Option<f64>,
     /// Optimize: budget constraint, dollars.
@@ -132,16 +131,6 @@ pub struct Request {
     pub wait: bool,
     /// CheckStatus: the job id to poll.
     pub job: Option<String>,
-    /// Run: make the upper half of the fleet spot capacity on a synthetic
-    /// price trace (revocations + recovery), like `cumulon run --spot`.
-    pub spot: bool,
-    /// Run: spot bid as a fraction of the list price (default 0.5).
-    pub bid: Option<f64>,
-    /// Run: re-provision after the run like `cumulon run --elastic`.
-    pub elastic: bool,
-    /// Run: host-memory budget in bytes for resident tiles (0 =
-    /// unbounded), like `cumulon run --memory-budget`.
-    pub memory_budget: u64,
 }
 
 fn str_field(v: &JsonValue, key: &str) -> Option<String> {
@@ -197,16 +186,21 @@ impl Request {
         if priority > 255.0 {
             return Err("'priority' must be 0-255".into());
         }
-        let memory_budget = uint("memory_budget", 0.0)? as u64;
-        if nodes == 0 {
-            return Err("'nodes' must be positive".into());
+        let flag = |key: &str| v.get(key).and_then(|x| x.as_bool()).unwrap_or(false);
+        let mut run = RunSpec {
+            inputs,
+            nodes,
+            slots,
+            spot: flag("spot"),
+            bid: num_field(&v, "bid"),
+            elastic: flag("elastic"),
+            memory_budget: uint("memory_budget", 0.0)? as u64,
+            ..RunSpec::default()
+        };
+        if let Some(instance) = str_field(&v, "instance") {
+            run.instance = instance;
         }
-        let bid = num_field(&v, "bid");
-        if let Some(b) = bid {
-            if !(b > 0.0 && b.is_finite()) {
-                return Err("'bid' must be a positive fraction of the list price".into());
-            }
-        }
+        run.validate().map_err(|e| e.to_string())?;
         let deadline_s = num_field(&v, "deadline_s");
         let budget_dollars = num_field(&v, "budget_dollars");
         if deadline_s.is_some() && budget_dollars.is_some() {
@@ -217,20 +211,13 @@ impl Request {
             tenant,
             action,
             script,
-            inputs,
-            instance: str_field(&v, "instance").unwrap_or_else(|| "m1.large".into()),
-            nodes,
-            slots,
+            run,
             deadline_s,
             budget_dollars,
             max_nodes,
             priority: priority as u8,
             wait: v.get("wait").and_then(|x| x.as_bool()).unwrap_or(true),
             job: str_field(&v, "job"),
-            spot: v.get("spot").and_then(|x| x.as_bool()).unwrap_or(false),
-            bid,
-            elastic: v.get("elastic").and_then(|x| x.as_bool()).unwrap_or(false),
-            memory_budget,
         })
     }
 }
@@ -323,8 +310,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.action, Action::Run);
-        assert_eq!(req.instance, "m1.large");
-        assert_eq!(req.nodes, 4);
+        assert_eq!(req.run.instance, "m1.large");
+        assert_eq!(req.run.nodes, 4);
         assert!(req.wait);
         assert_eq!(req.priority, 0);
     }
@@ -364,6 +351,21 @@ mod tests {
                 r#"{"schema":"cumulon-serve-v1","id":"x","tenant":"t","action":"optimize",
                     "script":"G=A;","inputs":["A=1x1"],"deadline_s":60,"budget_dollars":5}"#,
                 "pick one",
+            ),
+            (
+                r#"{"schema":"cumulon-serve-v1","id":"x","tenant":"t","action":"run",
+                    "script":"G=A;","inputs":["A=1x1"],"nodes":0}"#,
+                "nodes must be positive",
+            ),
+            (
+                r#"{"schema":"cumulon-serve-v1","id":"x","tenant":"t","action":"run",
+                    "script":"G=A;","inputs":["A=1x1"],"spot":true,"bid":-0.2}"#,
+                "bid must be a positive fraction",
+            ),
+            (
+                r#"{"schema":"cumulon-serve-v1","id":"x","tenant":"t","action":"run",
+                    "script":"G=A;","inputs":["A=1x1"],"bid":0.4}"#,
+                "bid requires spot",
             ),
         ] {
             let err = Request::parse(line).unwrap_err();

@@ -296,8 +296,8 @@ impl Service {
             // the connection thread and never queues behind runs.
             Action::Plan => match engine::plan(&req) {
                 Ok(est) => Reply::ok(&req.id, "plan")
-                    .str("instance", &req.instance)
-                    .int("nodes", req.nodes as u64)
+                    .str("instance", &req.run.instance)
+                    .int("nodes", req.run.nodes as u64)
                     .num("estimate_s", est.makespan_s)
                     .num("est_cost_dollars", est.cost_dollars)
                     .int("plan_jobs", est.jobs as u64)
