@@ -18,24 +18,6 @@ fn main() {
     } else {
         false
     };
-    // --threads N: worker threads for Real-mode task compute (0 = all host
-    // cores). Purely a wall-clock knob; results are identical at any count.
-    let threads = if let Some(pos) = args.iter().position(|a| a == "--threads") {
-        args.remove(pos);
-        if pos >= args.len() {
-            eprintln!("--threads needs an integer");
-            std::process::exit(2);
-        }
-        match args.remove(pos).parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--threads needs an integer");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        0
-    };
     // --trace FILE: export the Chrome trace_event timeline of the E18
     // Gram run (the traced experiment) alongside the tables.
     let trace_path = if let Some(pos) = args.iter().position(|a| a == "--trace") {
@@ -48,7 +30,6 @@ fn main() {
     } else {
         None
     };
-    cumulon::cluster::set_default_threads(threads);
     let series = if args.is_empty() || args.iter().any(|a| a == "all") {
         experiments::all()
     } else {

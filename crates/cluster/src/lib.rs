@@ -52,8 +52,7 @@ pub use instances::{catalog, InstanceType};
 pub use job::{ExecMode, Job, JobDag, Task, TaskCtx, TaskReceipt, TileRef};
 pub use metrics::{FaultStats, JobStats, RunReport};
 pub use scheduler::{
-    set_default_threads, shared_spec_pool, FailurePlan, Revocation, RunFailure, Scheduler,
-    SchedulerConfig, SpecPool,
+    shared_spec_pool, FailurePlan, Revocation, RunFailure, Scheduler, SchedulerConfig, SpecPool,
 };
 pub use spot::SpotMarket;
 // Re-exported so scheduler callers can drive tracing without naming the

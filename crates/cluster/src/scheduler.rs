@@ -38,7 +38,6 @@ mod prefetch;
 mod specpool;
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -60,30 +59,13 @@ use fill::Homes;
 use specpool::SpecLease;
 pub use specpool::{shared_spec_pool, SpecPool};
 
-/// Process-wide default worker-thread count, used when
-/// [`SchedulerConfig::threads`] is `0`. Starts at `1` (sequential) so
-/// library embedders opt into parallelism explicitly; `repro --threads`
-/// sets it once at startup via [`set_default_threads`] (`cumulon run`
-/// puts its count in [`SchedulerConfig::threads`] instead).
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default worker-thread count that
-/// [`SchedulerConfig::threads`]` == 0` resolves to. Passing `0` selects the
-/// host's available parallelism.
-pub fn set_default_threads(n: usize) {
-    let n = if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    };
-    DEFAULT_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The current process-wide default worker-thread count.
-fn default_threads() -> usize {
-    DEFAULT_THREADS.load(Ordering::Relaxed).max(1)
+/// The worker-thread count `threads` stands for: itself, or the host's
+/// available parallelism when it is `0`.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
+    }
 }
 
 /// Scheduler knobs.
@@ -102,8 +84,8 @@ pub struct SchedulerConfig {
     /// inline in the DES loop; `N > 1` also runs Real-mode logic ahead of
     /// simulated time on a persistent pool of `N` workers, replaying each
     /// recording at canonical assignment time, which keeps the run
-    /// bitwise-identical to a single-threaded one; `0` resolves to the
-    /// process-wide default (see [`set_default_threads`]).
+    /// bitwise-identical to a single-threaded one; `0` means the host's
+    /// available parallelism. The default is `1`.
     pub threads: usize,
     /// Run lookahead speculation on the process-wide *shared* worker pool
     /// ([`shared_spec_pool`]) instead of a private per-run pool. Multiple
@@ -135,7 +117,7 @@ impl Default for SchedulerConfig {
             max_attempts: 4,
             speculative: false,
             speculation_factor: 1.5,
-            threads: 0,
+            threads: 1,
             shared_pool: false,
             lane_priority: 0,
             prefetch_depth: 0,
@@ -390,10 +372,7 @@ impl Scheduler {
         failures: &FailurePlan,
         trace: &Trace,
     ) -> std::result::Result<RunReport, RunFailure> {
-        let threads = match config.threads {
-            0 => default_threads(),
-            n => n,
-        };
+        let threads = resolve_threads(config.threads);
         trace.set_run_meta(
             self.spec.instance.name,
             self.spec.nodes as usize,

@@ -345,7 +345,7 @@ fn load_script(path: &str) -> Result<CompiledScript> {
 }
 
 /// Loads the script and runs it through the shared run pipeline as the
-/// CLI's run, with `threads` 0 meaning every host core.
+/// CLI's run.
 fn run_script(
     script: &str,
     spec: &RunSpec,
@@ -354,15 +354,7 @@ fn run_script(
 ) -> Result<(CompiledScript, Executed)> {
     cumulon_matrix::set_kernel_threads(kernel_threads);
     let compiled = load_script(script)?;
-    let threads = match spec.threads {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        n => n,
-    };
-    let spec = RunSpec {
-        threads,
-        ..spec.clone()
-    };
-    let run = engine::execute(&spec, &compiled, "cli", SchedulerConfig::default(), trace)?;
+    let run = engine::execute(spec, &compiled, "cli", SchedulerConfig::default(), trace)?;
     Ok((compiled, run))
 }
 
@@ -372,19 +364,19 @@ fn write_trace_json(
     out: &mut impl std::io::Write,
 ) -> Result<()> {
     std::fs::write(path, log.to_chrome_json())
-        .map_err(|e| CoreError::Invariant(format!("cannot write {path}: {e}")))?;
+        .map_err(|e| CoreError::Io(format!("cannot write {path}: {e}")))?;
     writeln!(
         out,
         "trace  : {} spans -> {path} (load in Perfetto or chrome://tracing)",
         log.tasks.len()
     )
-    .map_err(|e| CoreError::Invariant(format!("write failed: {e}")))?;
+    .map_err(|e| CoreError::Io(format!("write failed: {e}")))?;
     Ok(())
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
 pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
-    let w = |e: std::io::Error| CoreError::Invariant(format!("write failed: {e}"));
+    let w = |e: std::io::Error| CoreError::Io(format!("write failed: {e}"));
     match cmd {
         Command::Plan {
             script,
@@ -625,7 +617,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             // upload it as an artifact even when the gate trips.
             if let Some(path) = report {
                 std::fs::write(path, checks.to_json())
-                    .map_err(|e| CoreError::Invariant(format!("cannot write {path}: {e}")))?;
+                    .map_err(|e| CoreError::Io(format!("cannot write {path}: {e}")))?;
                 writeln!(out, "report : {path}").map_err(w)?;
             }
             if checks.passed() {
@@ -760,7 +752,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                     refit.sigma
                 );
                 std::fs::write(path, doc)
-                    .map_err(|e| CoreError::Invariant(format!("cannot write {path}: {e}")))?;
+                    .map_err(|e| CoreError::Io(format!("cannot write {path}: {e}")))?;
                 writeln!(out, "json   : {path}").map_err(w)?;
             }
             Ok(())
@@ -1471,6 +1463,63 @@ mod tests {
         .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("chosen :"), "{text}");
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A `run` spec whose instance the catalog lacks is the caller's
+    /// mistake: a usage error, with no "execution failed" prefix.
+    #[test]
+    fn unknown_instance_is_a_usage_error() {
+        let path = write_script("G = A' * A;");
+        let err = execute(
+            &Command::Run {
+                script: path.to_str().unwrap().to_string(),
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
+                    instance: "bogus.type".into(),
+                    ..RunSpec::default()
+                },
+                trace: None,
+                kernel_threads: 1,
+            },
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Usage("invalid cluster spec: unknown instance type bogus.type".into())
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A trace file that cannot be written is an I/O error naming the
+    /// path, not a planner invariant.
+    #[test]
+    fn unwritable_trace_file_is_an_io_error() {
+        let path = write_script("G = A' * A;");
+        let trace = "/nonexistent/dir/t.json";
+        let err = execute(
+            &Command::Run {
+                script: path.to_str().unwrap().to_string(),
+                spec: RunSpec {
+                    inputs: vec![InputSpec::parse("A=40x20:10").unwrap()],
+                    nodes: 2,
+                    slots: 2,
+                    threads: 1,
+                    ..RunSpec::default()
+                },
+                trace: Some(trace.into()),
+                kernel_threads: 1,
+            },
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::Io(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(
+            message.starts_with(&format!("cannot write {trace}: ")),
+            "{message}"
+        );
         std::fs::remove_file(path).ok();
     }
 

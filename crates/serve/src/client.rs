@@ -29,15 +29,15 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: SocketAddr) -> Result<Client> {
         let stream = TcpStream::connect(addr)
-            .map_err(|e| CoreError::Invariant(format!("cannot connect {addr}: {e}")))?;
+            .map_err(|e| CoreError::Io(format!("cannot connect {addr}: {e}")))?;
         // One request is in flight at a time: there is nothing for Nagle's
         // algorithm to coalesce, only a reply for it to delay.
         stream
             .set_nodelay(true)
-            .map_err(|e| CoreError::Invariant(format!("cannot set TCP_NODELAY: {e}")))?;
+            .map_err(|e| CoreError::Io(format!("cannot set TCP_NODELAY: {e}")))?;
         let writer = stream
             .try_clone()
-            .map_err(|e| CoreError::Invariant(format!("cannot clone stream: {e}")))?;
+            .map_err(|e| CoreError::Io(format!("cannot clone stream: {e}")))?;
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
@@ -52,9 +52,9 @@ impl Client {
         let mut response = String::new();
         self.reader
             .read_line(&mut response)
-            .map_err(|e| CoreError::Invariant(format!("receive failed: {e}")))?;
+            .map_err(|e| CoreError::Io(format!("receive failed: {e}")))?;
         if response.is_empty() {
-            return Err(CoreError::Invariant("server closed the connection".into()));
+            return Err(CoreError::Io("server closed the connection".into()));
         }
         parse(&response).map_err(|e| CoreError::Invariant(format!("bad response JSON: {e}")))
     }
@@ -65,11 +65,11 @@ impl Client {
 /// waiting on the peer's delayed ACK of the first.
 fn send_line(writer: &mut impl Write, line: &str) -> Result<()> {
     if line.contains('\n') {
-        return Err(CoreError::Invariant("request must be a single line".into()));
+        return Err(CoreError::Usage("request must be a single line".into()));
     }
     writer
         .write_all(format!("{line}\n").as_bytes())
-        .map_err(|e| CoreError::Invariant(format!("send failed: {e}")))
+        .map_err(|e| CoreError::Io(format!("send failed: {e}")))
 }
 
 #[cfg(test)]

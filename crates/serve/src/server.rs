@@ -63,10 +63,10 @@ impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts accepting.
     pub fn start(addr: &str, config: ServiceConfig) -> Result<Server> {
         let listener = TcpListener::bind(addr)
-            .map_err(|e| CoreError::Invariant(format!("cannot bind {addr}: {e}")))?;
+            .map_err(|e| CoreError::Io(format!("cannot bind {addr}: {e}")))?;
         let bound = listener
             .local_addr()
-            .map_err(|e| CoreError::Invariant(format!("no local addr: {e}")))?;
+            .map_err(|e| CoreError::Io(format!("no local addr: {e}")))?;
         let service = Arc::new(ServiceHolder {
             service: std::sync::RwLock::new(Some(Service::start(config))),
         });
@@ -210,6 +210,23 @@ mod tests {
     use cumulon_trace::json::parse;
     use std::io::ErrorKind;
     use std::time::Duration;
+
+    /// An address the server cannot bind is an I/O error naming it, not a
+    /// planner invariant.
+    #[test]
+    fn an_unusable_address_is_an_io_error() {
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap().to_string();
+        let err = Server::start(&addr, ServiceConfig::default())
+            .err()
+            .unwrap();
+        assert!(matches!(err, CoreError::Io(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(
+            message.starts_with(&format!("cannot bind {addr}: ")),
+            "{message}"
+        );
+    }
 
     /// A client that streams a line past the limit, and never ends it,
     /// gets one `bad-request` naming the limit and a closed connection;

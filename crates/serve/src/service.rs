@@ -228,7 +228,7 @@ impl Service {
     pub fn start(config: ServiceConfig) -> Service {
         // Create (or adopt) the shared pool up front so its size is set
         // by service config, not by whichever run happens first.
-        let _ = shared_spec_pool(config.threads.max(1));
+        let _ = shared_spec_pool(config.threads);
         let inner = Arc::new(ServiceInner {
             config,
             queue: JobQueue::new(config.queue_depth),

@@ -31,7 +31,6 @@
 #![deny(missing_docs)]
 #![warn(unreachable_pub)]
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -317,34 +316,6 @@ struct TraceInner {
     spill_readback_avoided_bytes: AtomicU64,
 }
 
-thread_local! {
-    static SUPPRESSED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII guard that suppresses all trace recording on the current thread
-/// while alive. Speculative worker threads hold one for the duration of a
-/// lookahead execution so only the canonical discrete-event replay books
-/// spans and counters.
-pub struct SuppressGuard {
-    prev: bool,
-}
-
-impl Drop for SuppressGuard {
-    fn drop(&mut self) {
-        SUPPRESSED.with(|s| s.set(self.prev));
-    }
-}
-
-/// Suppresses trace recording on this thread until the guard drops.
-pub fn suppress() -> SuppressGuard {
-    let prev = SUPPRESSED.with(|s| s.replace(true));
-    SuppressGuard { prev }
-}
-
-fn suppressed() -> bool {
-    SUPPRESSED.with(|s| s.get())
-}
-
 /// A clonable handle for recording spans during one run.
 ///
 /// [`Trace::disabled`] is the zero-overhead default: every recording
@@ -444,9 +415,6 @@ impl Trace {
     /// the current round and offset are applied here.
     pub fn record_task(&self, mut span: TaskSpan) {
         if let Some(inner) = &self.inner {
-            if suppressed() {
-                return;
-            }
             let mut buf = inner.buf.lock().unwrap();
             span.round = buf.round;
             span.start_s += buf.offset_s;
@@ -458,9 +426,6 @@ impl Trace {
     /// Records one job span (round-local times, shifted like tasks).
     pub fn record_job(&self, mut span: JobSpan) {
         if let Some(inner) = &self.inner {
-            if suppressed() {
-                return;
-            }
             let mut buf = inner.buf.lock().unwrap();
             span.round = buf.round;
             span.start_s += buf.offset_s;
@@ -472,9 +437,6 @@ impl Trace {
     /// Records one instant event (round-local time, shifted like tasks).
     pub fn record_event(&self, mut event: TraceEvent) {
         if let Some(inner) = &self.inner {
-            if suppressed() {
-                return;
-            }
             let mut buf = inner.buf.lock().unwrap();
             let dt = buf.offset_s;
             event.offset_by(dt);
@@ -483,15 +445,13 @@ impl Trace {
     }
 
     /// Credits `bytes` of spill readback avoided by prefetch (no-op when
-    /// disabled or suppressed). Attributed run-wide: the saving shows up
+    /// disabled). Attributed run-wide: the saving shows up
     /// in the phase report's read lane, not per span.
     pub fn spill_readback_avoided(&self, bytes: u64) {
         if let Some(inner) = &self.inner {
-            if !suppressed() {
-                inner
-                    .spill_readback_avoided_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-            }
+            inner
+                .spill_readback_avoided_bytes
+                .fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
@@ -609,33 +569,6 @@ mod tests {
         assert_eq!(log.tasks[1].start_s, 100.0);
         assert_eq!(log.tasks[1].end_s, 105.0);
         assert_eq!(log.events[0].t_s(), 100.0);
-    }
-
-    #[test]
-    fn suppression_guard_masks_recording_on_this_thread() {
-        let t = Trace::enabled();
-        {
-            let _g = suppress();
-            t.record_task(sample_span(0, 0, 0.0, 1.0));
-            t.spill_readback_avoided(64);
-        }
-        t.record_task(sample_span(0, 1, 0.0, 1.0));
-        t.spill_readback_avoided(8);
-        let log = t.snapshot().unwrap();
-        assert_eq!(log.tasks.len(), 1);
-        assert_eq!(log.tasks[0].task, 1);
-        assert_eq!(log.spill_readback_avoided_bytes, 8);
-    }
-
-    #[test]
-    fn suppression_nests() {
-        let outer = suppress();
-        {
-            let _inner = suppress();
-        }
-        assert!(suppressed());
-        drop(outer);
-        assert!(!suppressed());
     }
 
     #[test]
